@@ -10,9 +10,9 @@ from .driven import (Commensurability, DrivenPhaseResult, DrivingForce,
 from .errors import (ConditioningError, ConfigError, ConvergenceError,
                      IncommensurateError, InvalidRepresentationError,
                      NotCyclicError, ResonanceError, UndefinedPhaseError)
-from .numerics import (DEFAULT_QUADRATURE, GridState, OdeTrajectory,
-                       QuadratureSpec, integrate_1d, propagate_schrodinger,
-                       rationalize, rk_integrate, unwrap_phase)
+from .numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
+                       integrate_1d, propagate_schrodinger, rationalize,
+                       unwrap_phase)
 from .phase import (PhaseResult, berry_phase, berry_phase_oracle,
                     canonical_angle, dynamical_phase_closed,
                     dynamical_phase_oracle, equivalence_class_C,

@@ -1,7 +1,7 @@
 """Shared numerical machinery.
 
-Quadrature, phase unwrapping, best-rational approximation, second-order ODE
-integration, and a split-operator Schrodinger propagator used as the strongest
+Quadrature, phase unwrapping, best-rational approximation, and a
+split-operator Schrodinger propagator used as the strongest
 independent cross-check of the analytic wavefunctions.
 
 All routines are deterministic: node layouts and summation orders are fixed,
@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError
 
@@ -138,33 +137,6 @@ def rationalize(x: float, tol: float, max_den: int = 10 ** 6) -> Optional[tuple[
     if abs(x - p / n) < tol * x:
         return p, n
     return None
-
-
-@dataclass(frozen=True)
-class OdeTrajectory:
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-
-
-def rk_integrate(accel: Callable[[float, float], float], x0: float, v0: float,
-                 t_span: tuple[float, float], t_eval=None,
-                 rtol: float = 1e-11, atol: float = 1e-11) -> OdeTrajectory:
-    """Integrate xdd = accel(x, t) with an adaptive 4th/5th-order pair.
-
-    Dormand-Prince RK45 with local tolerance 1e-11 by default. Returns the
-    sampled trajectory; raises ConvergenceError on solver failure (including
-    step underflow).
-    """
-
-    def rhs(t, y):
-        return (y[1], accel(y[0], t))
-
-    sol = solve_ivp(rhs, t_span, [float(x0), float(v0)], method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise ConvergenceError(f"ODE integration failed: {sol.message}")
-    return OdeTrajectory(t=sol.t, x=sol.y[0], v=sol.y[1])
 
 
 @dataclass

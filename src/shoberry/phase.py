@@ -106,8 +106,13 @@ def berry_phase(rep: Representation, n: int, duration: str = "half") -> PhaseRes
     return phase_result_for_half_periods(rep, n, half_periods)
 
 
-_MAX_BISECTIONS = 48
 _STEP_LIMIT = 0.25 * math.pi
+# Branch-tracking samples evaluated per array call: memory stays bounded for
+# long evolutions of squeezed states, and typical cells fit in one block.
+_BLOCK_SAMPLES = 1 << 16
+# Beyond this many samples (about 256 blocks) the tracker raises rather than
+# grinding on a near-degenerate representation.
+_MAX_SAMPLES = 1 << 24
 
 
 def _branch_amplitude(state: QuantumState, ts):
@@ -125,22 +130,49 @@ def _branch_amplitude(state: QuantumState, ts):
     return psi_dx(state, 0.0, ts)
 
 
-def _phase_increment(state: QuantumState, t0: float, s0: complex,
-                     t1: float, s1: complex, depth: int = 0) -> float:
-    """Continuous phase change of the branch amplitude across [t0, t1],
-    bisecting until every piece moves by less than pi/4."""
-    if s0 == 0 or s1 == 0:
-        raise ConvergenceError("branch amplitude vanished at a tracking node")
-    step = cmath.phase(s1 / s0)
-    if abs(step) < _STEP_LIMIT:
-        return step
-    if depth >= _MAX_BISECTIONS:
+def _branch_samples(state: QuantumState, tau_prime: float) -> int:
+    """Uniform sample count keeping every true phase step under pi/4.
+
+    The branch amplitude's argument is (n + 1/2) theta(t) plus a constant,
+    and |theta'| = Omega/(M rho^2). rho^2 is a positive quadratic form in
+    (cos wt, sin wt) with trace 1 + C^2 and determinant (C cos beta)^2, so its
+    smallest value exceeds (C cos beta)^2 / (1 + C^2) and
+    |theta'| < w (1 + C^2)/(C cos beta). Sampling at that a-priori rate
+    (Itoh's condition) leaves no step that could alias to 2pi k plus a small
+    angle. Only n, w, C and beta enter, never the closed-form phase, so the
+    oracle stays independent of it.
+    """
+    rep = state.rep
+    rate = (state.n + 0.5) * rep.w * (1.0 + rep.C * rep.C) \
+        / (rep.C * math.cos(rep.beta))
+    samples = max(64, 32 * (state.n + 1))
+    samples = int(samples * max(1.0, 2.0 * tau_prime / rep.tau0))
+    return max(samples, math.ceil(rate * tau_prime / _STEP_LIMIT))
+
+
+def _branch_winding(state: QuantumState, tau_prime: float) -> float:
+    """Unwrapped change of the branch amplitude's argument over [0, tau']."""
+    samples = _branch_samples(state, tau_prime)
+    if samples > _MAX_SAMPLES:
         raise ConvergenceError(
-            "phase tracking did not stabilize under bisection")
-    mid = 0.5 * (t0 + t1)
-    sm = complex(_branch_amplitude(state, mid))
-    return (_phase_increment(state, t0, s0, mid, sm, depth + 1)
-            + _phase_increment(state, mid, sm, t1, s1, depth + 1))
+            f"branch tracking needs {samples} samples (cap {_MAX_SAMPLES});"
+            " the representation is too close to degenerate")
+    winding = 0.0
+    carry = np.empty(0, dtype=complex)
+    for lo in range(0, samples + 1, _BLOCK_SAMPLES):
+        ks = np.arange(lo, min(lo + _BLOCK_SAMPLES, samples + 1))
+        block = _branch_amplitude(state, tau_prime * (ks / samples))
+        if np.any(block == 0):
+            raise ConvergenceError("branch amplitude vanished at a tracking node")
+        series = np.concatenate((carry, block))
+        steps = np.angle(series[1:] / series[:-1])
+        if np.max(np.abs(steps)) >= _STEP_LIMIT:
+            raise ConvergenceError(
+                "a branch-tracking step reached pi/4 despite the a-priori"
+                " sample count; the phase branch is not trustworthy")
+        winding += float(np.sum(steps))
+        carry = series[-1:]
+    return winding
 
 
 def overall_phase_oracle(state: QuantumState, tau_prime: float,
@@ -151,28 +183,22 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float,
     The mod-2pi phase and the fidelity come from the overlap
     <psi(0)|psi(tau')> computed by adaptive spatial quadrature; the 2pi branch
     comes from continuously tracking a zero-free amplitude of the state from
-    t = 0, refining until phase increments stay under pi/4. Raises
-    NotCyclicError when the fidelity falls below 1 - fidelity_floor, i.e. the
-    evolution did not return the state to itself.
+    t = 0 on a uniform grid fine enough that every phase step stays under
+    pi/4. Raises NotCyclicError when the fidelity falls below
+    1 - fidelity_floor, i.e. the evolution did not return the state to
+    itself, and ConvergenceError when the branch cannot be tracked.
     """
     if not tau_prime > 0:
         raise ValueError("tau_prime must be positive")
-    samples = max(64, 32 * (state.n + 1))
-    samples = int(samples * max(1.0, 2.0 * tau_prime / state.rep.tau0))
-    ts = np.linspace(0.0, float(tau_prime), samples + 1)
-    series = np.asarray(_branch_amplitude(state, ts))
-    delta_arg = 0.0
-    for k in range(samples):
-        delta_arg += _phase_increment(state, float(ts[k]), complex(series[k]),
-                                      float(ts[k + 1]), complex(series[k + 1]))
     final = overlap(state, 0.0, state, float(tau_prime), spec)
     fidelity = abs(final)
-    residual = cmath.phase(final) - delta_arg
-    chi = delta_arg + (residual + math.pi) % TWO_PI - math.pi
     if fidelity < 1.0 - fidelity_floor:
         raise NotCyclicError(
             f"evolution over {tau_prime:g} is not cyclic"
             f" (fidelity {fidelity:.12f}); overall phase undefined")
+    angle = cmath.phase(final)
+    winding = _branch_winding(state, float(tau_prime))
+    chi = angle + TWO_PI * round((winding - angle) / TWO_PI)
     return chi, fidelity
 
 

@@ -15,12 +15,14 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              berry_phase_driven, berry_phase_special_rep,
                              drive_phase_quadrature, particular_solution)
 from shoberry.errors import ResonanceError
-from shoberry.numerics import GridState, propagate_schrodinger, rk_integrate
+from shoberry.numerics import GridState, propagate_schrodinger
 from shoberry.phase import (berry_phase, dynamical_phase_oracle,
                             equivalence_class_C, ge_child_integral,
                             overall_phase_oracle)
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
+
+from _ode import rk_integrate
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -53,6 +55,13 @@ class TestBerryCommand:
         row = json.loads(out)["rows"][0]
         assert row["gamma"] == pytest.approx(math.pi / 8)
         assert row["abs_diff"] < 1e-7
+
+    def test_squeezed_excited_state_has_no_2pi_alias(self, capsys):
+        # too few branch-tracking samples once put this row off by exactly 8 pi
+        code, out, _ = run_cli(capsys, "berry", "--C", "50", "--beta", "1.2",
+                               "--n", "20")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["abs_diff"] < 1e-7
 
     def test_degenerate_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "berry", "--beta", "pi/2")
@@ -317,3 +326,11 @@ def test_nonconvergence_maps_to_exit_4(monkeypatch, capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import shoberry.cli, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -13,10 +13,11 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              velocity_squared_integral)
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, ResonanceError)
-from shoberry.numerics import rk_integrate
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
+
+from _ode import rk_integrate
 
 TWO_PI = 2.0 * math.pi
 STRETCHED = Representation(1.0, 1.0, 2.0, 0.0)

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from shoberry.errors import ConvergenceError
 from shoberry.numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
                                integrate_1d, propagate_schrodinger,
-                               rationalize, rk_integrate, unwrap_phase)
+                               rationalize, unwrap_phase)
 from shoberry.selfcheck import _quad_battery
+
+from _ode import rk_integrate
 
 TWO_PI = 2.0 * math.pi
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shoberry import phase
 from shoberry.errors import (ConvergenceError, InvalidRepresentationError,
                              NotCyclicError)
 from shoberry.numerics import integrate_1d
@@ -125,10 +126,35 @@ class TestOracles:
         assert fidelity > 1.0 - 1e-8
 
     def test_full_period_overall_phase(self):
-        for rep, n in ((STRETCHED, 0), (Representation(1, 1, 0.6, 0.4), 3)):
+        # the squeezed case tracks its branch over more than one sample block
+        for rep, n, periods in ((STRETCHED, 0, 1),
+                                (Representation(1, 1, 0.6, 0.4), 3, 1),
+                                (Representation(1, 1, 64.0, 1.4), 20, 2)):
             state = QuantumState(rep, n)
-            chi, _ = overall_phase_oracle(state, rep.tau0)
-            assert abs(chi + 2.0 * (n + 0.5) * math.pi) < 1e-7
+            chi, _ = overall_phase_oracle(state, periods * rep.tau0)
+            assert abs(chi + 2.0 * periods * (n + 0.5) * math.pi) < 1e-7
+        assert phase._branch_samples(state, periods * rep.tau0) \
+            > phase._BLOCK_SAMPLES
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(math.log(1e-2), math.log(1e2)),
+           st.floats(-math.acos(0.05), math.acos(0.05)),
+           st.integers(0, 20), st.sampled_from([1, 2, 4]))
+    def test_squeezed_oracle_never_off_by_2pi_k(self, log_c, beta, n,
+                                                 half_periods):
+        # half a period or one or two whole periods, anywhere a state exists
+        rep = Representation(1.0, 1.0, math.exp(log_c), beta)
+        state = QuantumState(rep, n)
+        try:
+            chi, _ = overall_phase_oracle(state, half_periods * 0.5 * rep.tau0)
+        except (NotCyclicError, ConvergenceError):
+            return
+        assert abs(chi - overall_phase_closed(n, half_periods)) < 1e-7
+
+    def test_near_degenerate_representation_raises(self):
+        rep = Representation(1.0, 1.0, 1.0, 0.5 * math.pi - 1e-8)
+        with pytest.raises(ConvergenceError):
+            overall_phase_oracle(QuantumState(rep, 0), 0.5 * rep.tau0)
 
     def test_non_cyclic_duration_detected(self):
         state = QuantumState(STRETCHED, 0)
