@@ -8,8 +8,9 @@ from .driven import (Commensurability, DrivenPhaseResult, DrivingForce,
                      fourier_decompose, particular_solution, psi_driven,
                      velocity_squared_integral)
 from .errors import (ConditioningError, ConfigError, ConvergenceError,
-                     IncommensurateError, InvalidRepresentationError,
-                     NotCyclicError, ResonanceError, UndefinedPhaseError)
+                     IncommensurateError, InvalidParameterError,
+                     InvalidRepresentationError, NotCyclicError,
+                     ResonanceError, UndefinedPhaseError)
 from .numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
                        integrate_1d, propagate_schrodinger, rationalize,
                        unwrap_phase)
@@ -22,9 +23,8 @@ from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              STATIONARY, ValidationReport, classical_pair,
                              omega_invariant, require_valid, rho, rho_ddot,
                              rho_dot, trajectory, validate, winding_phase)
-from .wavefunction import (ComplexAmplitude, QuantumState, alpha, alpha_dot,
-                           energy_expectation, energy_expectation_quadrature,
-                           grid_halfwidth, hermite, norm_quadrature, overlap,
-                           psi, psi_dx)
+from .wavefunction import (QuantumState, alpha, alpha_dot, energy_expectation,
+                           energy_expectation_quadrature, grid_halfwidth,
+                           hermite, norm_quadrature, overlap, psi, psi_dx)
 
 __version__ = "0.1.0"

@@ -28,13 +28,13 @@ from .driven import (DrivingForce, berry_phase_special_rep, commensurability,
                      berry_phase_driven, drive_phase_quadrature,
                      particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
-                     InvalidRepresentationError, UndefinedPhaseError)
+                     InvalidParameterError, UndefinedPhaseError)
 from .phase import (dynamical_phase_oracle, overall_phase_oracle,
                     phase_result_for_half_periods)
-from .representation import (PhysicalConfig, Representation, require_valid,
-                             rho, trajectory, validate)
+from .representation import (PhysicalConfig, Representation, rho, trajectory,
+                             validate)
 from .selfcheck import run_battery
-from .wavefunction import QuantumState
+from .wavefunction import QuantumState, check_quantum_number
 
 _BERRY_COLUMNS = ["n", "chi", "delta", "gamma", "gamma_canonical",
                   "oracle_gamma", "abs_diff"]
@@ -126,12 +126,7 @@ def _parse_ns(value) -> list[int]:
             raise ConfigError(f"cannot parse quantum numbers {value!r}") from None
     if not isinstance(value, list) or not value:
         raise ConfigError("n must be an integer or a nonempty list of integers")
-    ns = []
-    for item in value:
-        if not isinstance(item, (int, np.integer)) or item < 0:
-            raise ConfigError(f"quantum numbers must be nonnegative integers, got {item!r}")
-        ns.append(int(item))
-    return ns
+    return [check_quantum_number(item) for item in value]
 
 
 def _parse_complex_pair(value, what: str) -> complex:
@@ -167,10 +162,7 @@ def _build_force(omega_f: float, entries) -> DrivingForce:
         table[n] = complex(f)
     for n, f in list(table.items()):
         table.setdefault(-n, f.conjugate())
-    try:
-        return DrivingForce(omega_f=float(omega_f), coefficients=table)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return DrivingForce(omega_f=float(omega_f), coefficients=table)
 
 
 def _load_config(args) -> RunConfig:
@@ -380,7 +372,6 @@ def _driven_rows(rep, physical, ns, force, D, comm_tol):
 
 def cmd_berry(args) -> int:
     cfg = _load_config(args)
-    require_valid(cfg.rep, "formula-only")
     half_periods = _duration_half_periods(cfg.duration)
     rows = _berry_rows(cfg.rep, cfg.physical, cfg.ns, half_periods)
     _emit("berry", _BERRY_COLUMNS, rows, cfg,
@@ -393,7 +384,6 @@ def cmd_driven(args) -> int:
     if cfg.force is None:
         raise ConfigError("the driven command needs a force section"
                           " (--omega-f plus --force-coeff, or config JSON)")
-    require_valid(cfg.rep, "formula-only")
     rows = _driven_rows(cfg.rep, cfg.physical, cfg.ns, cfg.force, cfg.D,
                         cfg.comm_tol)
     _emit("driven", _DRIVEN_COLUMNS, rows, cfg)
@@ -404,7 +394,6 @@ def _rows_for_point(cfg: RunConfig, overrides: dict, driven_mode: bool):
     rep = Representation(M=cfg.rep.M, w=cfg.rep.w,
                          C=overrides.get("C", cfg.rep.C),
                          beta=overrides.get("beta", cfg.rep.beta))
-    require_valid(rep, "formula-only")
     ns = [int(round(overrides["n"]))] if "n" in overrides else cfg.ns
     if driven_mode:
         D = complex(overrides.get("D_re", cfg.D.real),
@@ -440,7 +429,7 @@ def cmd_sweep(args) -> int:
                 row.update({k: v for k, v in sub.items() if k not in point})
                 row["error"] = None
                 rows.append(row)
-        except (InvalidRepresentationError, UndefinedPhaseError,
+        except (InvalidParameterError, UndefinedPhaseError,
                 ConvergenceError, ArithmeticError) as exc:
             row = dict(point)
             row.update({c: None for c in base_columns if c not in point})
@@ -452,7 +441,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args)
-    require_valid(cfg.rep, "formula-only")
     points = trajectory(cfg.rep, cfg.samples)
     ts = np.linspace(0.0, cfg.rep.tau0, cfg.samples)
     radii = rho(cfg.rep, ts)
@@ -536,7 +524,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, InvalidRepresentationError) as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UndefinedPhaseError as exc:

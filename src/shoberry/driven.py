@@ -17,6 +17,7 @@ time quadrature. Disagreement between the two is a bug, not a branch.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -24,10 +25,10 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
-                     ResonanceError)
+                     InvalidParameterError, ResonanceError)
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d, rationalize
 from .phase import berry_phase
-from .representation import PhysicalConfig, Representation, require_valid
+from .representation import PhysicalConfig, Representation
 from .wavefunction import QuantumState, _parts, hermite
 
 # Relative threshold below which a mode coefficient counts as absent, and the
@@ -48,15 +49,20 @@ class DrivingForce:
     coefficients: dict[int, complex]
 
     def __post_init__(self):
-        if not self.omega_f > 0:
-            raise ValueError("omega_f must be positive")
+        if not (math.isfinite(self.omega_f) and self.omega_f > 0):
+            raise InvalidParameterError(
+                f"omega_f must be finite and positive, got {self.omega_f!r}")
         coeffs = {int(n): complex(f) for n, f in self.coefficients.items()
                   if f != 0}
+        for n, f in coeffs.items():
+            if not cmath.isfinite(f):
+                raise InvalidParameterError(
+                    f"force coefficient of mode {n} must be finite, got {f!r}")
         scale = max((abs(f) for f in coeffs.values()), default=0.0)
         for n, f in coeffs.items():
             mate = coeffs.get(-n, 0j)
             if abs(mate - f.conjugate()) > COEFF_EPS * max(scale, 1.0):
-                raise ValueError(
+                raise InvalidParameterError(
                     f"coefficients must satisfy f_-n = conj(f_n) for a real"
                     f" force; violated at n = {n}")
         object.__setattr__(self, "coefficients", coeffs)
@@ -202,7 +208,9 @@ def particular_solution(force: DrivingForce, rep: Representation,
     coefficient must vanish; near-resonant denominators are refused outright
     rather than returned with huge amplification.
     """
-    require_valid(rep, "formula-only")
+    D = complex(D)
+    if not cmath.isfinite(D):
+        raise InvalidParameterError(f"D must be finite, got {D!r}")
     w, mass = rep.w, rep.M
     omega_f = force.omega_f
     norm = force.norm()
@@ -220,7 +228,7 @@ def particular_solution(force: DrivingForce, rep: Representation,
                 f"mode {n} is within {RESONANCE_DENOM_EPS:g}*w^2 of resonance;"
                 " the amplified solution would not be trustworthy")
         modes[n] = force.coefficients[n] / (mass * denom)
-    return ParticularSolution(omega_f=omega_f, modes=modes, D=complex(D), w=w)
+    return ParticularSolution(omega_f=omega_f, modes=modes, D=D, w=w)
 
 
 def _exp_integral(mu, t0, t1):
@@ -235,7 +243,6 @@ def action_phase(rep: Representation, xp: ParticularSolution, t0: float, t):
     The reference time t0 shifts the result by a constant that cancels in any
     cyclic phase difference.
     """
-    require_valid(rep, "formula-only")
     w = rep.w
     arr = np.asarray(t, dtype=float)
     pairs = xp._mode_list()
@@ -371,7 +378,7 @@ def psi_driven(state: QuantumState, xp: ParticularSolution, x, t):
     action = action_phase(rep, xp, 0.0, arr_t)
     x = np.asarray(x, dtype=float)
     shifted = x - xpv
-    env, y, _ = _parts(state, shifted, arr_t)
+    env, y, _, _ = _parts(state, shifted, arr_t)
     extra = np.exp(1j * (rep.M * xdv * x + action) / hbar)
     out = env * extra * hermite(state.n, y)
     arr = np.asarray(out)

@@ -1,12 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: invalid representations and bad configs
-exit 2, mathematically undefined phases exit 3, numerical non-convergence
-exits 4.
+The CLI maps these onto exit codes: invalid parameters (representations
+included) and bad configs exit 2, mathematically undefined phases exit 3,
+numerical non-convergence exits 4.
 """
 
 
-class InvalidRepresentationError(ValueError):
+class InvalidParameterError(ValueError):
+    """A value object was built from a field outside its domain."""
+
+
+class InvalidRepresentationError(InvalidParameterError):
     """A representation violates a constraint required by the requested operation."""
 
 

@@ -19,8 +19,8 @@ from .errors import ConvergenceError, InvalidRepresentationError, NotCyclicError
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              require_valid)
-from .wavefunction import (QuantumState, energy_expectation, grid_halfwidth,
-                           overlap, psi, psi_dx)
+from .wavefunction import (QuantumState, check_quantum_number,
+                           energy_expectation, overlap, psi, psi_dx)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,15 +60,13 @@ def _check_half_periods(half_periods: int):
 
 def overall_phase_closed(n: int, half_periods: int = 1) -> float:
     """Unwrapped overall phase after k half periods: -k (n + 1/2) pi."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    check_quantum_number(n)
     _check_half_periods(half_periods)
     return -half_periods * (n + 0.5) * math.pi
 
 
 def _energy_ratio(rep: Representation) -> float:
     """(1 + C^2) / (2 C cos beta), the mean energy in units of (n+1/2) hbar w."""
-    require_valid(rep, "formula-only")
     return (1.0 + rep.C * rep.C) / (2.0 * rep.C * math.cos(rep.beta))
 
 

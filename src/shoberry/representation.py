@@ -9,11 +9,11 @@ the conserved Wronskian M(u v' - v u'), and the closed (u, v) trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRepresentationError
+from .errors import InvalidParameterError, InvalidRepresentationError
 
 # Degeneracy guard: |cos beta| below this makes the Wronskian vanish and every
 # phase integrand blow up, so such representations are rejected outright.
@@ -32,29 +32,47 @@ class PhysicalConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidParameterError(
+                f"hbar must be finite and positive, got {self.hbar!r}")
 
 
 @dataclass(frozen=True)
 class Representation:
     """Classical-solution pair (cos wt, C sin(wt + beta)).
 
-    M and w must be positive and are enforced at construction; the amplitude C
-    and phase angle beta (radians) are checked by validate(), because phase
-    formulas tolerate sign choices that normalizable wavefunctions do not.
+    Construction refuses non-finite fields, M or w <= 0, C = 0 and
+    |cos beta| <= COS_BETA_EPS, and stores the Wronskian omega = M C w cos(beta).
+    A negative omega is admitted: the phase formulas tolerate it, while
+    wavefunctions need require_valid(rep, "full").
     """
 
     M: float
     w: float
     C: float
     beta: float
+    omega: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("M", "w", "C", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidRepresentationError(f"{name} must be finite, got {value!r}")
         if not self.M > 0:
             raise InvalidRepresentationError("mass M must be positive")
         if not self.w > 0:
             raise InvalidRepresentationError("angular frequency w must be positive")
+        failures = []
+        if self.C == 0:
+            failures.append("C must be nonzero")
+        cos_beta = math.cos(self.beta)
+        if abs(cos_beta) <= COS_BETA_EPS:
+            failures.append(
+                f"|cos(beta)| must exceed {COS_BETA_EPS:g}"
+                " (beta is too close to an odd multiple of pi/2)")
+        if failures:
+            raise InvalidRepresentationError("; ".join(failures))
+        object.__setattr__(self, "omega", self.M * self.C * self.w * cos_beta)
 
     @property
     def tau0(self) -> float:
@@ -75,26 +93,17 @@ class ValidationReport:
 def validate(rep: Representation, mode: str = "full") -> ValidationReport:
     """Check representation constraints without raising.
 
-    "formula-only" admits any representation whose phase formulas are finite
-    (C nonzero, |cos beta| above the degeneracy guard). "full" additionally
-    requires C cos(beta) > 0, i.e. a positive Wronskian, which normalizable
-    wavefunctions need.
+    Every built representation passes "formula-only": its phase formulas are
+    finite. "full" additionally requires a positive Wronskian omega, i.e.
+    C cos(beta) > 0, which normalizable wavefunctions need.
     """
     if mode not in ("formula-only", "full"):
         raise ValueError(f"unknown validation mode {mode!r}")
-    failures = []
-    if rep.C == 0:
-        failures.append("C must be nonzero")
-    cos_beta = math.cos(rep.beta)
-    if abs(cos_beta) <= COS_BETA_EPS:
-        failures.append(
-            f"|cos(beta)| must exceed {COS_BETA_EPS:g}"
-            " (beta is too close to an odd multiple of pi/2)")
-    if mode == "full" and not failures and rep.C * cos_beta <= 0:
-        failures.append(
+    if mode == "full" and not rep.omega > 0:
+        return ValidationReport(ok=False, mode=mode, failures=(
             "C*cos(beta) must be positive for normalizable wavefunctions"
-            " (the Wronskian M*C*w*cos(beta) is not positive)")
-    return ValidationReport(ok=not failures, mode=mode, failures=tuple(failures))
+            " (the Wronskian M*C*w*cos(beta) is not positive)",))
+    return ValidationReport(ok=True, mode=mode)
 
 
 def require_valid(rep: Representation, mode: str = "full") -> None:
@@ -105,7 +114,6 @@ def require_valid(rep: Representation, mode: str = "full") -> None:
 
 def classical_pair(rep: Representation, t):
     """u, v and their time derivatives at t (scalar or array)."""
-    require_valid(rep, "formula-only")
     arr, scalar = _as_time(t)
     wt = rep.w * arr
     shifted = wt + rep.beta
@@ -118,37 +126,33 @@ def classical_pair(rep: Representation, t):
     return u, v, du, dv
 
 
-def rho(rep: Representation, t):
-    """Amplitude sqrt(u^2 + v^2); periodic with half the classical period."""
-    u, v, _, _ = classical_pair(rep, t)
-    r = np.hypot(u, v)
-    if np.any(np.asarray(r) == 0.0):
-        raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
-    return r
-
-
-def rho_dot(rep: Representation, t):
+def kinematics(rep: Representation, t):
+    """u, v, u', v', rho = sqrt(u^2 + v^2) and rho' at t (scalar or array)."""
     u, v, du, dv = classical_pair(rep, t)
     r = np.hypot(u, v)
     if np.any(np.asarray(r) == 0.0):
         raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
-    return (u * du + v * dv) / r
+    return u, v, du, dv, r, (u * du + v * dv) / r
+
+
+def rho(rep: Representation, t):
+    """Amplitude sqrt(u^2 + v^2); periodic with half the classical period."""
+    return kinematics(rep, t)[4]
+
+
+def rho_dot(rep: Representation, t):
+    return kinematics(rep, t)[5]
 
 
 def rho_ddot(rep: Representation, t):
     """Second time derivative of rho, from u'' = -w^2 u exactly."""
-    u, v, du, dv = classical_pair(rep, t)
-    r = np.hypot(u, v)
-    if np.any(np.asarray(r) == 0.0):
-        raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
-    rd = (u * du + v * dv) / r
-    return (du * du + dv * dv - rep.w ** 2 * r * r - rd * rd) / r
+    _, _, du, dv, r, rdot = kinematics(rep, t)
+    return (du * du + dv * dv - rep.w ** 2 * r * r - rdot * rdot) / r
 
 
 def omega_invariant(rep: Representation) -> float:
     """Conserved Wronskian M (u v' - v u') = M C w cos(beta)."""
-    require_valid(rep, "formula-only")
-    return rep.M * rep.C * rep.w * math.cos(rep.beta)
+    return rep.omega
 
 
 def winding_phase(rep: Representation, t):
@@ -181,7 +185,6 @@ def trajectory(rep: Representation, samples: int) -> np.ndarray:
     Returns an array of shape (samples, 2) including both endpoints, which
     coincide by periodicity.
     """
-    require_valid(rep, "formula-only")
     if samples < 2:
         raise ValueError("at least two samples are needed")
     ts = np.linspace(0.0, rep.tau0, samples)

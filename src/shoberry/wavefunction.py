@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d
-from .representation import (PhysicalConfig, Representation, classical_pair,
-                             omega_invariant, require_valid, winding_phase)
+from .representation import (PhysicalConfig, Representation, kinematics,
+                             require_valid, rho_ddot, winding_phase)
 
 # Upward Hermite recurrence keeps full double precision for degrees this low;
 # beyond it the values overflow for the arguments the Gaussian tails allow.
@@ -30,9 +31,19 @@ MAX_HERMITE_DEGREE = 64
 
 _LOG2 = math.log(2.0)
 
-# Plain complex numbers carry the dimensionful amplitudes; psi raises on
-# non-finite output rather than returning NaN/Inf.
-ComplexAmplitude = complex
+
+def check_quantum_number(n) -> int:
+    """n as an int; refuses bools, non-integers and negative values."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidParameterError(
+            f"quantum number must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+def _check_degree(n):
+    if check_quantum_number(n) > MAX_HERMITE_DEGREE:
+        raise InvalidParameterError(
+            f"quantum number capped at {MAX_HERMITE_DEGREE}, got {n!r}")
 
 
 def hermite(n: int, x):
@@ -41,10 +52,7 @@ def hermite(n: int, x):
     H_{k+1} = 2x H_k - 2k H_{k-1}. Overflow is reported as OverflowError, not
     silently saturated. Accepts scalars or arrays.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("Hermite degree must be a nonnegative integer")
-    if n > MAX_HERMITE_DEGREE:
-        raise ValueError(f"Hermite degree capped at {MAX_HERMITE_DEGREE}")
+    _check_degree(n)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     if n == 0:
@@ -71,22 +79,17 @@ class QuantumState:
     config: PhysicalConfig = field(default_factory=PhysicalConfig)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError("quantum number n must be a nonnegative integer")
-        if self.n > MAX_HERMITE_DEGREE:
-            raise ValueError(f"quantum number capped at {MAX_HERMITE_DEGREE}")
+        _check_degree(self.n)
         require_valid(self.rep, "full")
 
 
 def _parts(state: QuantumState, x, t):
-    """Envelope (everything but the Hermite factor), Hermite argument, and the
-    quadratic exponent coefficient, broadcast over x and t."""
+    """Envelope (everything but the Hermite factor), Hermite argument, the
+    quadratic exponent coefficient and rho, broadcast over x and t."""
     rep = state.rep
     hbar = state.config.hbar
-    u, v, du, dv = classical_pair(rep, t)
-    r = np.hypot(u, v)
-    rdot = (u * du + v * dv) / r
-    om = omega_invariant(rep)
+    _, _, _, _, r, rdot = kinematics(rep, t)
+    om = rep.omega
     theta = winding_phase(rep, t)
     n = state.n
     log_pref = 0.25 * math.log(om / (math.pi * hbar)) \
@@ -96,12 +99,12 @@ def _parts(state: QuantumState, x, t):
     env = (math.exp(log_pref) / np.sqrt(r)) \
         * np.exp(1j * (n + 0.5) * theta) * np.exp(quad * x * x)
     y = np.sqrt(om / hbar) * x / r
-    return env, y, quad
+    return env, y, quad, r
 
 
 def psi(state: QuantumState, x, t):
     """Wavefunction value at (x, t); x and t broadcast together."""
-    env, y, _ = _parts(state, x, t)
+    env, y, _, _ = _parts(state, x, t)
     out = env * hermite(state.n, y)
     arr = np.asarray(out)
     if not np.all(np.isfinite(arr)):
@@ -111,14 +114,11 @@ def psi(state: QuantumState, x, t):
 
 def psi_dx(state: QuantumState, x, t):
     """Analytic spatial derivative of psi (uses H_n' = 2n H_{n-1})."""
-    env, y, quad = _parts(state, x, t)
+    env, y, quad, r = _parts(state, x, t)
     x = np.asarray(x, dtype=float)
     out = env * (2.0 * quad * x) * hermite(state.n, y)
     if state.n > 0:
-        rep = state.rep
-        u, v, _, _ = classical_pair(rep, t)
-        r = np.hypot(u, v)
-        scale = np.sqrt(omega_invariant(rep) / state.config.hbar) / r
+        scale = np.sqrt(state.rep.omega / state.config.hbar) / r
         out = out + env * (2.0 * state.n * scale) * hermite(state.n - 1, y)
     arr = np.asarray(out)
     return complex(out) if arr.ndim == 0 else out
@@ -127,21 +127,17 @@ def psi_dx(state: QuantumState, x, t):
 def alpha(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
     """Gaussian exponent parameter (Omega/rho^2 - i M rho'/rho) / (2 hbar)."""
     require_valid(rep, "full")
-    u, v, du, dv = classical_pair(rep, t)
-    r = np.hypot(u, v)
-    rdot = (u * du + v * dv) / r
-    om = omega_invariant(rep)
+    _, _, _, _, r, rdot = kinematics(rep, t)
+    om = rep.omega
     return (om / (r * r) - 1j * rep.M * rdot / r) / (2.0 * config.hbar)
 
 
 def alpha_dot(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
     """Exact time derivative of alpha."""
     require_valid(rep, "full")
-    u, v, du, dv = classical_pair(rep, t)
-    r = np.hypot(u, v)
-    rdot = (u * du + v * dv) / r
-    rddot = (du * du + dv * dv - rep.w ** 2 * r * r - rdot * rdot) / r
-    om = omega_invariant(rep)
+    _, _, _, _, r, rdot = kinematics(rep, t)
+    rddot = rho_ddot(rep, t)
+    om = rep.omega
     return (-2.0 * om * rdot / r ** 3
             - 1j * rep.M * (rddot / r - (rdot / r) ** 2)) / (2.0 * config.hbar)
 
@@ -153,10 +149,10 @@ def energy_expectation(state: QuantumState, t):
     reduces to (n + 1/2) hbar w in the stationary representation.
     """
     rep = state.rep
-    u, v, du, dv = classical_pair(rep, t)
+    u, v, du, dv, _, _ = kinematics(rep, t)
     r2 = u * u + v * v
     rd2 = (u * du + v * dv) ** 2 / r2
-    om = omega_invariant(rep)
+    om = rep.omega
     bracket = om / (rep.M * r2) + rep.M * rd2 / om + rep.M * rep.w ** 2 * r2 / om
     return 0.5 * state.config.hbar * (state.n + 0.5) * bracket
 
@@ -168,7 +164,7 @@ def grid_halfwidth(state: QuantumState) -> float:
     point keeps the truncated tail far below 1e-10.
     """
     rep = state.rep
-    om = omega_invariant(rep)
+    om = rep.omega
     rho_max = math.sqrt(1.0 + rep.C * rep.C)
     return rho_max * math.sqrt(state.config.hbar / om) \
         * (math.sqrt(2.0 * state.n + 1.0) + 10.0)

@@ -184,6 +184,17 @@ class TestSweepCommand:
         rows = json.loads(out)["rows"]
         assert rows[1]["gamma_total"] > rows[0]["gamma_total"]
 
+    def test_refused_points_land_in_error_column(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--omega-f", "0.5",
+                               "--force-coeff", "1:0.1:0",
+                               "--sweep", "omega_f:-1:1:3")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["omega_f"] for row in rows] == [-1.0, 0.0, 1.0]
+        assert all("omega_f must be finite and positive" in row["error"]
+                   for row in rows[:2])
+        assert rows[2]["error"] is not None    # omega_f = w: resonant mode
+
     def test_sweep_without_axes_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--C", "2")
         assert code == 2
@@ -267,9 +278,10 @@ class TestConfigDocument:
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text("{not json")
-        code, _, _ = run_cli(capsys, "berry", "--config", str(path))
-        assert code == 2
+        for text in ("{not json", '{"n": true}'):
+            path.write_text(text)
+            code, _, _ = run_cli(capsys, "berry", "--config", str(path))
+            assert code == 2
 
 
 class TestValidateCommand:
@@ -291,6 +303,24 @@ class TestValidateCommand:
                                "--only", "dynamical-oracle-agreement")
         assert code == 1
         assert "FAIL phase/dynamical-oracle-agreement" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("berry", "--C", "nan"),
+    ("berry", "--C", "inf"),
+    ("berry", "--beta", "nan"),
+    ("berry", "--M", "inf"),
+    ("berry", "--hbar", "-1"),
+    ("berry", "--n", "65"),
+    ("driven", "--omega-f", "inf", "--force-coeff", "1:0.5:0"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:nan:0"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0", "--D", "nan:0"),
+], ids=" ".join)
+def test_invalid_input_exits_2_without_traceback(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)   # an uncaught exception fails here
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_error_row_quoted_in_csv(capsys):

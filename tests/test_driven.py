@@ -33,6 +33,8 @@ class TestDrivingForce:
     def test_reality_constraint_enforced(self):
         with pytest.raises(ValueError):
             DrivingForce(1.0, {1: 1.0 + 0.5j, -1: 1.0 + 0.5j})
+        with pytest.raises(ValueError, match="finite"):
+            DrivingForce(1.0, {1: complex(math.nan, 0.0), -1: complex(math.nan, 0.0)})
 
     def test_zero_modes_dropped(self):
         force = DrivingForce(1.0, {1: 0.5, -1: 0.5, 3: 0.0, -3: 0.0})

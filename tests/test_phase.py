@@ -104,6 +104,8 @@ class TestBerryPhase:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             berry_phase(STATIONARY, 0, "quarter")
+        with pytest.raises(ValueError):
+            berry_phase(STATIONARY, True)  # a bool is not a quantum number
 
     def test_invalid_phase_result_rejected(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,9 @@ reps_full = st.builds(
 
 
 def test_physical_config_requires_positive_hbar():
-    with pytest.raises(ValueError):
-        PhysicalConfig(hbar=0.0)
+    for hbar in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PhysicalConfig(hbar=hbar)
     assert PhysicalConfig().hbar == 1.0
 
 
@@ -38,6 +39,11 @@ def test_construction_rejects_bad_mass_and_frequency():
         Representation(M=-1.0, w=1.0, C=1.0, beta=0.0)
     with pytest.raises(InvalidRepresentationError):
         Representation(M=1.0, w=0.0, C=1.0, beta=0.0)
+    good = dict(M=1.0, w=1.0, C=1.0, beta=0.0)
+    for name in good:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidRepresentationError, match="finite"):
+                Representation(**{**good, name: value})
 
 
 def test_tau0_derived_from_w():
@@ -50,11 +56,8 @@ class TestValidate:
         assert report.ok and report.failures == ()
 
     def test_cos_beta_zero_fails_any_mode(self):
-        rep = Representation(1, 1, 1, math.pi / 2)
-        for mode in ("formula-only", "full"):
-            report = validate(rep, mode)
-            assert not report.ok
-            assert any("cos" in f for f in report.failures)
+        with pytest.raises(InvalidRepresentationError, match="cos"):
+            Representation(1, 1, 1, math.pi / 2)
 
     def test_negative_wronskian_formula_only_vs_full(self):
         rep = Representation(1, 1, -0.382, math.pi / 3)
@@ -64,7 +67,8 @@ class TestValidate:
         assert any("Wronskian" in f for f in full.failures)
 
     def test_zero_C_fails(self):
-        assert not validate(Representation(1, 1, 0.0, 0.0), "formula-only").ok
+        with pytest.raises(InvalidRepresentationError, match="nonzero"):
+            Representation(1, 1, 0.0, 0.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

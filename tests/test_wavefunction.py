@@ -42,8 +42,9 @@ class TestHermite:
                                               rel=1e-10, abs=1e-9)
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
+        for n in (-1, True):
+            with pytest.raises(ValueError):
+                hermite(n, 0.0)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -60,8 +61,9 @@ class TestQuantumState:
             QuantumState(Representation(1, 1, -0.5, 0.0), 0)
 
     def test_requires_nonnegative_n(self):
-        with pytest.raises(ValueError):
-            QuantumState(STATIONARY, -1)
+        for n in (-1, True):
+            with pytest.raises(ValueError):
+                QuantumState(STATIONARY, n)
 
 
 class TestPsi:
