@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .driven import (DrivingForce, berry_phase_special_rep, commensurability,
-                     berry_phase_driven, drive_phase_quadrature,
-                     particular_solution)
+from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
+                     commensurability, berry_phase_driven,
+                     drive_phase_quadrature, particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, UndefinedPhaseError)
 from .phase import (dynamical_phase_oracle, overall_phase_oracle,
@@ -107,11 +107,23 @@ def _duration_half_periods(duration) -> int:
         return 1
     if duration == "full":
         return 2
-    if isinstance(duration, (int, np.integer)) and duration >= 1:
+    if isinstance(duration, (int, np.integer)) and not isinstance(duration, bool) \
+            and duration >= 1:
         return 2 * int(duration)
     raise ConfigError(
         f"duration must be 'half', 'full', or a positive integer number of"
         f" periods, not {duration!r}")
+
+
+def _config_number(value, key: str, kind=float):
+    """A config value as ``kind`` (float or int); a bool, or a value ``kind``
+    cannot convert, is a ConfigError that names the key."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config value {key} must be a number, got {value!r}")
 
 
 def _parse_ns(value) -> list[int]:
@@ -139,7 +151,8 @@ def _parse_complex_pair(value, what: str) -> complex:
         except ValueError:
             raise ConfigError(f"cannot parse {what} {value!r}") from None
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_config_number(value[0], what),
+                       _config_number(value[1], what))
     raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
 
 
@@ -183,7 +196,7 @@ def _load_config(args) -> RunConfig:
         flag = getattr(args, flag_name, None)
         if flag is not None:
             return float(flag)
-        return float(rep_doc.get(key, default))
+        return _config_number(rep_doc.get(key, default), f"representation.{key}")
 
     beta_raw = args.beta if getattr(args, "beta", None) is not None \
         else rep_doc.get("beta", 0.0)
@@ -212,9 +225,15 @@ def _load_config(args) -> RunConfig:
                 or "coefficients" not in force_doc:
             raise ConfigError("force section needs omega_f and coefficients")
         if omega_f is None:
-            omega_f = force_doc["omega_f"]
-        entries.extend((int(row[0]), complex(float(row[1]), float(row[2])))
-                       for row in force_doc["coefficients"])
+            omega_f = _config_number(force_doc["omega_f"], "force.omega_f")
+        rows = force_doc["coefficients"]
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == 3 for row in rows):
+            raise ConfigError("force.coefficients must be a list of [n, re, im]")
+        key = "force.coefficients"
+        entries.extend((_config_number(n, key, int),
+                        complex(_config_number(real, key), _config_number(imag, key)))
+                       for n, real, imag in rows)
         if "D" in force_doc:
             D = _parse_complex_pair(force_doc["D"], "D")
     if getattr(args, "force_coeff", None):
@@ -256,11 +275,12 @@ def _load_config(args) -> RunConfig:
 
     samples = getattr(args, "samples", None)
     if samples is None:
-        samples = int(doc.get("samples", 256))
+        samples = _config_number(doc.get("samples", 256), "samples", int)
     if samples < 2:
         raise ConfigError("samples must be at least 2")
 
-    comm_tol = float(doc.get("commensurability_tolerance", 1e-13))
+    comm_tol = _config_number(doc.get("commensurability_tolerance", 1e-13),
+                              "commensurability_tolerance")
 
     return RunConfig(rep=rep, physical=physical, ns=ns, duration=duration_raw,
                      force=force, D=D, sweep_axes=sweep_axes, out=out, fmt=fmt,
@@ -346,6 +366,7 @@ def _berry_rows(rep, physical, ns, half_periods):
 
 
 def _driven_rows(rep, physical, ns, force, D, comm_tol):
+    D = check_amplitude(D)   # before the D == 0 test of the fallback below
     try:
         comm = commensurability(rep.tau0, force.tau_f, comm_tol)
     except IncommensurateError:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, ResonanceError)
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d, rationalize
+from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d,
+                       rationalize, sample_vectorized)
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
 from .wavefunction import QuantumState, _parts, hermite
@@ -37,8 +38,48 @@ COEFF_EPS = 1e-12
 RESONANCE_DENOM_EPS = 1e-9
 
 
+# Values in one block of a blocked sum: a block of time points times the
+# modes (or mode pairs) stays at 2^12 complex values, 64 kB, whatever the
+# length of the time array.
+_BLOCK = 1 << 12
+
+
 def _ordered_modes(coefficients: Mapping[int, complex]) -> list[int]:
     return sorted(coefficients, key=lambda n: (abs(n), n))
+
+
+def _mode_arrays(coefficients: Mapping[int, complex], omega_f: float,
+                 extra: tuple[tuple[float, complex], ...] = ()):
+    """Read-only angular frequencies n omega_f, in (|n|, n) order, and their
+    complex amplitudes; the (frequency, amplitude) pairs of ``extra`` go last."""
+    order = _ordered_modes(coefficients)
+    nu = np.array([n * omega_f for n in order] + [f for f, _ in extra], dtype=float)
+    amp = np.array([coefficients[n] for n in order] + [a for _, a in extra],
+                   dtype=complex)
+    nu.flags.writeable = False
+    amp.flags.writeable = False
+    return nu, amp
+
+
+def _blocked_sum(t, basis, coeff):
+    """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a float.
+
+    ``basis`` maps a column of B times to a (B, coeff.size) matrix. Times go
+    through it in blocks, so temporaries stay bounded for any number of times.
+    """
+    arr = np.asarray(t, dtype=float)
+    flat = arr.reshape(-1)
+    out = np.empty(flat.shape)
+    block = max(1, _BLOCK // max(coeff.size, 1))
+    for start in range(0, flat.size, block):
+        ts = flat[start:start + block, None]
+        out[start:start + block] = np.sum(basis(ts) * coeff, axis=1).real
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _mode_sum(t, nu, amp):
+    """Re sum_k amp_k exp(i nu_k t)."""
+    return _blocked_sum(t, lambda ts: np.exp(1j * nu * ts), amp)
 
 
 @dataclass(frozen=True)
@@ -66,6 +107,9 @@ class DrivingForce:
                     f"coefficients must satisfy f_-n = conj(f_n) for a real"
                     f" force; violated at n = {n}")
         object.__setattr__(self, "coefficients", coeffs)
+        nu, amp = _mode_arrays(coeffs, self.omega_f)
+        object.__setattr__(self, "_nu", nu)
+        object.__setattr__(self, "_amp", amp)
 
     @property
     def tau_f(self) -> float:
@@ -75,12 +119,7 @@ class DrivingForce:
         return math.sqrt(sum(abs(f) ** 2 for f in self.coefficients.values()))
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        total = np.zeros(arr.shape, dtype=complex)
-        for n in _ordered_modes(self.coefficients):
-            total += self.coefficients[n] * np.exp(1j * n * self.omega_f * arr)
-        out = total.real
-        return float(out) if arr.ndim == 0 else out
+        return _mode_sum(t, self._nu, self._amp)
 
 
 @dataclass(frozen=True)
@@ -121,9 +160,7 @@ def fourier_decompose(force: Callable, omega_f: float, n_max: int, *,
         raise ValueError("need more than 2*n_max samples")
     tau_f = 2.0 * math.pi / omega_f
     ts = tau_f * np.arange(count) / count
-    vals = np.asarray(force(ts), dtype=float)
-    if vals.shape != ts.shape:
-        raise ValueError("force callable must be vectorized over time arrays")
+    vals = sample_vectorized(force, ts)
     spectrum = np.fft.fft(vals) / count
     coeffs: dict[int, complex] = {}
     for n in range(-n_max, n_max + 1):
@@ -174,29 +211,29 @@ class ParticularSolution:
     D: complex
     w: float
 
-    def _mode_list(self) -> list[tuple[float, complex]]:
-        out = [(n * self.omega_f, self.modes[n]) for n in _ordered_modes(self.modes)]
-        if self.D != 0:
-            out.append((self.w, self.D))
-            out.append((-self.w, self.D.conjugate()))
-        return out
-
-    def _sum(self, t, weight):
-        arr = np.asarray(t, dtype=float)
-        total = np.zeros(arr.shape, dtype=complex)
-        for nu, amp in self._mode_list():
-            total += weight(nu) * amp * np.exp(1j * nu * arr)
-        out = total.real
-        return float(out) if arr.ndim == 0 else out
+    def __post_init__(self):
+        D = complex(self.D)
+        homogeneous = ((self.w, D), (-self.w, D.conjugate())) if D != 0 else ()
+        nu, amp = _mode_arrays(self.modes, self.omega_f, homogeneous)
+        object.__setattr__(self, "_nu", nu)
+        object.__setattr__(self, "_amp", amp)
 
     def x(self, t):
-        return self._sum(t, lambda nu: 1.0)
+        return _mode_sum(t, self._nu, self._amp)
 
     def xdot(self, t):
-        return self._sum(t, lambda nu: 1j * nu)
+        return _mode_sum(t, self._nu, 1j * self._nu * self._amp)
 
     def xddot(self, t):
-        return self._sum(t, lambda nu: -nu * nu)
+        return _mode_sum(t, self._nu, -self._nu * self._nu * self._amp)
+
+
+def check_amplitude(D) -> complex:
+    """The free homogeneous amplitude D as a complex; a non-finite D is refused."""
+    D = complex(D)
+    if not cmath.isfinite(D):
+        raise InvalidParameterError(f"D must be finite, got {D!r}")
+    return D
 
 
 def particular_solution(force: DrivingForce, rep: Representation,
@@ -208,9 +245,7 @@ def particular_solution(force: DrivingForce, rep: Representation,
     coefficient must vanish; near-resonant denominators are refused outright
     rather than returned with huge amplification.
     """
-    D = complex(D)
-    if not cmath.isfinite(D):
-        raise InvalidParameterError(f"D must be finite, got {D!r}")
+    D = check_amplitude(D)
     w, mass = rep.w, rep.M
     omega_f = force.omega_f
     norm = force.norm()
@@ -237,6 +272,12 @@ def _exp_integral(mu, t0, t1):
     return span * np.exp(0.5j * mu * (t0 + t1)) * np.sinc(mu * span / (2.0 * math.pi))
 
 
+def _pair_integral(nu, coeff, t0: float, t):
+    """Re sum_jk coeff_jk int_{t0}^{t} exp(i (nu_j + nu_k) z) dz."""
+    mu = np.add.outer(nu, nu).ravel()
+    return _blocked_sum(t, lambda ts: _exp_integral(mu, t0, ts), coeff.ravel())
+
+
 def action_phase(rep: Representation, xp: ParticularSolution, t0: float, t):
     """(M/2) int_{t0}^{t} [w^2 x_p^2 - xdot_p^2] dz, integrated mode by mode.
 
@@ -244,28 +285,15 @@ def action_phase(rep: Representation, xp: ParticularSolution, t0: float, t):
     cyclic phase difference.
     """
     w = rep.w
-    arr = np.asarray(t, dtype=float)
-    pairs = xp._mode_list()
-    total = np.zeros(arr.shape, dtype=complex)
-    for nu_j, a_j in pairs:
-        for nu_k, a_k in pairs:
-            coeff = a_j * a_k * (w * w + nu_j * nu_k)
-            if coeff != 0:
-                total += coeff * _exp_integral(nu_j + nu_k, t0, arr)
-    out = 0.5 * rep.M * total.real
-    return float(out) if arr.ndim == 0 else out
+    nu, amp = xp._nu, xp._amp
+    coeff = np.outer(amp, amp) * (w * w + np.outer(nu, nu))
+    return 0.5 * rep.M * _pair_integral(nu, coeff, t0, t)
 
 
 def velocity_squared_integral(xp: ParticularSolution, t0: float, t1: float) -> float:
     """int_{t0}^{t1} xdot_p^2 dz evaluated analytically mode by mode."""
-    pairs = xp._mode_list()
-    total = 0j
-    for nu_j, a_j in pairs:
-        for nu_k, a_k in pairs:
-            coeff = -nu_j * nu_k * a_j * a_k
-            if coeff != 0:
-                total += coeff * _exp_integral(nu_j + nu_k, t0, t1)
-    return float(total.real)
+    nu, amp = xp._nu, xp._amp
+    return _pair_integral(nu, -np.outer(nu, nu) * np.outer(amp, amp), t0, t1)
 
 
 def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,

@@ -95,6 +95,19 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         f"{spec.max_refinements} refinements (last change {err:.3e})")
 
 
+def sample_vectorized(f: Callable, ts: np.ndarray) -> np.ndarray:
+    """f(ts) as a float array of the shape of ts, for a callable that must be
+    vectorized over time arrays; a scalar-only callable raises ValueError."""
+    message = "force callable must be vectorized over time arrays"
+    try:
+        values = np.asarray(f(ts), dtype=float)
+    except TypeError as exc:
+        raise ValueError(message) from exc
+    if values.shape != ts.shape:
+        raise ValueError(message)
+    return values
+
+
 def unwrap_phase(samples, margin: float = 1e-6) -> np.ndarray:
     """Continuous phase of a complex sequence.
 
@@ -209,7 +222,8 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     Strang-split FFT stepping: half potential kick, full kinetic step, half
     potential kick, second order in the time step and norm-preserving. A
     time-dependent force enters the potential evaluated at the midpoint of
-    each step.
+    each step: the force callable must be vectorized over time arrays, and it
+    is called once, on the array of all step midpoints.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -230,9 +244,9 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
             psi = np.fft.ifft(kinetic * np.fft.fft(psi))
             psi *= half_kick
     else:
-        for j in range(steps):
-            t_mid = initial.t + (j + 0.5) * dt
-            half_kick = np.exp(-0.5j * (v_quad - float(force(t_mid)) * xs) * dt / hbar)
+        midpoints = initial.t + (np.arange(steps) + 0.5) * dt
+        for f_mid in sample_vectorized(force, midpoints):
+            half_kick = np.exp(-0.5j * (v_quad - f_mid * xs) * dt / hbar)
             psi *= half_kick
             psi = np.fft.ifft(kinetic * np.fft.fft(psi))
             psi *= half_kick

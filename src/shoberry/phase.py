@@ -54,7 +54,8 @@ def canonical_angle(gamma: float) -> float:
 
 
 def _check_half_periods(half_periods: int):
-    if not isinstance(half_periods, (int, np.integer)) or half_periods < 1:
+    if isinstance(half_periods, bool) or not isinstance(
+            half_periods, (int, np.integer)) or half_periods < 1:
         raise ValueError("half_periods must be a positive integer")
 
 

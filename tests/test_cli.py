@@ -278,10 +278,22 @@ class TestConfigDocument:
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        for text in ("{not json", '{"n": true}'):
+        for text in ("{not json", '{"n": true}',
+                     '{"representation": {"C": -1.0}, "duration": true}'):
             path.write_text(text)
             code, _, _ = run_cli(capsys, "berry", "--config", str(path))
             assert code == 2
+
+    @pytest.mark.parametrize("config,key", [
+        ({"force": {"omega_f": "x", "coefficients": [[1, 0.5, 0]]}}, "omega_f"),
+        ({"representation": {"C": "x"}}, "C"),
+    ])
+    def test_non_numeric_value_exits_2(self, config, key, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "driven", "--config", str(path))
+        assert code == 2
+        assert "Traceback" not in err and key in err
 
 
 class TestValidateCommand:
@@ -315,6 +327,8 @@ class TestValidateCommand:
     ("driven", "--omega-f", "inf", "--force-coeff", "1:0.5:0"),
     ("driven", "--omega-f", "0.5", "--force-coeff", "1:nan:0"),
     ("driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0", "--D", "nan:0"),
+    ("driven", "--omega-f", "0.61803398874989484", "--force-coeff", "1:0.5:0",
+     "--D", "nan:0"),
 ], ids=" ".join)
 def test_invalid_input_exits_2_without_traceback(argv, capsys):
     code, _, err = run_cli(capsys, *argv)   # an uncaught exception fails here

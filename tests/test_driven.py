@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,109 @@ class TestActionPhase:
             0.0, 4.0)
         assert action_phase(STRETCHED, xp, 0.0, 4.0) \
             == pytest.approx(0.5 * STRETCHED.M * value, rel=1e-10)
+
+
+def mode_terms(xp):
+    """(frequency, amplitude) of every term of x_p, the +/-w pair included."""
+    terms = [(n * xp.omega_f, a) for n, a in xp.modes.items()]
+    if xp.D != 0:
+        terms += [(xp.w, xp.D), (-xp.w, xp.D.conjugate())]
+    return terms
+
+
+def mode_loop(t, terms):
+    """Re sum of a exp(i nu t) over (nu, a) terms, one scalar at a time."""
+    flat = [sum(a * cmath.exp(1j * nu * s) for nu, a in terms).real
+            for s in np.ravel(t)]
+    return np.reshape(flat, np.shape(t))
+
+
+def pair_loop(terms, weight, t0, t1):
+    """Re sum_jk weight(nu_j, nu_k) a_j a_k int_t0^t1 exp(i (nu_j + nu_k) z) dz."""
+    total = 0j
+    for nu_j, a_j in terms:
+        for nu_k, a_k in terms:
+            mu = nu_j + nu_k
+            integral = t1 - t0 if mu == 0 else \
+                (cmath.exp(1j * mu * t1) - cmath.exp(1j * mu * t0)) / (1j * mu)
+            total += weight(nu_j, nu_k) * a_j * a_k * integral
+    return total.real
+
+
+class TestModeArrays:
+    """The array-valued mode sums against per-mode reference loops."""
+
+    FORCE = DrivingForce(0.75, {n: 0.3 * (0.6 + 0.05j * n) ** n if n >= 0
+                                else (0.3 * (0.6 - 0.05j * n) ** -n).conjugate()
+                                for n in range(-13, 14)})
+    TIMES = (1.3, np.linspace(-5.0, 40.0, 257),
+             np.linspace(0.0, 25.0, 320).reshape(16, 20))
+
+    def test_force_matches_mode_loop(self):
+        force = self.FORCE
+        scale = sum(abs(f) for f in force.coefficients.values())
+        terms = [(n * force.omega_f, f) for n, f in force.coefficients.items()]
+        for t in self.TIMES:
+            value = force(t)
+            assert np.shape(value) == np.shape(t)
+            assert np.max(np.abs(value - mode_loop(t, terms))) < 1e-14 * scale
+        assert type(force(1.3)) is float
+        assert type(force(np.float64(1.3))) is float
+
+    def test_mode_arrays_leave_eq_and_repr_alone(self):
+        force = DrivingForce(0.5, {1: 0.4, -1: 0.4})
+        assert force == DrivingForce(0.5, {-1: 0.4, 1: 0.4})
+        assert repr(force) == \
+            "DrivingForce(omega_f=0.5, coefficients={1: (0.4+0j), -1: (0.4+0j)})"
+
+    def test_particular_solution_matches_mode_loop(self):
+        xp = particular_solution(self.FORCE, STRETCHED, Commensurability(3, 4),
+                                 D=0.2 - 0.3j)
+        terms = mode_terms(xp)
+        for method, weight in ((xp.x, lambda nu: 1.0),
+                               (xp.xdot, lambda nu: 1j * nu),
+                               (xp.xddot, lambda nu: -nu * nu)):
+            weighted = [(nu, weight(nu) * a) for nu, a in terms]
+            scale = sum(abs(a) for _, a in weighted)
+            for t in self.TIMES:
+                value = method(t)
+                assert np.shape(value) == np.shape(t)
+                assert np.max(np.abs(value - mode_loop(t, weighted))) < 1e-14 * scale
+            assert type(method(1.3)) is float
+
+    def test_pair_sums_match_double_loop(self):
+        xp = particular_solution(self.FORCE, STRETCHED, Commensurability(3, 4),
+                                 D=0.2 - 0.3j)
+        terms = mode_terms(xp)
+        w = STRETCHED.w
+        ts = np.linspace(-3.0, 11.0, 13)   # several blocks of time points
+        action = action_phase(STRETCHED, xp, 0.4, ts)
+        assert action.shape == ts.shape
+        for t, value in zip(ts, action):
+            expected = 0.5 * STRETCHED.M * pair_loop(
+                terms, lambda a, b: w * w + a * b, 0.4, t)
+            assert value == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            assert action_phase(STRETCHED, xp, 0.4, float(t)) \
+                == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert type(action_phase(STRETCHED, xp, 0.4, 2.0)) is float
+        for t1 in (0.4, 2.0, 9.5):
+            expected = pair_loop(terms, lambda a, b: -a * b, 0.4, t1)
+            assert velocity_squared_integral(xp, 0.4, t1) \
+                == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+    def test_long_time_array_memory_is_bounded(self):
+        # an unblocked (points x modes) product would need about 690 MB
+        force = DrivingForce(0.75, {n: 0.1 / (1 + n * n) for n in range(-20, 21)})
+        xp = particular_solution(force, STRETCHED, None, D=0.2j)
+        assert len(mode_terms(xp)) >= 40
+        ts = np.linspace(0.0, 100.0, 1 << 20)
+        tracemalloc.start()
+        try:
+            xp.xdot(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestDrivePhase:

@@ -188,6 +188,26 @@ class TestPropagator:
         final = propagate_schrodinger(state, 1.0, 1.0, TWO_PI, 10 ** 4)
         assert abs(final.norm() - 1.0) < 1e-9
 
+    def test_force_called_once_on_step_midpoints(self):
+        state = _gaussian_state()
+        initial = GridState(state.x_min, state.x_max, state.points,
+                            state.values, 0.3)
+        calls = []
+
+        def force(t):
+            calls.append(np.array(t, copy=True))
+            return 0.1 * np.cos(t)
+
+        propagate_schrodinger(initial, 1.0, 1.0, 1.3, 16, force=force)
+        assert len(calls) == 1
+        dt = (1.3 - 0.3) / 16
+        assert calls[0].tolist() == [0.3 + (j + 0.5) * dt for j in range(16)]
+
+    def test_scalar_only_force_refused(self):
+        with pytest.raises(ValueError, match="vectorized"):
+            propagate_schrodinger(_gaussian_state(), 1.0, 1.0, 1.0, 16,
+                                  force=lambda t: math.cos(t))
+
     def test_rejects_coarse_grid(self):
         xs = np.linspace(-40.0, 40.0, 64, endpoint=False)
         values = np.exp(-0.5 * xs ** 2)

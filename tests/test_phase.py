@@ -290,3 +290,5 @@ class TestPhaseResultForHalfPeriods:
     def test_rejects_bad_half_periods(self):
         with pytest.raises(ValueError):
             phase_result_for_half_periods(STRETCHED, 0, 0)
+        with pytest.raises(ValueError):
+            phase_result_for_half_periods(STRETCHED, 0, True)
