@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: berry, driven, sweep, trajectory, validate. Configuration comes
-from a single JSON document (--config) and/or flags, flags winning. Reports go
-to stdout or --out as CSV or JSON; numbers are printed round-trip exact so
-repeated runs are byte-identical.
+Subcommands: berry, driven, sweep, trajectory, validate. Every run parameter
+is declared once, in PARAMETERS: its flag, its key in the JSON document given
+with --config, its default, the one converter that both forms go through and
+its schema fragment (shoberry.schemas.CONFIG_SCHEMA is assembled from the
+table). A scalar flag wins over the config value; --force-coeff and --sweep
+add to the config's lists. Reports go to stdout or --out as CSV or JSON;
+numbers are printed round-trip exact so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 validation or configuration error, 3 mathematically
 undefined phase (resonance, incommensurate periods, non-cyclic evolution),
@@ -18,9 +21,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,13 +44,13 @@ _BERRY_COLUMNS = ["n", "chi", "delta", "gamma", "gamma_canonical",
 _DRIVEN_COLUMNS = ["n", "gamma_undriven_part", "drive_part_closed",
                    "drive_part_quadrature", "gamma_total", "p", "N"]
 _TRAJECTORY_COLUMNS = ["t", "u", "v", "rho"]
-_SWEEP_PARAMETERS = ("C", "beta", "n", "D_re", "D_im", "omega_f")
+_FORMATS = ("csv", "json")
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
 
 
-def parse_angle(value) -> float:
+def parse_angle(value, what: str = "angle") -> float:
     """Radians from a number or a rational multiple of pi like '2pi/3'."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
@@ -58,13 +61,13 @@ def parse_angle(value) -> float:
         num = float(match.group(2) or 1)
         den = float(match.group(3) or 1)
         if den == 0:
-            raise ConfigError(f"zero denominator in angle {value!r}")
+            raise ConfigError(f"zero denominator in {what} {value!r}")
         return sign * num * math.pi / den
     try:
         return float(text)
     except ValueError:
         raise ConfigError(
-            f"cannot parse angle {value!r}; use radians or forms like 'pi/3'"
+            f"cannot parse {what} {value!r}; use radians or forms like 'pi/3'"
         ) from None
 
 
@@ -75,216 +78,273 @@ class SweepAxis:
     stop: float
     steps: int
 
-    def __post_init__(self):
-        if self.parameter not in _SWEEP_PARAMETERS:
-            raise ConfigError(
-                f"unknown sweep parameter {self.parameter!r};"
-                f" choose from {', '.join(_SWEEP_PARAMETERS)}")
-        if self.steps < 1:
-            raise ConfigError("sweep steps must be at least 1")
-
     def values(self) -> list[float]:
         return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
 
 
-@dataclass
-class RunConfig:
-    rep: Representation
-    physical: PhysicalConfig
-    ns: list[int]
-    duration: object  # "half" | "full" | int full periods
-    force: Optional[DrivingForce]
-    D: complex
-    sweep_axes: list[SweepAxis] = field(default_factory=list)
-    out: Optional[str] = None
-    fmt: str = "json"
-    samples: int = 256
-    comm_tol: float = 1e-13
+# Converters take a value in config form (a JSON value, or what a flag's text
+# splits into) and the name to report, ``--C`` or ``representation.C``; they
+# raise ConfigError naming it.
 
-
-def _duration_half_periods(duration) -> int:
-    if duration == "half":
-        return 1
-    if duration == "full":
-        return 2
-    if isinstance(duration, (int, np.integer)) and not isinstance(duration, bool) \
-            and duration >= 1:
-        return 2 * int(duration)
-    raise ConfigError(
-        f"duration must be 'half', 'full', or a positive integer number of"
-        f" periods, not {duration!r}")
-
-
-def _config_number(value, key: str, kind=float):
-    """A config value as ``kind`` (float or int); a bool, or a value ``kind``
-    cannot convert, is a ConfigError that names the key."""
+def _number(value, what: str) -> float:
+    """A float; a bool, or a value float() refuses, is a ConfigError."""
     if not isinstance(value, bool):
         try:
-            return kind(value)
+            return float(value)
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"config value {key} must be a number, got {value!r}")
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
-def _parse_ns(value) -> list[int]:
-    if value is None:
-        return [0]
-    if isinstance(value, (int, np.integer)):
-        value = [value]
-    elif isinstance(value, str):
+def _integer(value, what: str) -> int:
+    """An int from an int, an integral float (JSON Schema's integer admits
+    3.0) or a string of digits; fractions and bools are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            value = [int(part) for part in value.split(",") if part.strip()]
+            return int(value)
         except ValueError:
-            raise ConfigError(f"cannot parse quantum numbers {value!r}") from None
-    if not isinstance(value, list) or not value:
-        raise ConfigError("n must be an integer or a nonempty list of integers")
-    return [check_quantum_number(item) for item in value]
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def _parse_complex_pair(value, what: str) -> complex:
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"{what} must look like RE:IM, got {value!r}")
-        try:
-            return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"cannot parse {what} {value!r}") from None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_config_number(value[0], what),
-                       _config_number(value[1], what))
-    raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
+def _items(value, what: str, shape: str, count: int) -> list:
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigError(f"{what} must be {shape}, got {value!r}")
+    return value
 
 
-def _parse_force_entry(text: str) -> tuple[int, complex]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"force coefficient must look like N:RE:IM, got {text!r}")
+def _quantum_numbers(value, what: str) -> list[int]:
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ConfigError(f"{what} must be an integer or a nonempty list of integers")
+    return [check_quantum_number(_integer(item, what)) for item in items]
+
+
+def _half_periods(value, what: str) -> int:
+    """'half', 'full' or a positive whole number of periods, in half periods."""
+    if value in ("half", "full"):
+        return 1 if value == "half" else 2
     try:
-        return int(parts[0]), complex(float(parts[1]), float(parts[2]))
-    except ValueError:
-        raise ConfigError(f"cannot parse force coefficient {text!r}") from None
+        periods = _integer(value, what)
+    except ConfigError:
+        periods = 0
+    if periods < 1:
+        raise ConfigError(f"{what} must be 'half', 'full', or a positive integer"
+                          f" number of periods, got {value!r}")
+    return 2 * periods
+
+
+def _complex(value, what: str) -> complex:
+    real, imag = _items(value, what, "a [re, im] pair", 2)
+    return complex(_number(real, what), _number(imag, what))
+
+
+def _coefficient(value, what: str) -> tuple[int, complex]:
+    n, real, imag = _items(value, what, "an [n, re, im] row", 3)
+    return _integer(n, what), complex(_number(real, what), _number(imag, what))
+
+
+def _axis(value, what: str) -> SweepAxis:
+    try:
+        parameter, bounds, steps = value["parameter"], value["range"], value["steps"]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{what} axis needs parameter, range and steps,"
+                          f" got {value!r}") from None
+    if parameter not in SWEEPABLE:
+        raise ConfigError(f"unknown sweep parameter {parameter!r};"
+                          f" choose from {', '.join(SWEEPABLE)}")
+    start, stop = _items(bounds, f"{what} range", "a [lo, hi] pair", 2)
+    axis = SweepAxis(parameter, _number(start, f"{what} range"),
+                     _number(stop, f"{what} range"), _integer(steps, f"{what} steps"))
+    if axis.steps < 1:
+        raise ConfigError("sweep steps must be at least 1")
+    return axis
+
+
+def _split_axis(text: str) -> dict:
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise ConfigError(f"--sweep must look like PARAM:LO:HI:STEPS, got {text!r}")
+    return {"parameter": parts[0], "range": parts[1:3], "steps": parts[3]}
+
+
+def _path(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _format(value, what: str) -> str:
+    if value not in _FORMATS:
+        raise ConfigError(f"{what} must be {' or '.join(_FORMATS)}, got {value!r}")
+    return value
+
+
+def _samples(value, what: str) -> int:
+    samples = _integer(value, what)
+    if samples < 2:
+        raise ConfigError("samples must be at least 2")
+    return samples
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One run parameter. ``name`` is the argparse dest; the flag is --name
+    with ``_`` as ``-``, and there is none when ``help`` is None. ``key`` is
+    the dotted config key, ``default`` a config-form value (None: unset), and
+    ``convert(value, what)`` turns a config-form value into the run value.
+    ``split`` turns a flag's text into config form (default: the text). A
+    ``repeats`` flag adds items to the config's list; a ``required`` key must
+    be present whenever its config section is; ``axes`` are the sweep
+    parameters it provides."""
+    name: str
+    key: str
+    default: object
+    convert: Callable
+    schema: dict
+    help: Optional[str] = None
+    split: Optional[Callable] = None
+    repeats: bool = False
+    required: bool = False
+    axes: tuple = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_PAIR = {"type": "array", "prefixItems": [_NUMBER, _NUMBER],
+         "minItems": 2, "maxItems": 2}
+_QUANTUM_NUMBER = {"type": "integer", "minimum": 0}
+_AXIS_REF = {"$ref": "#/$defs/sweep_axis"}
+
+PARAMETERS = (
+    Parameter("M", "representation.M", 1.0, _number, _POSITIVE, "oscillator mass"),
+    Parameter("w", "representation.w", 1.0, _number, _POSITIVE, "angular frequency"),
+    Parameter("C", "representation.C", 1.0, _number, _NUMBER,
+              "second-solution amplitude", axes=("C",)),
+    Parameter("beta", "representation.beta", 0.0, parse_angle,
+              {"oneOf": [_NUMBER, {"type": "string"}]},
+              "phase angle in radians, or 'pi/3' style", axes=("beta",)),
+    Parameter("hbar", "representation.hbar", 1.0, _number, _POSITIVE,
+              "reduced Planck constant"),
+    Parameter("n", "n", 0, _quantum_numbers,
+              {"oneOf": [_QUANTUM_NUMBER, {"type": "array", "items": _QUANTUM_NUMBER,
+                                           "minItems": 1}]},
+              "comma-separated quantum numbers, e.g. 0,1,2",
+              split=lambda text: [part for part in text.split(",") if part.strip()],
+              axes=("n",)),
+    Parameter("duration", "duration", "half", _half_periods,
+              {"oneOf": [{"enum": ["half", "full"]}, {"type": "integer", "minimum": 1}]},
+              "'half', 'full', or an integer number of periods"),
+    Parameter("D", "force.D", [0, 0], _complex, _PAIR,
+              "free homogeneous amplitude as RE:IM",
+              split=lambda text: text.split(":"), axes=("D_re", "D_im")),
+    Parameter("omega_f", "force.omega_f", None, _number, _POSITIVE,
+              "base angular frequency of the driving force", required=True,
+              axes=("omega_f",)),
+    Parameter("force_coeff", "force.coefficients", [], _coefficient,
+              {"type": "array",
+               "items": {"type": "array",
+                         "prefixItems": [{"type": "integer"}, _NUMBER, _NUMBER],
+                         "minItems": 3, "maxItems": 3}},
+              "Fourier coefficient f_N as N:RE:IM (conjugate mate added"
+              " automatically); repeatable",
+              split=lambda text: text.split(":"), repeats=True, required=True),
+    Parameter("sweep", "sweep", [], _axis,
+              {"oneOf": [_AXIS_REF, {"type": "array", "items": _AXIS_REF,
+                                     "minItems": 1}]},
+              "sweep axis as PARAM:LO:HI:STEPS; repeatable, grid is the product",
+              split=_split_axis, repeats=True),
+    Parameter("out", "output.path", None, _path, {"type": "string"},
+              "output file (default stdout)"),
+    Parameter("format", "output.format", "json", _format, {"enum": list(_FORMATS)},
+              "output format, csv or json"),
+    Parameter("samples", "samples", 256, _samples, {"type": "integer", "minimum": 2},
+              "trajectory sample count"),
+    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _number, _POSITIVE),
+)
+
+SWEEPABLE = tuple(axis for p in PARAMETERS for axis in p.axes)
+
+AXIS_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["parameter", "range", "steps"],
+    "properties": {"parameter": {"enum": list(SWEEPABLE)}, "range": _PAIR,
+                   "steps": {"type": "integer", "minimum": 1}},
+}
+
+_UNSET = object()
+
+
+def _lookup(doc: dict, p: Parameter):
+    """The config value at ``p.key``, or _UNSET."""
+    section, _, name = p.key.rpartition(".")
+    if section:
+        if section not in doc:
+            return _UNSET
+        doc = doc[section]
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config section {section} must be an object")
+        if p.required and name not in doc:
+            raise ConfigError(f"config section {section} needs {name}")
+    return doc.get(name, _UNSET)
+
+
+def _resolve(p: Parameter, args, doc: dict):
+    """The flag's value, else the config's, else the default, converted; a
+    repeating parameter gives the config's items followed by the flags'."""
+    given = getattr(args, p.name, None)
+    value = _lookup(doc, p)
+    if p.repeats:
+        if value is _UNSET:
+            value = p.default
+        items = value if isinstance(value, list) else [value]
+        return [p.convert(item, p.key) for item in items] + \
+            [p.convert(p.split(text), p.flag) for text in given or ()]
+    if given is not None:
+        return p.convert(p.split(given) if p.split else given, p.flag)
+    if value is not _UNSET:
+        return p.convert(value, p.key)
+    return None if p.default is None else p.convert(p.default, p.key)
 
 
 def _build_force(omega_f: float, entries) -> DrivingForce:
     table: dict[int, complex] = {}
     for n, f in entries:
-        n = int(n)
         if n in table and table[n] != f:
             raise ConfigError(f"conflicting coefficients for mode {n}")
-        table[n] = complex(f)
+        table[n] = f
     for n, f in list(table.items()):
         table.setdefault(-n, f.conjugate())
-    return DrivingForce(omega_f=float(omega_f), coefficients=table)
+    return DrivingForce(omega_f=omega_f, coefficients=table)
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> argparse.Namespace:
+    """Every parameter of the table by name, plus the objects the commands
+    share: ``rep``, ``physical`` and ``force`` (None without one)."""
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-
-    rep_doc = doc.get("representation", {})
-    if not isinstance(rep_doc, dict):
-        raise ConfigError("representation section must be an object")
-
-    def scalar(flag_name, key, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return float(flag)
-        return _config_number(rep_doc.get(key, default), f"representation.{key}")
-
-    beta_raw = args.beta if getattr(args, "beta", None) is not None \
-        else rep_doc.get("beta", 0.0)
-    rep = Representation(M=scalar("M", "M", 1.0), w=scalar("w", "w", 1.0),
-                         C=scalar("C", "C", 1.0), beta=parse_angle(beta_raw))
-    physical = PhysicalConfig(hbar=scalar("hbar", "hbar", 1.0))
-
-    ns = _parse_ns(args.n if getattr(args, "n", None) is not None else doc.get("n"))
-
-    duration_raw = args.duration if getattr(args, "duration", None) is not None \
-        else doc.get("duration", "half")
-    if isinstance(duration_raw, str) and duration_raw not in ("half", "full"):
-        try:
-            duration_raw = int(duration_raw)
-        except ValueError:
-            raise ConfigError(f"cannot parse duration {duration_raw!r}") from None
-    _duration_half_periods(duration_raw)  # fail fast on bad values
-
-    force_doc = doc.get("force")
-    force = None
-    D = 0j
-    entries: list[tuple[int, complex]] = []
-    omega_f = getattr(args, "omega_f", None)
-    if force_doc is not None:
-        if not isinstance(force_doc, dict) or "omega_f" not in force_doc \
-                or "coefficients" not in force_doc:
-            raise ConfigError("force section needs omega_f and coefficients")
-        if omega_f is None:
-            omega_f = _config_number(force_doc["omega_f"], "force.omega_f")
-        rows = force_doc["coefficients"]
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) and len(row) == 3 for row in rows):
-            raise ConfigError("force.coefficients must be a list of [n, re, im]")
-        key = "force.coefficients"
-        entries.extend((_config_number(n, key, int),
-                        complex(_config_number(real, key), _config_number(imag, key)))
-                       for n, real, imag in rows)
-        if "D" in force_doc:
-            D = _parse_complex_pair(force_doc["D"], "D")
-    if getattr(args, "force_coeff", None):
-        entries.extend(_parse_force_entry(text) for text in args.force_coeff)
-    if getattr(args, "D", None) is not None:
-        D = _parse_complex_pair(args.D, "D")
-    if entries or omega_f is not None:
-        if omega_f is None:
+    cfg = argparse.Namespace(**{p.name: _resolve(p, args, doc) for p in PARAMETERS})
+    cfg.rep = Representation(M=cfg.M, w=cfg.w, C=cfg.C, beta=cfg.beta)
+    cfg.physical = PhysicalConfig(hbar=cfg.hbar)
+    cfg.force = None
+    if cfg.force_coeff or cfg.omega_f is not None:
+        if cfg.omega_f is None:
             raise ConfigError("force coefficients given without --omega-f")
-        if not entries:
-            entries = []
-        force = _build_force(omega_f, entries)
-
-    sweep_axes: list[SweepAxis] = []
-    sweep_doc = doc.get("sweep")
-    if sweep_doc is not None:
-        if isinstance(sweep_doc, dict):
-            sweep_doc = [sweep_doc]
-        for one in sweep_doc:
-            try:
-                sweep_axes.append(SweepAxis(parameter=str(one["parameter"]),
-                                            start=float(one["range"][0]),
-                                            stop=float(one["range"][1]),
-                                            steps=int(one["steps"])))
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise ConfigError(f"bad sweep axis {one!r}: {exc}") from None
-    for text in getattr(args, "sweep", None) or []:
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ConfigError(f"sweep must look like PARAM:LO:HI:STEPS, got {text!r}")
-        sweep_axes.append(SweepAxis(parameter=parts[0], start=float(parts[1]),
-                                    stop=float(parts[2]), steps=int(parts[3])))
-
-    output_doc = doc.get("output", {})
-    fmt = getattr(args, "format", None) or output_doc.get("format") or "json"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    out = getattr(args, "out", None) or output_doc.get("path")
-
-    samples = getattr(args, "samples", None)
-    if samples is None:
-        samples = _config_number(doc.get("samples", 256), "samples", int)
-    if samples < 2:
-        raise ConfigError("samples must be at least 2")
-
-    comm_tol = _config_number(doc.get("commensurability_tolerance", 1e-13),
-                              "commensurability_tolerance")
-
-    return RunConfig(rep=rep, physical=physical, ns=ns, duration=duration_raw,
-                     force=force, D=D, sweep_axes=sweep_axes, out=out, fmt=fmt,
-                     samples=samples, comm_tol=comm_tol)
+        cfg.force = _build_force(cfg.omega_f, cfg.force_coeff)
+    return cfg
 
 
 def _format_cell(value) -> str:
@@ -336,8 +396,8 @@ def _deliver(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit(command, columns, rows, cfg: RunConfig, extra=None) -> None:
-    if cfg.fmt == "csv":
+def _emit(command, columns, rows, cfg, extra=None) -> None:
+    if cfg.format == "csv":
         text = _render_csv(columns, rows)
     else:
         text = _render_json(command, columns, rows, extra)
@@ -393,10 +453,9 @@ def _driven_rows(rep, physical, ns, force, D, comm_tol):
 
 def cmd_berry(args) -> int:
     cfg = _load_config(args)
-    half_periods = _duration_half_periods(cfg.duration)
-    rows = _berry_rows(cfg.rep, cfg.physical, cfg.ns, half_periods)
+    rows = _berry_rows(cfg.rep, cfg.physical, cfg.n, cfg.duration)
     _emit("berry", _BERRY_COLUMNS, rows, cfg,
-          extra={"duration": half_periods * 0.5 * cfg.rep.tau0})
+          extra={"duration": cfg.duration * 0.5 * cfg.rep.tau0})
     return 0
 
 
@@ -405,17 +464,17 @@ def cmd_driven(args) -> int:
     if cfg.force is None:
         raise ConfigError("the driven command needs a force section"
                           " (--omega-f plus --force-coeff, or config JSON)")
-    rows = _driven_rows(cfg.rep, cfg.physical, cfg.ns, cfg.force, cfg.D,
+    rows = _driven_rows(cfg.rep, cfg.physical, cfg.n, cfg.force, cfg.D,
                         cfg.comm_tol)
     _emit("driven", _DRIVEN_COLUMNS, rows, cfg)
     return 0
 
 
-def _rows_for_point(cfg: RunConfig, overrides: dict, driven_mode: bool):
+def _rows_for_point(cfg, overrides: dict, driven_mode: bool):
     rep = Representation(M=cfg.rep.M, w=cfg.rep.w,
                          C=overrides.get("C", cfg.rep.C),
                          beta=overrides.get("beta", cfg.rep.beta))
-    ns = [int(round(overrides["n"]))] if "n" in overrides else cfg.ns
+    ns = [int(round(overrides["n"]))] if "n" in overrides else cfg.n
     if driven_mode:
         D = complex(overrides.get("D_re", cfg.D.real),
                     overrides.get("D_im", cfg.D.imag))
@@ -423,24 +482,25 @@ def _rows_for_point(cfg: RunConfig, overrides: dict, driven_mode: bool):
         force = cfg.force if omega_f == cfg.force.omega_f else \
             DrivingForce(omega_f, cfg.force.coefficients)
         return _driven_rows(rep, cfg.physical, ns, force, D, cfg.comm_tol)
-    return _berry_rows(rep, cfg.physical, ns,
-                       _duration_half_periods(cfg.duration))
+    return _berry_rows(rep, cfg.physical, ns, cfg.duration)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if not cfg.sweep_axes:
+    if not cfg.sweep:
         raise ConfigError("the sweep command needs a sweep section")
     driven_mode = cfg.force is not None
-    needs_force = {"D_re", "D_im", "omega_f"}
-    if not driven_mode and any(ax.parameter in needs_force for ax in cfg.sweep_axes):
-        raise ConfigError("sweeping D_re, D_im, or omega_f needs a force section")
-    axis_names = [ax.parameter for ax in cfg.sweep_axes]
+    axis_names = [ax.parameter for ax in cfg.sweep]
+    force_axes = {name for p in PARAMETERS if p.key.startswith("force.")
+                  for name in p.axes}
+    unforced = [name for name in axis_names if name in force_axes]
+    if unforced and not driven_mode:
+        raise ConfigError(f"sweeping {unforced[0]} needs a force section")
     base_columns = _DRIVEN_COLUMNS if driven_mode else _BERRY_COLUMNS
     columns = axis_names + [c for c in base_columns if c not in axis_names] \
         + ["error"]
     rows = []
-    for combo in itertools.product(*(ax.values() for ax in cfg.sweep_axes)):
+    for combo in itertools.product(*(ax.values() for ax in cfg.sweep)):
         overrides = dict(zip(axis_names, combo))
         point = {name: (int(round(v)) if name == "n" else v)
                  for name, v in overrides.items()}
@@ -497,25 +557,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     " classical-solution representations")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--M", type=float, help="oscillator mass")
-    common.add_argument("--w", type=float, help="angular frequency")
-    common.add_argument("--C", type=float, help="second-solution amplitude")
-    common.add_argument("--beta", help="phase angle in radians, or 'pi/3' style")
-    common.add_argument("--hbar", type=float, help="reduced Planck constant")
-    common.add_argument("--n", help="comma-separated quantum numbers, e.g. 0,1,2")
-    common.add_argument("--duration",
-                        help="'half', 'full', or an integer number of periods")
-    common.add_argument("--omega-f", dest="omega_f", type=float,
-                        help="base angular frequency of the driving force")
-    common.add_argument("--force-coeff", dest="force_coeff", action="append",
-                        metavar="N:RE:IM", help="Fourier coefficient f_N"
-                        " (conjugate mate added automatically); repeatable")
-    common.add_argument("--D", help="free homogeneous amplitude as RE:IM")
-    common.add_argument("--sweep", action="append", metavar="PARAM:LO:HI:STEPS",
-                        help="sweep axis; repeatable, grid is the product")
-    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--samples", type=int, help="trajectory sample count")
+    for p in PARAMETERS:
+        if p.help:
+            common.add_argument(p.flag, dest=p.name, help=p.help,
+                                action="append" if p.repeats else "store")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     specs = (

@@ -1,102 +1,36 @@
 """JSON Schemas for the run configuration and the emitted reports.
 
-The config schema documents what the CLI accepts; the result schema is the
-companion contract every JSON report re-parses under.
+The config schema is assembled from the CLI's parameter table, so it lists
+exactly what the CLI accepts; the result schema is the companion contract
+every JSON report re-parses under.
 """
 
-_NUMBER_OR_ANGLE = {"oneOf": [{"type": "number"}, {"type": "string"}]}
+from .cli import AXIS_SCHEMA, PARAMETERS
+
+
+def _config_properties() -> dict:
+    """Each parameter's schema at its config key; a dotted key's section is an
+    object that lists its required keys."""
+    properties = {}
+    for p in PARAMETERS:
+        section, _, name = p.key.rpartition(".")
+        node = properties
+        if section:
+            node = properties.setdefault(section, {
+                "type": "object", "additionalProperties": False, "properties": {}})
+            if p.required:
+                node.setdefault("required", []).append(name)
+            node = node["properties"]
+        node[name] = p.schema
+    return properties
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "additionalProperties": False,
-    "properties": {
-        "representation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "M": {"type": "number", "exclusiveMinimum": 0},
-                "w": {"type": "number", "exclusiveMinimum": 0},
-                "C": {"type": "number"},
-                "beta": _NUMBER_OR_ANGLE,
-                "hbar": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "n": {
-            "oneOf": [
-                {"type": "integer", "minimum": 0},
-                {"type": "array", "items": {"type": "integer", "minimum": 0},
-                 "minItems": 1},
-            ]
-        },
-        "duration": {
-            "oneOf": [
-                {"enum": ["half", "full"]},
-                {"type": "integer", "minimum": 1},
-            ]
-        },
-        "force": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega_f", "coefficients"],
-            "properties": {
-                "omega_f": {"type": "number", "exclusiveMinimum": 0},
-                "coefficients": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "prefixItems": [
-                            {"type": "integer"},
-                            {"type": "number"},
-                            {"type": "number"},
-                        ],
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                },
-                "D": {
-                    "type": "array",
-                    "prefixItems": [{"type": "number"}, {"type": "number"}],
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "sweep": {
-            "oneOf": [
-                {"$ref": "#/$defs/sweep_axis"},
-                {"type": "array", "items": {"$ref": "#/$defs/sweep_axis"},
-                 "minItems": 1},
-            ]
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "format": {"enum": ["csv", "json"]},
-                "path": {"type": "string"},
-            },
-        },
-        "samples": {"type": "integer", "minimum": 2},
-        "commensurability_tolerance": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "$defs": {
-        "sweep_axis": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["parameter", "range", "steps"],
-            "properties": {
-                "parameter": {"enum": ["C", "beta", "n", "D_re", "D_im", "omega_f"]},
-                "range": {
-                    "type": "array",
-                    "prefixItems": [{"type": "number"}, {"type": "number"}],
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "steps": {"type": "integer", "minimum": 1},
-            },
-        }
-    },
+    "properties": _config_properties(),
+    "$defs": {"sweep_axis": AXIS_SCHEMA},
 }
 
 RESULT_SCHEMA = {

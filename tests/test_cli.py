@@ -1,12 +1,15 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from shoberry import cli
 from shoberry.cli import main, parse_angle
 from shoberry.errors import ConfigError
 from shoberry.schemas import CONFIG_SCHEMA, RESULT_SCHEMA
@@ -279,7 +282,8 @@ class TestConfigDocument:
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         for text in ("{not json", '{"n": true}',
-                     '{"representation": {"C": -1.0}, "duration": true}'):
+                     '{"representation": {"C": -1.0}, "duration": true}',
+                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}'):
             path.write_text(text)
             code, _, _ = run_cli(capsys, "berry", "--config", str(path))
             assert code == 2
@@ -287,6 +291,11 @@ class TestConfigDocument:
     @pytest.mark.parametrize("config,key", [
         ({"force": {"omega_f": "x", "coefficients": [[1, 0.5, 0]]}}, "omega_f"),
         ({"representation": {"C": "x"}}, "C"),
+        ({"force": {"omega_f": 0.5, "coefficients": [[1.5, 0.5, 0]]}},
+         "coefficients"),
+        ({"samples": 2.5}, "samples"),
+        ({"sweep": {"parameter": "C", "range": [1, 2], "steps": True}}, "steps"),
+        ({"representation": {"C": None}}, "C"),
     ])
     def test_non_numeric_value_exits_2(self, config, key, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -294,6 +303,100 @@ class TestConfigDocument:
         code, _, err = run_cli(capsys, "driven", "--config", str(path))
         assert code == 2
         assert "Traceback" not in err and key in err
+
+
+# One run per flag of cli.PARAMETERS, given once by flags and once by config.
+_FORCE_FLAGS = ["--omega-f", "0.5", "--force-coeff", "1:0.5:0"]
+_FORCE_DOC = {"omega_f": 0.5, "coefficients": [[1, 0.5, 0]]}
+FLAG_AND_CONFIG = {
+    "M": ("berry", ["--M", "2", "--C", "2"], {"representation": {"M": 2, "C": 2}}),
+    "w": ("berry", ["--w", "3", "--C", "2"], {"representation": {"w": 3, "C": 2}}),
+    "C": ("berry", ["--C", "2"], {"representation": {"C": 2}}),
+    "beta": ("berry", ["--C", "2", "--beta", "pi/6"],
+             {"representation": {"C": 2, "beta": "pi/6"}}),
+    "hbar": ("berry", ["--hbar", "0.5", "--C", "2"],
+             {"representation": {"hbar": 0.5, "C": 2}}),
+    "n": ("berry", ["--C", "2", "--n", "0,2"], {"representation": {"C": 2}, "n": [0, 2]}),
+    "duration": ("berry", ["--C", "2", "--duration", "3"],
+                 {"representation": {"C": 2}, "duration": 3}),
+    "D": ("driven", ["--C", "2", *_FORCE_FLAGS, "--D", "0.3:0.1"],
+          {"representation": {"C": 2}, "force": {**_FORCE_DOC, "D": [0.3, 0.1]}}),
+    "omega_f": ("driven", ["--omega-f", "0.25", "--force-coeff", "1:0.5:0"],
+                {"force": {"omega_f": 0.25, "coefficients": [[1, 0.5, 0]]}}),
+    "force_coeff": ("driven", ["--omega-f", "0.5", "--force-coeff", "1:0.2:0.1",
+                               "--force-coeff", "3:0.1:0"],
+                    {"force": {"omega_f": 0.5,
+                               "coefficients": [[1, 0.2, 0.1], [3, 0.1, 0]]}}),
+    "sweep": ("sweep", ["--sweep", "C:0.5:2:3", "--sweep", "n:0:2:2"],
+              {"sweep": [{"parameter": "C", "range": [0.5, 2], "steps": 3},
+                         {"parameter": "n", "range": [0, 2], "steps": 2}]}),
+    "out": ("berry", ["--out", "out.txt"], {"output": {"path": "out.txt"}}),
+    "format": ("berry", ["--format", "csv"], {"output": {"format": "csv"}}),
+    "samples": ("trajectory", ["--C", "2", "--samples", "16"],
+                {"representation": {"C": 2}, "samples": 16}),
+}
+
+
+def test_every_flag_has_an_equivalence_case():
+    assert set(FLAG_AND_CONFIG) == {p.name for p in cli.PARAMETERS if p.help}
+
+
+@pytest.mark.parametrize("name", list(FLAG_AND_CONFIG))
+def test_flag_and_config_give_identical_output(name, tmp_path, monkeypatch, capsys):
+    command, flags, config = FLAG_AND_CONFIG[name]
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config))
+    outputs = []
+    for argv in ([command, *flags], [command, "--config", "config.json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        written = Path("out.txt")
+        if written.exists():
+            out += written.read_text()
+            written.unlink()
+        outputs.append(out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_repeated_flags_add_to_the_config_lists(tmp_path, capsys):
+    partial = {"force": {"omega_f": 0.5, "coefficients": [[1, 0.2, 0.1]]},
+               "sweep": {"parameter": "C", "range": [1, 2], "steps": 2}}
+    full = {"force": {"omega_f": 0.5, "coefficients": [[1, 0.2, 0.1], [3, 0.1, 0]]},
+            "sweep": [{"parameter": "C", "range": [1, 2], "steps": 2},
+                      {"parameter": "n", "range": [0, 2], "steps": 2}]}
+    outputs = []
+    for config, flags in ((partial, ["--force-coeff", "3:0.1:0", "--sweep", "n:0:2:2"]),
+                          (full, [])):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), *flags)
+        assert code == 0, err
+        outputs.append(out)
+    assert len(json.loads(outputs[0])["rows"]) == 4 and outputs[0] == outputs[1]
+
+def test_schema_keys_are_the_parameter_keys():
+    def keys(properties, prefix=""):
+        for name, node in properties.items():
+            if node.get("type") == "object":
+                yield from keys(node["properties"], f"{prefix}{name}.")
+            else:
+                yield prefix + name
+    assert sorted(keys(CONFIG_SCHEMA["properties"])) == \
+        sorted(p.key for p in cli.PARAMETERS)
+
+
+def test_readme_config_example(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    jsonschema.Draft202012Validator(CONFIG_SCHEMA).validate(json.loads(block))
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(block)
+    cfg = cli._load_config(cli._build_parser().parse_args(
+        ["sweep", "--config", "config.json"]))
+    assert (cfg.format, cfg.out, cfg.n) == ("csv", "out.csv", [0, 1])
+    assert [ax.parameter for ax in cfg.sweep] == ["C"] and cfg.force is not None
+    assert not Path("out.csv").exists()
 
 
 class TestValidateCommand:
@@ -329,6 +432,9 @@ class TestValidateCommand:
     ("driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0", "--D", "nan:0"),
     ("driven", "--omega-f", "0.61803398874989484", "--force-coeff", "1:0.5:0",
      "--D", "nan:0"),
+    ("sweep", "--sweep", "C:x:1:3"),
+    ("sweep", "--sweep", "C:0:1:x"),
+    ("sweep", "--sweep", "C:1:2:2.5"),
 ], ids=" ".join)
 def test_invalid_input_exits_2_without_traceback(argv, capsys):
     code, _, err = run_cli(capsys, *argv)   # an uncaught exception fails here
