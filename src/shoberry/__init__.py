@@ -15,7 +15,7 @@ from .numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
                        integrate_1d, propagate_schrodinger, rationalize,
                        unwrap_phase)
 from .phase import (PhaseResult, berry_phase, berry_phase_oracle,
-                    canonical_angle, dynamical_phase_closed,
+                    berry_phase_oracles, canonical_angle, dynamical_phase_closed,
                     dynamical_phase_oracle, equivalence_class_C,
                     ge_child_integral, overall_phase_closed,
                     overall_phase_oracle, phase_result_for_half_periods)

@@ -16,6 +16,7 @@ undefined phase (resonance, incommensurate periods, non-cyclic evolution),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -32,12 +33,11 @@ from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
                      drive_phase_quadrature, particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, UndefinedPhaseError)
-from .phase import (dynamical_phase_oracle, overall_phase_oracle,
-                    phase_result_for_half_periods)
+from .phase import berry_phase_oracles, phase_result_for_half_periods
 from .representation import (PhysicalConfig, Representation, rho, trajectory,
                              validate)
 from .selfcheck import run_battery
-from .wavefunction import QuantumState, check_quantum_number
+from .wavefunction import check_quantum_number
 
 _BERRY_COLUMNS = ["n", "chi", "delta", "gamma", "gamma_canonical",
                   "oracle_gamma", "abs_diff"]
@@ -94,6 +94,14 @@ def _number(value, what: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _positive(value, what: str) -> float:
+    """A number above 0, as the schema's exclusiveMinimum declares."""
+    number = _number(value, what)
+    if not number > 0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+    return number
 
 
 def _integer(value, what: str) -> int:
@@ -223,14 +231,14 @@ _QUANTUM_NUMBER = {"type": "integer", "minimum": 0}
 _AXIS_REF = {"$ref": "#/$defs/sweep_axis"}
 
 PARAMETERS = (
-    Parameter("M", "representation.M", 1.0, _number, _POSITIVE, "oscillator mass"),
-    Parameter("w", "representation.w", 1.0, _number, _POSITIVE, "angular frequency"),
+    Parameter("M", "representation.M", 1.0, _positive, _POSITIVE, "oscillator mass"),
+    Parameter("w", "representation.w", 1.0, _positive, _POSITIVE, "angular frequency"),
     Parameter("C", "representation.C", 1.0, _number, _NUMBER,
               "second-solution amplitude", axes=("C",)),
     Parameter("beta", "representation.beta", 0.0, parse_angle,
               {"oneOf": [_NUMBER, {"type": "string"}]},
               "phase angle in radians, or 'pi/3' style", axes=("beta",)),
-    Parameter("hbar", "representation.hbar", 1.0, _number, _POSITIVE,
+    Parameter("hbar", "representation.hbar", 1.0, _positive, _POSITIVE,
               "reduced Planck constant"),
     Parameter("n", "n", 0, _quantum_numbers,
               {"oneOf": [_QUANTUM_NUMBER, {"type": "array", "items": _QUANTUM_NUMBER,
@@ -244,7 +252,7 @@ PARAMETERS = (
     Parameter("D", "force.D", [0, 0], _complex, _PAIR,
               "free homogeneous amplitude as RE:IM",
               split=lambda text: text.split(":"), axes=("D_re", "D_im")),
-    Parameter("omega_f", "force.omega_f", None, _number, _POSITIVE,
+    Parameter("omega_f", "force.omega_f", None, _positive, _POSITIVE,
               "base angular frequency of the driving force", required=True,
               axes=("omega_f",)),
     Parameter("force_coeff", "force.coefficients", [], _coefficient,
@@ -266,7 +274,7 @@ PARAMETERS = (
               "output format, csv or json"),
     Parameter("samples", "samples", 256, _samples, {"type": "integer", "minimum": 2},
               "trajectory sample count"),
-    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _number, _POSITIVE),
+    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _positive, _POSITIVE),
 )
 
 SWEEPABLE = tuple(axis for p in PARAMETERS for axis in p.axes)
@@ -405,23 +413,18 @@ def _emit(command, columns, rows, cfg, extra=None) -> None:
 
 
 def _berry_rows(rep, physical, ns, half_periods):
-    full_ok = validate(rep, "full").ok
     rows = []
     for n in ns:
         res = phase_result_for_half_periods(rep, n, half_periods)
-        row = {"n": int(n), "chi": res.chi, "delta": res.delta,
-               "gamma": res.gamma, "gamma_canonical": res.gamma_canonical}
-        if full_ok:
-            state = QuantumState(rep, int(n), physical)
-            tau = half_periods * 0.5 * rep.tau0
-            chi_o, _ = overall_phase_oracle(state, tau)
-            oracle = chi_o - dynamical_phase_oracle(state, tau)
+        rows.append({"n": int(n), "chi": res.chi, "delta": res.delta,
+                     "gamma": res.gamma, "gamma_canonical": res.gamma_canonical,
+                     "oracle_gamma": None, "abs_diff": None})
+    if validate(rep, "full").ok:
+        oracles = berry_phase_oracles(rep, ns, half_periods * 0.5 * rep.tau0,
+                                      physical)
+        for row, oracle in zip(rows, oracles):
             row["oracle_gamma"] = oracle
-            row["abs_diff"] = abs(res.gamma - oracle)
-        else:
-            row["oracle_gamma"] = None
-            row["abs_diff"] = None
-        rows.append(row)
+            row["abs_diff"] = abs(row["gamma"] - oracle)
     return rows
 
 
@@ -550,7 +553,9 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="shoberry",
         description="Berry phases of the simple harmonic oscillator in"

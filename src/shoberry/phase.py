@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ConvergenceError, InvalidRepresentationError, NotCyclicError
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
-                             require_valid)
+                             kinematics, require_valid, winding_phase)
 from .wavefunction import (QuantumState, check_quantum_number,
-                           energy_expectation, overlap, psi, psi_dx)
+                           energy_per_quantum, family_overlaps)
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,6 +105,8 @@ def berry_phase(rep: Representation, n: int, duration: str = "half") -> PhaseRes
     return phase_result_for_half_periods(rep, n, half_periods)
 
 
+# An evolution is cyclic when |<psi(0)|psi(tau')>| is at least 1 - this.
+FIDELITY_FLOOR = 1e-8
 _STEP_LIMIT = 0.25 * math.pi
 # Branch-tracking samples evaluated per array call: memory stays bounded for
 # long evolutions of squeezed states, and typical cells fit in one block.
@@ -114,23 +116,8 @@ _BLOCK_SAMPLES = 1 << 16
 _MAX_SAMPLES = 1 << 24
 
 
-def _branch_amplitude(state: QuantumState, ts):
-    """Zero-free scalar amplitude of the state, used to carry the 2pi branch.
-
-    The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
-    strongly squeezed representations, so its argument cannot fix the branch
-    there. The on-axis value psi(0, t) (even n) or slope dpsi/dx(0, t) (odd n)
-    never vanishes: the matching-parity Hermite factor is a nonzero constant
-    at the origin and no chirp enters at x = 0, so the unwrapped change of its
-    argument is exactly the continuous family phase shared by every x.
-    """
-    if state.n % 2 == 0:
-        return psi(state, 0.0, ts)
-    return psi_dx(state, 0.0, ts)
-
-
-def _branch_samples(state: QuantumState, tau_prime: float) -> int:
-    """Uniform sample count keeping every true phase step under pi/4.
+def _branch_samples(rep: Representation, n: int, tau_prime: float) -> int:
+    """Uniform sample count keeping every true phase step of state n under pi/4.
 
     The branch amplitude's argument is (n + 1/2) theta(t) plus a constant,
     and |theta'| = Omega/(M rho^2). rho^2 is a positive quadratic form in
@@ -141,81 +128,142 @@ def _branch_samples(state: QuantumState, tau_prime: float) -> int:
     angle. Only n, w, C and beta enter, never the closed-form phase, so the
     oracle stays independent of it.
     """
-    rep = state.rep
-    rate = (state.n + 0.5) * rep.w * (1.0 + rep.C * rep.C) \
+    rate = (n + 0.5) * rep.w * (1.0 + rep.C * rep.C) \
         / (rep.C * math.cos(rep.beta))
-    samples = max(64, 32 * (state.n + 1))
+    samples = max(64, 32 * (n + 1))
     samples = int(samples * max(1.0, 2.0 * tau_prime / rep.tau0))
     return max(samples, math.ceil(rate * tau_prime / _STEP_LIMIT))
 
 
-def _branch_winding(state: QuantumState, tau_prime: float) -> float:
-    """Unwrapped change of the branch amplitude's argument over [0, tau']."""
-    samples = _branch_samples(state, tau_prime)
-    if samples > _MAX_SAMPLES:
-        raise ConvergenceError(
-            f"branch tracking needs {samples} samples (cap {_MAX_SAMPLES});"
-            " the representation is too close to degenerate")
-    winding = 0.0
-    carry = np.empty(0, dtype=complex)
-    for lo in range(0, samples + 1, _BLOCK_SAMPLES):
-        ks = np.arange(lo, min(lo + _BLOCK_SAMPLES, samples + 1))
-        block = _branch_amplitude(state, tau_prime * (ks / samples))
-        if np.any(block == 0):
-            raise ConvergenceError("branch amplitude vanished at a tracking node")
-        series = np.concatenate((carry, block))
-        steps = np.angle(series[1:] / series[:-1])
-        if np.max(np.abs(steps)) >= _STEP_LIMIT:
+def _branch_windings(rep: Representation, ns, tau_prime: float) -> list[float]:
+    """Unwrapped change over [0, tau'] of each state's branch amplitude.
+
+    The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
+    strongly squeezed representations, so its argument cannot fix the branch
+    there. The on-axis value psi(0, t) (even n) or slope dpsi/dx(0, t) (odd n)
+    never vanishes: no Gaussian or chirp enters at x = 0 and the Hermite
+    factor there is a nonzero constant, so the amplitude is
+    sign * rho^(-1/2 or -3/2) * exp(i (n + 1/2) theta) times a positive
+    constant, and the unwrapped change of its argument is the continuous
+    family phase shared by every x. Consecutive samples of it differ by a
+    positive factor times exp(i (n + 1/2) dtheta), so each phase step is
+    (n + 1/2) dtheta, which must stay under pi/4. One theta series, sampled
+    at the largest a-priori count over ns in blocks of _BLOCK_SAMPLES, serves
+    every n.
+    """
+    counts = [_branch_samples(rep, n, tau_prime) for n in ns]
+    for count in counts:
+        if count > _MAX_SAMPLES:
             raise ConvergenceError(
-                "a branch-tracking step reached pi/4 despite the a-priori"
-                " sample count; the phase branch is not trustworthy")
-        winding += float(np.sum(steps))
-        carry = series[-1:]
-    return winding
+                f"branch tracking needs {count} samples (cap {_MAX_SAMPLES});"
+                " the representation is too close to degenerate")
+    samples = max(counts)
+    windings = [0.0] * len(ns)
+    for lo in range(0, samples, _BLOCK_SAMPLES):
+        # consecutive blocks share their boundary sample
+        ks = np.arange(lo, min(lo + _BLOCK_SAMPLES, samples) + 1)
+        ts = tau_prime * (ks / samples)
+        dtheta = np.diff(winding_phase(rep, ts))
+        largest, turn = float(np.max(np.abs(dtheta))), float(np.sum(dtheta))
+        r = kinematics(rep, ts)[4]
+        vanished = {odd: not np.all(r ** (-0.5 - odd) > 0)
+                    for odd in {n % 2 for n in ns}}
+        for i, n in enumerate(ns):
+            if vanished[n % 2]:
+                raise ConvergenceError("branch amplitude vanished at a tracking node")
+            if not (n + 0.5) * largest < _STEP_LIMIT:   # NaN fails too
+                raise ConvergenceError(
+                    "a branch-tracking step reached pi/4 despite the a-priori"
+                    " sample count; the phase branch is not trustworthy")
+            windings[i] += (n + 0.5) * turn
+    return windings
+
+
+def _check_duration(tau_prime) -> None:
+    if not tau_prime > 0:
+        raise ValueError("tau_prime must be positive")
+
+
+def _overall_phases(rep: Representation, ns, tau_prime: float,
+                    config: PhysicalConfig, spec: QuadratureSpec,
+                    fidelity_floor: float) -> list[tuple[float, float]]:
+    """(chi, fidelity) for every n of ns; see overall_phase_oracle."""
+    _check_duration(tau_prime)
+    finals = family_overlaps(rep, ns, 0.0, float(tau_prime), config, spec)
+    fidelities = np.abs(finals)
+    for fidelity in fidelities:
+        if fidelity < 1.0 - fidelity_floor:
+            raise NotCyclicError(
+                f"evolution over {tau_prime:g} is not cyclic"
+                f" (fidelity {fidelity:.12f}); overall phase undefined")
+    windings = _branch_windings(rep, ns, float(tau_prime))
+    phases = []
+    for final, fidelity, winding in zip(finals, fidelities, windings):
+        angle = cmath.phase(final)
+        chi = angle + TWO_PI * round((winding - angle) / TWO_PI)
+        phases.append((chi, float(fidelity)))
+    return phases
+
+
+def _dynamical_phases(rep: Representation, ns, tau_prime: float,
+                      spec: QuadratureSpec) -> list[float]:
+    """delta for every n of ns; see dynamical_phase_oracle.
+
+    <psi_n|H|psi_n> is (n + 1/2) hbar times energy_per_quantum, so one time
+    integral of the latter gives delta = -(n + 1/2) * integral for every n.
+    The integral is at least pi over a half period, so the relative
+    tolerance, not the absolute one, decides when it has converged.
+    """
+    _check_duration(tau_prime)
+    value, _ = integrate_1d(lambda ts: energy_per_quantum(rep, ts),
+                            0.0, float(tau_prime), spec)
+    return [-(n + 0.5) * float(value) for n in ns]
+
+
+def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
+                        config: PhysicalConfig = PhysicalConfig(),
+                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list[float]:
+    """Oracle Berry phases chi - delta of the states n of ns after tau'.
+
+    One call serves every n: theta and rho are evaluated once per time, the
+    overlaps share one Gauss-Hermite rule and one Hermite recurrence, one
+    theta series carries every branch, and one time integral of the energy
+    per quantum gives every delta. Every check still holds per n, and the
+    first failure raises.
+    """
+    phases = _overall_phases(rep, ns, tau_prime, config, spec, FIDELITY_FLOOR)
+    deltas = _dynamical_phases(rep, ns, tau_prime, spec)
+    return [chi - delta for (chi, _), delta in zip(phases, deltas)]
 
 
 def overall_phase_oracle(state: QuantumState, tau_prime: float,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                         fidelity_floor: float = 1e-8) -> tuple[float, float]:
+                         fidelity_floor: float = FIDELITY_FLOOR) -> tuple[float, float]:
     """Unwrapped overall phase and fidelity after evolving for tau_prime.
 
     The mod-2pi phase and the fidelity come from the overlap
-    <psi(0)|psi(tau')> computed by adaptive spatial quadrature; the 2pi branch
-    comes from continuously tracking a zero-free amplitude of the state from
-    t = 0 on a uniform grid fine enough that every phase step stays under
+    <psi(0)|psi(tau')> on the self-certified Gauss-Hermite rule; the 2pi
+    branch comes from continuously tracking a zero-free amplitude of the state
+    from t = 0 on a uniform grid fine enough that every phase step stays under
     pi/4. Raises NotCyclicError when the fidelity falls below
     1 - fidelity_floor, i.e. the evolution did not return the state to
     itself, and ConvergenceError when the branch cannot be tracked.
     """
-    if not tau_prime > 0:
-        raise ValueError("tau_prime must be positive")
-    final = overlap(state, 0.0, state, float(tau_prime), spec)
-    fidelity = abs(final)
-    if fidelity < 1.0 - fidelity_floor:
-        raise NotCyclicError(
-            f"evolution over {tau_prime:g} is not cyclic"
-            f" (fidelity {fidelity:.12f}); overall phase undefined")
-    angle = cmath.phase(final)
-    winding = _branch_winding(state, float(tau_prime))
-    chi = angle + TWO_PI * round((winding - angle) / TWO_PI)
-    return chi, fidelity
+    return _overall_phases(state.rep, (state.n,), tau_prime, state.config,
+                           spec, fidelity_floor)[0]
 
 
 def dynamical_phase_oracle(state: QuantumState, tau_prime: float,
                            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """-(1/hbar) * time integral of <psi|H|psi> by adaptive quadrature."""
-    if not tau_prime > 0:
-        raise ValueError("tau_prime must be positive")
-    value, _ = integrate_1d(lambda ts: energy_expectation(state, ts),
-                            0.0, float(tau_prime), spec)
-    return -float(value) / state.config.hbar
+    return _dynamical_phases(state.rep, (state.n,), tau_prime, spec)[0]
 
 
 def berry_phase_oracle(state: QuantumState, tau_prime: float,
                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Oracle Berry phase chi - delta, sharing the closed forms' branch."""
-    chi, _ = overall_phase_oracle(state, tau_prime, spec)
-    return chi - dynamical_phase_oracle(state, tau_prime, spec)
+    return berry_phase_oracles(state.rep, (state.n,), tau_prime, state.config,
+                               spec)[0]
 
 
 def ge_child_integral(rep: Representation,

@@ -66,6 +66,12 @@ class TestBerryCommand:
         assert code == 0
         assert json.loads(out)["rows"][0]["abs_diff"] < 1e-7
 
+    def test_narrow_squeezed_ground_state(self, capsys):
+        # composite Gauss-Legendre panels missed the peak at t = 0: exit 3
+        code, out, err = run_cli(capsys, "berry", "--C", "1000", "--n", "0")
+        assert code == 0, err
+        assert json.loads(out)["rows"][0]["abs_diff"] < 1e-7
+
     def test_degenerate_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "berry", "--beta", "pi/2")
         assert code == 2
@@ -198,6 +204,19 @@ class TestSweepCommand:
                    for row in rows[:2])
         assert rows[2]["error"] is not None    # omega_f = w: resonant mode
 
+    def test_point_with_one_failing_n_gives_one_error_row(self, capsys):
+        # n = 0 is trackable at this beta, n = 20 needs more samples than the cap
+        beta = repr(math.acos(9e-6))
+        code, out, _ = run_cli(capsys, "sweep", "--sweep", f"beta:{beta}:{beta}:1",
+                               "--C", "1", "--n", "0,20", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith(f"{float(beta)!r},,") and "cap" in lines[1]
+        code, out, _ = run_cli(capsys, "berry", "--C", "1", "--beta", beta,
+                               "--n", "0")
+        assert code == 0 and json.loads(out)["rows"][0]["abs_diff"] < 1e-7
+
     def test_sweep_without_axes_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--C", "2")
         assert code == 2
@@ -283,7 +302,9 @@ class TestConfigDocument:
         path = tmp_path / "config.json"
         for text in ("{not json", '{"n": true}',
                      '{"representation": {"C": -1.0}, "duration": true}',
-                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}'):
+                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}',
+                     '{"commensurability_tolerance": -1, "force":'
+                     ' {"omega_f": 0.5, "coefficients": [[1, 0.5, 0]]}}'):
             path.write_text(text)
             code, _, _ = run_cli(capsys, "berry", "--config", str(path))
             assert code == 2
@@ -458,20 +479,51 @@ def test_nonconvergence_maps_to_exit_4(monkeypatch, capsys):
     from shoberry import cli
     from shoberry.errors import ConvergenceError
 
-    real_build = cli._build_parser
+    def failing_rows(*args):
+        raise ConvergenceError("synthetic refinement cap")
 
-    def build_with_failing_command():
-        parser = real_build()
-        sub = parser._subparsers._group_actions[0]
-        failing = sub.choices["berry"]
-        failing.set_defaults(func=lambda args: (_ for _ in ()).throw(
-            ConvergenceError("synthetic refinement cap")))
-        return parser
-
-    monkeypatch.setattr(cli, "_build_parser", build_with_failing_command)
+    monkeypatch.setattr(cli, "_berry_rows", failing_rows)
     code = cli.main(["berry"])
     assert code == 4
     assert "synthetic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,flag", [
+    ("M", "--M"), ("w", "--w"), ("hbar", "--hbar"), ("omega_f", "--omega-f")])
+def test_positive_parameters_refuse_nonpositive_flags(name, flag, capsys):
+    assert cli._positive in {p.convert for p in cli.PARAMETERS if p.name == name}
+    for value in ("0", "-1", "nan"):
+        code, _, err = run_cli(capsys, "driven", flag, value,
+                               "--force-coeff", "1:0.5:0",
+                               *(() if name == "omega_f" else ("--omega-f", "0.5")))
+        assert code == 2 and f"{flag} must be positive" in err
+
+
+def test_every_exclusive_minimum_is_enforced():
+    for p in cli.PARAMETERS:
+        if p.schema.get("exclusiveMinimum") == 0:
+            for bad in (0, -1.0):
+                with pytest.raises(ConfigError, match="positive"):
+                    p.convert(bad, p.key)
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; repeated flags must not pile up
+    calls = [["berry", "--n", "0,1", "--C", "2", "--format", "csv"],
+             ["driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0",
+              "--force-coeff", "3:0.25:0", "--format", "csv"],
+             ["berry", "--C", "2", "--format", "csv"]]
+    in_process = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        in_process.append(out)
+    assert cli._build_parser() is cli._build_parser()
+    for argv, out in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "shoberry", *argv],
+                               capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == out
 
 
 def test_no_command_prints_help(capsys):

@@ -9,7 +9,7 @@ from shoberry.errors import (ConvergenceError, InvalidRepresentationError,
                              NotCyclicError)
 from shoberry.numerics import integrate_1d
 from shoberry.phase import (PhaseResult, berry_phase, berry_phase_oracle,
-                            canonical_angle, dynamical_phase_closed,
+                            berry_phase_oracles, canonical_angle, dynamical_phase_closed,
                             dynamical_phase_oracle, equivalence_class_C,
                             ge_child_integral, overall_phase_closed,
                             overall_phase_oracle, phase_result_for_half_periods)
@@ -135,23 +135,26 @@ class TestOracles:
             state = QuantumState(rep, n)
             chi, _ = overall_phase_oracle(state, periods * rep.tau0)
             assert abs(chi + 2.0 * periods * (n + 0.5) * math.pi) < 1e-7
-        assert phase._branch_samples(state, periods * rep.tau0) \
+        assert phase._branch_samples(rep, n, periods * rep.tau0) \
             > phase._BLOCK_SAMPLES
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(math.log(1e-2), math.log(1e2)),
+    @given(st.floats(math.log(1e-2), math.log(1e3)),
            st.floats(-math.acos(0.05), math.acos(0.05)),
-           st.integers(0, 20), st.sampled_from([1, 2, 4]))
-    def test_squeezed_oracle_never_off_by_2pi_k(self, log_c, beta, n,
+           st.lists(st.integers(0, 64), min_size=1, max_size=4, unique=True),
+           st.sampled_from([1, 2, 4]))
+    def test_squeezed_oracle_never_off_by_2pi_k(self, log_c, beta, ns,
                                                  half_periods):
-        # half a period or one or two whole periods, anywhere a state exists
+        # half a period or one or two whole periods, anywhere a state exists,
+        # several quantum numbers per call as a sweep point runs them
         rep = Representation(1.0, 1.0, math.exp(log_c), beta)
-        state = QuantumState(rep, n)
         try:
-            chi, _ = overall_phase_oracle(state, half_periods * 0.5 * rep.tau0)
+            gammas = berry_phase_oracles(rep, ns, half_periods * 0.5 * rep.tau0)
         except (NotCyclicError, ConvergenceError):
             return
-        assert abs(chi - overall_phase_closed(n, half_periods)) < 1e-7
+        for n, gamma in zip(ns, gammas):
+            closed = phase_result_for_half_periods(rep, n, half_periods).gamma
+            assert abs(gamma - closed) < 1e-7
 
     def test_near_degenerate_representation_raises(self):
         rep = Representation(1.0, 1.0, 1.0, 0.5 * math.pi - 1e-8)
@@ -214,6 +217,47 @@ class TestOracles:
                     state = QuantumState(rep, 1, PhysicalConfig(hbar))
                     values.append(berry_phase_oracle(state, 0.5 * rep.tau0))
         assert max(values) - min(values) < 1e-7
+
+
+class TestPerPointOracle:
+    NS = (0, 3, 8, 20)
+
+    @pytest.mark.parametrize("rep", [STRETCHED,
+                                     Representation(2.0, 1.5, 0.5, -math.pi / 6),
+                                     Representation(1.0, 1.0, 64.0, 1.4)])
+    def test_matches_one_n_calls(self, rep):
+        # one call for every n against the single-state entry points
+        tau = 0.5 * rep.tau0
+        phases = phase._overall_phases(rep, self.NS, tau, PhysicalConfig(),
+                                       phase.DEFAULT_QUADRATURE, phase.FIDELITY_FLOOR)
+        deltas = phase._dynamical_phases(rep, self.NS, tau,
+                                         phase.DEFAULT_QUADRATURE)
+        gammas = berry_phase_oracles(rep, self.NS, tau)
+        for n, (chi, fidelity), delta, gamma in zip(self.NS, phases, deltas,
+                                                    gammas):
+            state = QuantumState(rep, n)
+            chi_one, fidelity_one = overall_phase_oracle(state, tau)
+            assert abs(chi - chi_one) < 1e-12
+            assert abs(fidelity - fidelity_one) < 1e-12
+            assert abs(delta - dynamical_phase_oracle(state, tau)) < 1e-12
+            one = berry_phase_oracle(state, tau)
+            assert abs(gamma - one) <= 1e-12 * max(1.0, abs(one))
+
+    def test_one_failing_n_fails_the_call(self):
+        # n = 0 needs about 4.4e5 tracking samples here, n = 20 over the cap
+        rep = Representation(1.0, 1.0, 1.0, math.acos(9e-6))
+        assert phase._branch_samples(rep, 0, math.pi) < phase._MAX_SAMPLES
+        assert phase._branch_samples(rep, 20, math.pi) > phase._MAX_SAMPLES
+        with pytest.raises(ConvergenceError):
+            berry_phase_oracles(rep, (0, 20), math.pi)
+
+    def test_checks_hold_per_n(self):
+        with pytest.raises(ValueError):
+            berry_phase_oracles(STRETCHED, (0, 65), math.pi)
+        with pytest.raises(NotCyclicError):
+            berry_phase_oracles(STRETCHED, (0, 3), 0.3 * STRETCHED.tau0)
+        with pytest.raises(InvalidRepresentationError):
+            berry_phase_oracles(Representation(1, 1, -0.5, 0.0), (0,), math.pi)
 
 
 class TestGeChild:

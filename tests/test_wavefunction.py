@@ -1,17 +1,21 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_hermite
 
-from shoberry.errors import InvalidRepresentationError
-from shoberry.numerics import integrate_1d
+from shoberry import wavefunction
+from shoberry.errors import ConvergenceError, InvalidRepresentationError
+from shoberry.numerics import composite_gauss_nodes, integrate_1d
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import (MAX_HERMITE_DEGREE, QuantumState, alpha,
                                    alpha_dot, energy_expectation,
                                    energy_expectation_quadrature,
-                                   grid_halfwidth, hermite, norm_quadrature,
+                                   family_overlaps, grid_halfwidth,
+                                   hermite, hermite_rule, norm_quadrature,
                                    overlap, psi, psi_dx)
 
 STRETCHED = Representation(1.0, 1.0, 2.0, 0.0)
@@ -133,6 +137,80 @@ class TestPsi:
         residual = 1j * hbar * dpsi_dt[inner] - hpsi
         rel = np.linalg.norm(residual) / np.linalg.norm(hpsi)
         assert rel < 1e-5
+
+
+# Narrow at t = 0 (rho = 1) and wide at 0.3 tau0 (rho about 951).
+SQUEEZED = Representation(1.0, 1.0, 1000.0, 0.0)
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("m", [1, 2, 17, 80, 700, 2048])
+    def test_weights_and_moments(self, m):
+        y, weights = hermite_rule(m)
+        assert y.shape == weights.shape == (m,)
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+        w = weights * np.exp(-y * y)
+        assert abs(np.sum(w) - math.sqrt(math.pi)) < 1e-13
+        if m > 1:  # exact through degree 2m - 1
+            assert abs(np.sum(w * y * y) - 0.5 * math.sqrt(math.pi)) < 1e-13
+            assert abs(np.sum(w * y ** 3)) < 1e-13
+
+    def test_cached_read_only(self):
+        y, weights = hermite_rule(36)
+        assert hermite_rule(36)[0] is y
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
+    def test_cli_import_builds_no_rule(self):
+        code = ("import shoberry.cli, shoberry.wavefunction as wf;"
+                " print(len(wf._HERMITE_RULES))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+class TestSqueezedStates:
+    def test_narrow_ground_state_norm(self):
+        # composite Gauss-Legendre panels missed this peak and returned 1.8e-22
+        assert abs(norm_quadrature(QuantumState(SQUEEZED, 0), 0.0) - 1.0) < 1e-10
+
+    def test_overlap_of_narrow_and_wide_state_matches_brute_force(self):
+        state = QuantumState(SQUEEZED, 5)
+        t = 0.3 * SQUEEZED.tau0
+        half = grid_halfwidth(state)
+        xs, weights = composite_gauss_nodes(-half, half, 65536)
+        brute = np.sum(weights * np.conj(psi(state, xs, 0.0)) * psi(state, xs, t))
+        value = overlap(state, 0.0, state, t)
+        assert abs(brute) > 1e-4
+        assert abs(value - brute) < 1e-10
+
+    @pytest.mark.parametrize("n", [0, 64])
+    @pytest.mark.parametrize("periods", [0.5, 1.0])
+    def test_cyclic_fidelity_is_one(self, n, periods):
+        final = family_overlaps(SQUEEZED, (n,), 0.0, periods * SQUEEZED.tau0)[0]
+        assert abs(abs(final) - 1.0) < 1e-10
+
+    def test_family_overlaps_match_single_overlaps(self):
+        ns = (0, 3, 8, 20)
+        t = 0.5 * TILTED.tau0
+        values = family_overlaps(TILTED, ns, 0.0, t)
+        for n, value in zip(ns, values):
+            state = QuantumState(TILTED, n)
+            assert abs(value - overlap(state, 0.0, state, t)) < 1e-12
+
+    def test_rule_too_small_for_the_degree_is_refused(self):
+        # on 4 nodes |psi_20|^2 cannot integrate to 1: certification raises
+        snapshot = wavefunction._Snapshot(STRETCHED, PhysicalConfig(), 0.3)
+        wavefunction._certify((snapshot,), (0, 3), 4)
+        with pytest.raises(ConvergenceError):
+            wavefunction._certify((snapshot,), (0, 20), 4)
+
+    def test_unresolved_chirp_raises_instead_of_converging(self):
+        # two wide, strongly chirped times: the rule refuses, it never guesses
+        state = QuantumState(SQUEEZED, 5)
+        with pytest.raises(ConvergenceError):
+            overlap(state, 0.2 * SQUEEZED.tau0, state, 0.3 * SQUEEZED.tau0)
 
 
 class TestAlpha:
