@@ -23,6 +23,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -33,18 +34,17 @@ from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
                      drive_phase_quadrature, particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, UndefinedPhaseError)
-from .phase import berry_phase_oracles, phase_result_for_half_periods
-from .representation import (PhysicalConfig, Representation, rho, trajectory,
-                             validate)
+from .phase import berry_phase_oracles, closed_form_overflow, closed_form_phases
+from .representation import PhysicalConfig, Representation, kinematics, validate
 from .selfcheck import run_battery
 from .wavefunction import check_quantum_number
 
-_BERRY_COLUMNS = ["n", "chi", "delta", "gamma", "gamma_canonical",
-                  "oracle_gamma", "abs_diff"]
 _DRIVEN_COLUMNS = ["n", "gamma_undriven_part", "drive_part_closed",
                    "drive_part_quadrature", "gamma_total", "p", "N"]
-_TRAJECTORY_COLUMNS = ["t", "u", "v", "rho"]
 _FORMATS = ("csv", "json")
+# What a sweep point may raise; its row reports the message and the run goes on.
+_POINT_ERRORS = (InvalidParameterError, UndefinedPhaseError, ConvergenceError,
+                 ArithmeticError)
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
@@ -78,8 +78,10 @@ class SweepAxis:
     stop: float
     steps: int
 
-    def values(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
+    def values(self) -> list:
+        """The axis's points; n's are rounded to integers."""
+        values = np.linspace(self.start, self.stop, self.steps).tolist()
+        return [int(round(v)) for v in values] if self.parameter == "n" else values
 
 
 # Converters take a value in config form (a JSON value, or what a flag's text
@@ -355,46 +357,75 @@ def _load_config(args) -> argparse.Namespace:
     return cfg
 
 
-def _format_cell(value) -> str:
+# A report is a column table: column name -> numpy array, or a list where
+# cells are None or strings. Its columns are the table's keys, in order.
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(value) -> str:
+    """json.dumps's spelling of one cell."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_column(values) -> list[str]:
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u"):
+        return list(map(int.__repr__, values.tolist()))
+    if kind == "f":
+        cells = list(map(float.__repr__, values.tolist()))
+        if np.isfinite(values).all():
+            return cells
+        return [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+    return list(map(_json_cell, values.tolist() if kind else values))
+
+
+def _render_json(command: str, table: dict, extra=None) -> str:
+    """Byte for byte what json.dumps(doc, indent=2) prints for the report
+    document with one object per row, written column by column."""
+    doc = {"command": command, "columns": list(table), **(extra or {}), "rows": []}
+    head = json.dumps(doc, indent=2)
+    cells = [_json_column(values) for values in table.values()]
+    if not cells[0]:
+        return head + "\n"
+    row = "    {\n" + ",\n".join(
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in table) + "\n    }"
+    body = ",\n".join(map(row.__mod__, zip(*cells)))
+    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+
+
+def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format(float(value), ".17g")
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return "%.17g" % value
 
 
-def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row.get(col)
-            if col == "error":
-                cells.append('"%s"' % str(value).replace('"', '""') if value else "")
-            else:
-                cells.append(_format_cell(value))
-        lines.append(",".join(cells))
+def _csv_column(name: str, values) -> list[str]:
+    if name == "error":
+        return ['"%s"' % value.replace('"', '""') if value else ""
+                for value in values]
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u"):
+        return list(map(int.__repr__, values.tolist()))
+    if kind == "f":
+        return list(map("%.17g".__mod__, values.tolist()))
+    return list(map(_csv_cell, values.tolist() if kind else values))
+
+
+def _render_csv(table: dict) -> str:
+    cells = [_csv_column(name, values) for name, values in table.items()]
+    lines = [",".join(table), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
-
-
-def _render_json(command, columns, rows, extra=None) -> str:
-    clean_rows = []
-    for row in rows:
-        clean = {}
-        for col in columns:
-            value = row.get(col)
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                clean[col] = int(value)
-            elif value is None or isinstance(value, str):
-                clean[col] = value
-            else:
-                clean[col] = float(value)
-        clean_rows.append(clean)
-    doc = {"command": command, "columns": list(columns)}
-    if extra:
-        doc.update(extra)
-    doc["rows"] = clean_rows
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _deliver(text: str, out: Optional[str]) -> None:
@@ -404,31 +435,105 @@ def _deliver(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit(command, columns, rows, cfg, extra=None) -> None:
+def _emit(command: str, table: dict, cfg, extra=None) -> None:
     if cfg.format == "csv":
-        text = _render_csv(columns, rows)
+        text = _render_csv(table)
     else:
-        text = _render_json(command, columns, rows, extra)
+        text = _render_json(command, table, extra)
     _deliver(text, cfg.out)
 
 
-def _berry_rows(rep, physical, ns, half_periods):
-    rows = []
-    for n in ns:
-        res = phase_result_for_half_periods(rep, n, half_periods)
-        rows.append({"n": int(n), "chi": res.chi, "delta": res.delta,
-                     "gamma": res.gamma, "gamma_canonical": res.gamma_canonical,
-                     "oracle_gamma": None, "abs_diff": None})
-    if validate(rep, "full").ok:
-        oracles = berry_phase_oracles(rep, ns, half_periods * 0.5 * rep.tau0,
-                                      physical)
-        for row, oracle in zip(rows, oracles):
-            row["oracle_gamma"] = oracle
-            row["abs_diff"] = abs(row["gamma"] - oracle)
-    return rows
+def _point_index(steps) -> list[np.ndarray]:
+    """For each axis, the index of its value at every point of the product
+    of axes with ``steps`` values each, in itertools.product order."""
+    total = math.prod(steps)
+    index, inner = [], total
+    for count in steps:
+        inner //= count
+        index.append(np.arange(total) // inner % count)
+    return index
 
 
-def _driven_rows(rep, physical, ns, force, D, comm_tol):
+def _with_nulls(values: np.ndarray, present: np.ndarray):
+    """``values``, or a list with None in the rows not ``present``."""
+    if present.all():
+        return values
+    return [value if ok else None
+            for value, ok in zip(values.tolist(), present.tolist())]
+
+
+def _berry_grid(cfg, axes):
+    """Berry columns at every point of the product of ``axes`` (C, beta and
+    n; none for the berry command), as (columns, present, errors).
+
+    A point has one row per quantum number: its own when n is an axis, else
+    every n of cfg.n, fastest. ``columns`` maps each berry column to a
+    (points, rows per point) array; ``present`` marks, per point, the oracle
+    columns that hold a value; ``errors`` holds each point's exception or
+    None. A Representation is built once per (C, beta) cell and each n is
+    checked once, so refusals read as they do for the berry command; the
+    closed forms of every row are one closed_form_phases expression, and a
+    point whose cell has omega > 0 makes one oracle call for its rows. A
+    point's first error wins: its cell's, then its quantum numbers' in order
+    (refused, or closed forms that overflow), then the oracle's.
+    """
+    values = {ax.parameter: ax.values() for ax in axes}
+    points = math.prod(ax.steps for ax in axes)
+    index = dict(zip(values, _point_index([ax.steps for ax in axes])))
+    C_at, beta_at = (index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta"))
+    Cs, betas = values.get("C", [cfg.rep.C]), values.get("beta", [cfg.rep.beta])
+    cells = []
+    for C in Cs:
+        for beta in betas:
+            try:
+                cells.append(Representation(M=cfg.rep.M, w=cfg.rep.w, C=C, beta=beta))
+            except InvalidParameterError as exc:
+                cells.append(exc)
+    cell = C_at * len(betas) + beta_at
+    ns = values.get("n", cfg.n)
+    slot = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
+    n_errors, n_values = [], np.zeros(len(ns))
+    for i, n in enumerate(ns):
+        try:
+            n_values[i] = float(check_quantum_number(n))
+            n_errors.append(None)
+        except (InvalidParameterError, OverflowError) as exc:
+            n_errors.append(exc)
+    chi, delta, gamma, canonical = closed_form_phases(
+        np.array(Cs)[C_at][:, None],
+        np.array([math.cos(beta) for beta in betas])[beta_at][:, None],
+        n_values[slot], cfg.duration)
+    slot_bad = np.array([e is not None for e in n_errors])[slot] | ~np.isfinite(canonical)
+    cell_bad = np.array([isinstance(c, Exception) for c in cells])
+    errors = [None] * points
+    for p in np.flatnonzero(cell_bad[cell] | slot_bad.any(axis=1)).tolist():
+        rep = cells[cell[p]]
+        if isinstance(rep, Exception):
+            errors[p] = rep
+            continue
+        k = int(slot[p, np.argmax(slot_bad[p])])
+        errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
+    full = np.array([not bad and validate(c, "full").ok
+                     for c, bad in zip(cells, cell_bad)])
+    oracle = np.zeros(chi.shape)
+    has_oracle = np.zeros(points, dtype=bool)
+    for p in np.flatnonzero(full[cell]).tolist():
+        if errors[p] is None:
+            rep = cells[cell[p]]
+            try:
+                oracle[p] = berry_phase_oracles(
+                    rep, [ns[k] for k in slot[p]],
+                    cfg.duration * 0.5 * rep.tau0, cfg.physical)
+                has_oracle[p] = True
+            except _POINT_ERRORS as exc:
+                errors[p] = exc
+    columns = {"n": np.array(ns)[slot], "chi": chi, "delta": delta,
+               "gamma": gamma, "gamma_canonical": canonical,
+               "oracle_gamma": oracle, "abs_diff": np.abs(gamma - oracle)}
+    return columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
+
+
+def _driven_table(rep, physical, ns, force, D, comm_tol) -> dict:
     D = check_amplitude(D)   # before the D == 0 test of the fallback below
     try:
         comm = commensurability(rep.tau0, force.tau_f, comm_tol)
@@ -440,25 +545,80 @@ def _driven_rows(rep, physical, ns, force, D, comm_tol):
             gamma = berry_phase_special_rep(force, rep.M, rep.w, physical.hbar)
             xp = particular_solution(force, rep, None, 0j)
             quad = drive_phase_quadrature(xp, rep.M, physical.hbar, force.tau_f)
-            return [{"n": int(n), "gamma_undriven_part": 0.0,
-                     "drive_part_closed": gamma, "drive_part_quadrature": quad,
-                     "gamma_total": gamma, "p": 0, "N": 0} for n in ns]
+            k = len(ns)
+            return {"n": [int(n) for n in ns], "gamma_undriven_part": [0.0] * k,
+                    "drive_part_closed": [gamma] * k,
+                    "drive_part_quadrature": [quad] * k, "gamma_total": [gamma] * k,
+                    "p": [0] * k, "N": [0] * k}
         raise
-    rows = []
-    for n in ns:
-        res = berry_phase_driven(rep, int(n), force, D, comm, physical)
-        rows.append({"n": int(n), "gamma_undriven_part": res.gamma_undriven,
-                     "drive_part_closed": res.drive_closed,
-                     "drive_part_quadrature": res.drive_quadrature,
-                     "gamma_total": res.gamma_total, "p": res.p, "N": res.N})
-    return rows
+    results = [berry_phase_driven(rep, int(n), force, D, comm, physical) for n in ns]
+    return {"n": [int(n) for n in ns],
+            "gamma_undriven_part": [r.gamma_undriven for r in results],
+            "drive_part_closed": [r.drive_closed for r in results],
+            "drive_part_quadrature": [r.drive_quadrature for r in results],
+            "gamma_total": [r.gamma_total for r in results],
+            "p": [int(r.p) for r in results], "N": [int(r.N) for r in results]}
+
+
+def _driven_grid(cfg, axes):
+    """Driven columns at every point of the product of ``axes``, as
+    _berry_grid gives berry columns; each point goes through _driven_table."""
+    names = [ax.parameter for ax in axes]
+    per_point = 1 if "n" in names else len(cfg.n)
+    parts, errors = [], []
+    for combo in itertools.product(*(ax.values() for ax in axes)):
+        point = dict(zip(names, combo))
+        omega_f = point.get("omega_f", cfg.force.omega_f)
+        try:
+            rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=point.get("C", cfg.rep.C),
+                                 beta=point.get("beta", cfg.rep.beta))
+            force = cfg.force if omega_f == cfg.force.omega_f else \
+                DrivingForce(omega_f, cfg.force.coefficients)
+            part = _driven_table(
+                rep, cfg.physical, [point["n"]] if "n" in point else cfg.n, force,
+                complex(point.get("D_re", cfg.D.real), point.get("D_im", cfg.D.imag)),
+                cfg.comm_tol)
+        except _POINT_ERRORS as exc:
+            part = dict.fromkeys(_DRIVEN_COLUMNS, [0] * per_point)
+            errors.append(exc)
+        else:
+            errors.append(None)
+        parts.append(part)
+    columns = {name: np.array([v for part in parts for v in part[name]]).reshape(
+        len(parts), per_point) for name in _DRIVEN_COLUMNS}
+    return columns, {}, errors
+
+
+def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
+    """The report of a grid: each axis's value, each column of ``columns``
+    that no axis provides, then ``error``. A point with an error keeps one
+    row, with null columns and its message."""
+    points, per_point = next(iter(columns.values())).shape
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    keep = np.ones((points, per_point), dtype=bool)
+    keep[failed, 1:] = False
+    keep = keep.ravel()
+    table = {}
+    for ax, index in zip(axes, _point_index([ax.steps for ax in axes])):
+        table[ax.parameter] = np.repeat(np.array(ax.values())[index], per_point)[keep]
+    for name, values in columns.items():
+        if name not in table:
+            ok = ~failed & present.get(name, True)
+            table[name] = _with_nulls(values.ravel()[keep], np.repeat(ok, per_point)[keep])
+    table["error"] = []
+    for error in errors:
+        table["error"] += [None] * per_point if error is None else [str(error)]
+    return table
 
 
 def cmd_berry(args) -> int:
     cfg = _load_config(args)
-    rows = _berry_rows(cfg.rep, cfg.physical, cfg.n, cfg.duration)
-    _emit("berry", _BERRY_COLUMNS, rows, cfg,
-          extra={"duration": cfg.duration * 0.5 * cfg.rep.tau0})
+    columns, present, errors = _berry_grid(cfg, ())
+    if errors[0] is not None:
+        raise errors[0]
+    table = _sweep_table((), columns, present, errors)
+    del table["error"]
+    _emit("berry", table, cfg, extra={"duration": cfg.duration * 0.5 * cfg.rep.tau0})
     return 0
 
 
@@ -467,70 +627,35 @@ def cmd_driven(args) -> int:
     if cfg.force is None:
         raise ConfigError("the driven command needs a force section"
                           " (--omega-f plus --force-coeff, or config JSON)")
-    rows = _driven_rows(cfg.rep, cfg.physical, cfg.n, cfg.force, cfg.D,
-                        cfg.comm_tol)
-    _emit("driven", _DRIVEN_COLUMNS, rows, cfg)
+    _emit("driven", _driven_table(cfg.rep, cfg.physical, cfg.n, cfg.force, cfg.D,
+                                  cfg.comm_tol), cfg)
     return 0
-
-
-def _rows_for_point(cfg, overrides: dict, driven_mode: bool):
-    rep = Representation(M=cfg.rep.M, w=cfg.rep.w,
-                         C=overrides.get("C", cfg.rep.C),
-                         beta=overrides.get("beta", cfg.rep.beta))
-    ns = [int(round(overrides["n"]))] if "n" in overrides else cfg.n
-    if driven_mode:
-        D = complex(overrides.get("D_re", cfg.D.real),
-                    overrides.get("D_im", cfg.D.imag))
-        omega_f = overrides.get("omega_f", cfg.force.omega_f)
-        force = cfg.force if omega_f == cfg.force.omega_f else \
-            DrivingForce(omega_f, cfg.force.coefficients)
-        return _driven_rows(rep, cfg.physical, ns, force, D, cfg.comm_tol)
-    return _berry_rows(rep, cfg.physical, ns, cfg.duration)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if not cfg.sweep:
         raise ConfigError("the sweep command needs a sweep section")
-    driven_mode = cfg.force is not None
     axis_names = [ax.parameter for ax in cfg.sweep]
+    for name in axis_names:
+        if axis_names.count(name) > 1:
+            raise ConfigError(f"sweep parameter {name} is given more than once")
+    driven_mode = cfg.force is not None
     force_axes = {name for p in PARAMETERS if p.key.startswith("force.")
                   for name in p.axes}
     unforced = [name for name in axis_names if name in force_axes]
     if unforced and not driven_mode:
         raise ConfigError(f"sweeping {unforced[0]} needs a force section")
-    base_columns = _DRIVEN_COLUMNS if driven_mode else _BERRY_COLUMNS
-    columns = axis_names + [c for c in base_columns if c not in axis_names] \
-        + ["error"]
-    rows = []
-    for combo in itertools.product(*(ax.values() for ax in cfg.sweep)):
-        overrides = dict(zip(axis_names, combo))
-        point = {name: (int(round(v)) if name == "n" else v)
-                 for name, v in overrides.items()}
-        try:
-            for sub in _rows_for_point(cfg, overrides, driven_mode):
-                row = dict(point)
-                row.update({k: v for k, v in sub.items() if k not in point})
-                row["error"] = None
-                rows.append(row)
-        except (InvalidParameterError, UndefinedPhaseError,
-                ConvergenceError, ArithmeticError) as exc:
-            row = dict(point)
-            row.update({c: None for c in base_columns if c not in point})
-            row["error"] = str(exc)
-            rows.append(row)
-    _emit("sweep", columns, rows, cfg)
+    grid = _driven_grid if driven_mode else _berry_grid
+    _emit("sweep", _sweep_table(cfg.sweep, *grid(cfg, cfg.sweep)), cfg)
     return 0
 
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args)
-    points = trajectory(cfg.rep, cfg.samples)
     ts = np.linspace(0.0, cfg.rep.tau0, cfg.samples)
-    radii = rho(cfg.rep, ts)
-    rows = [{"t": float(t), "u": float(u), "v": float(v), "rho": float(r)}
-            for t, (u, v), r in zip(ts, points, radii)]
-    _emit("trajectory", _TRAJECTORY_COLUMNS, rows, cfg)
+    u, v, _, _, r, _ = kinematics(cfg.rep, ts)
+    _emit("trajectory", {"t": ts, "u": u, "v": v, "rho": r}, cfg)
     return 0
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidRepresentationError, NotCyclicError
+from .errors import (ConvergenceError, InvalidParameterError,
+                     InvalidRepresentationError, NotCyclicError)
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              kinematics, require_valid, winding_phase)
@@ -45,12 +46,12 @@ class PhaseResult:
             raise ValueError("gamma_canonical must lie in [0, 2pi)")
 
 
-def canonical_angle(gamma: float) -> float:
-    """Reduce an unwrapped angle to [0, 2pi)."""
-    g = gamma % TWO_PI
-    if g >= TWO_PI or g < 0.0:  # guard the float boundary
-        g = 0.0
-    return g
+def canonical_angle(gamma):
+    """Reduce an unwrapped angle, or an array of them, to [0, 2pi)."""
+    with np.errstate(invalid="ignore"):   # inf reduces to NaN, as with %
+        g = np.remainder(gamma, TWO_PI)
+    g = np.where((g >= TWO_PI) | (g < 0.0), 0.0, g)   # guard the float boundary
+    return float(g) if g.ndim == 0 else g
 
 
 def _check_half_periods(half_periods: int):
@@ -66,27 +67,55 @@ def overall_phase_closed(n: int, half_periods: int = 1) -> float:
     return -half_periods * (n + 0.5) * math.pi
 
 
-def _energy_ratio(rep: Representation) -> float:
-    """(1 + C^2) / (2 C cos beta), the mean energy in units of (n+1/2) hbar w."""
-    return (1.0 + rep.C * rep.C) / (2.0 * rep.C * math.cos(rep.beta))
+def closed_form_phases(C, cos_beta, n, half_periods: int):
+    """chi, delta, gamma and gamma_canonical after k half periods, broadcast
+    over array arguments.
+
+    chi = -k (n + 1/2) pi and delta = chi (1 + C^2)/(2 C cos beta): the one
+    closed-form expression, shared by phase_result_for_half_periods and the
+    CLI's sweep grid. Each entry goes through the same IEEE operations in the
+    same order as a scalar evaluation, so the two agree bit for bit. Where
+    the result overflows double precision (C*C beyond the float range, or a
+    subnormal denominator) it comes out inf or NaN, and gamma_canonical is
+    NaN; callers refuse such entries. C is a numpy array or scalar, so that
+    a zero denominator gives inf rather than ZeroDivisionError. Arguments
+    are not checked.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        chi = -half_periods * (n + 0.5) * math.pi
+        delta = chi * ((1.0 + C * C) / (2.0 * C * cos_beta))
+        gamma = chi - delta
+    return chi, delta, gamma, canonical_angle(gamma)
 
 
-def dynamical_phase_closed(rep: Representation, n: int, half_periods: int = 1) -> float:
-    """-k (n + 1/2) pi (1 + C^2)/(2 C cos beta); independent of M, w, hbar."""
-    _check_half_periods(half_periods)
-    return overall_phase_closed(n, half_periods) * _energy_ratio(rep)
+def closed_form_overflow(C: float, beta: float, n: int) -> InvalidParameterError:
+    """The error for closed-form phases that are not finite in double precision."""
+    return InvalidParameterError(
+        f"closed-form phases overflow double precision at C={C!r},"
+        f" beta={beta!r}, n={n}")
 
 
 def phase_result_for_half_periods(rep: Representation, n: int,
                                   half_periods: int) -> PhaseResult:
-    """Closed-form phases for an evolution of k half periods."""
+    """Closed-form phases for an evolution of k half periods.
+
+    Raises InvalidParameterError when they overflow double precision, as for
+    |C| above about 1.3e154 or a subnormal C.
+    """
+    check_quantum_number(n)
     _check_half_periods(half_periods)
-    chi = overall_phase_closed(n, half_periods)
-    delta = dynamical_phase_closed(rep, n, half_periods)
-    gamma = chi - delta
+    chi, delta, gamma, canonical = (float(x) for x in closed_form_phases(
+        np.float64(rep.C), math.cos(rep.beta), n, half_periods))
+    if not math.isfinite(canonical):
+        raise closed_form_overflow(rep.C, rep.beta, n)
     return PhaseResult(chi=chi, delta=delta, gamma=gamma,
-                       gamma_canonical=canonical_angle(gamma),
+                       gamma_canonical=canonical,
                        duration=half_periods * 0.5 * rep.tau0)
+
+
+def dynamical_phase_closed(rep: Representation, n: int, half_periods: int = 1) -> float:
+    """-k (n + 1/2) pi (1 + C^2)/(2 C cos beta); independent of M, w, hbar."""
+    return phase_result_for_half_periods(rep, n, half_periods).delta
 
 
 _DURATIONS = {"half": 1, "full": 2}

@@ -217,6 +217,22 @@ class TestSweepCommand:
                                "--n", "0")
         assert code == 0 and json.loads(out)["rows"][0]["abs_diff"] < 1e-7
 
+    def test_overflowing_closed_form_gets_its_own_error_row(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:-1e200:-1:2",
+                                 "--n", "0,1", "--format", "csv")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[1].endswith('"closed-form phases overflow double precision'
+                                 ' at C=-1e+200, beta=0.0, n=0"')
+        assert lines[2].startswith("-1,0,") and lines[3].startswith("-1,1,")
+        assert lines[2].endswith(",") and lines[3].endswith(",")
+
+    def test_repeated_axis_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--sweep", "n:0:1:2",
+                               "--sweep", "C:1:2:2", "--sweep", "n:3:4:2")
+        assert code == 2 and "sweep parameter n" in err
+
     def test_sweep_without_axes_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--C", "2")
         assert code == 2
@@ -456,6 +472,10 @@ class TestValidateCommand:
     ("sweep", "--sweep", "C:x:1:3"),
     ("sweep", "--sweep", "C:0:1:x"),
     ("sweep", "--sweep", "C:1:2:2.5"),
+    ("sweep", "--sweep", "C:1:2:2", "--sweep", "C:3:4:2"),
+    ("berry", "--C", "1e200"),
+    ("berry", "--C", "5e-324"),
+    ("driven", "--C", "1e200", "--omega-f", "0.5", "--force-coeff", "1:0.5:0"),
 ], ids=" ".join)
 def test_invalid_input_exits_2_without_traceback(argv, capsys):
     code, _, err = run_cli(capsys, *argv)   # an uncaught exception fails here
@@ -479,10 +499,10 @@ def test_nonconvergence_maps_to_exit_4(monkeypatch, capsys):
     from shoberry import cli
     from shoberry.errors import ConvergenceError
 
-    def failing_rows(*args):
+    def failing_grid(*args):
         raise ConvergenceError("synthetic refinement cap")
 
-    monkeypatch.setattr(cli, "_berry_rows", failing_rows)
+    monkeypatch.setattr(cli, "_berry_grid", failing_grid)
     code = cli.main(["berry"])
     assert code == 4
     assert "synthetic" in capsys.readouterr().err

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shoberry import phase
-from shoberry.errors import (ConvergenceError, InvalidRepresentationError,
-                             NotCyclicError)
+from shoberry.errors import (ConvergenceError, InvalidParameterError,
+                             InvalidRepresentationError, NotCyclicError)
 from shoberry.numerics import integrate_1d
 from shoberry.phase import (PhaseResult, berry_phase, berry_phase_oracle,
-                            berry_phase_oracles, canonical_angle, dynamical_phase_closed,
+                            berry_phase_oracles, canonical_angle, closed_form_phases,
+                            dynamical_phase_closed,
                             dynamical_phase_oracle, equivalence_class_C,
                             ge_child_integral, overall_phase_closed,
                             overall_phase_oracle, phase_result_for_half_periods)
@@ -336,3 +337,47 @@ class TestPhaseResultForHalfPeriods:
             phase_result_for_half_periods(STRETCHED, 0, 0)
         with pytest.raises(ValueError):
             phase_result_for_half_periods(STRETCHED, 0, True)
+
+    @pytest.mark.parametrize("C,beta", [
+        (1e200, 0.0), (-2e154, 0.3), (5e-324, 0.0), (-1e-310, 1.0),
+        (1e-300, 1.5707963)])
+    def test_overflowing_closed_form_is_refused(self, C, beta):
+        rep = Representation(1.0, 1.0, C, beta)
+        # the last case is finite for n = 0 and overflows for n = 1e300
+        n = 10 ** 300 if C == 1e-300 else 0
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            phase_result_for_half_periods(rep, n, 2)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            dynamical_phase_closed(rep, n, 1)
+
+
+def _closed_form_reference(C, beta, n, half_periods):
+    """The scalar formulas as plain float arithmetic, operation by operation."""
+    chi = -half_periods * (n + 0.5) * math.pi
+    delta = chi * ((1.0 + C * C) / (2.0 * C * math.cos(beta)))
+    gamma = chi - delta
+    canonical = gamma % TWO_PI
+    if canonical >= TWO_PI or canonical < 0.0:
+        canonical = 0.0
+    return chi, delta, gamma, canonical
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01),
+              st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150)),
+    st.floats(-1.57, 1.57), st.integers(0, 200)), min_size=1, max_size=40),
+    st.integers(1, 7))
+def test_closed_form_grid_matches_scalar_arithmetic_bit_for_bit(cells, half_periods):
+    C, beta, n = (np.array(column) for column in zip(*cells))
+    grid = closed_form_phases(C, np.array([math.cos(b) for b in beta.tolist()]),
+                              n, half_periods)
+    for i, (c, b, k) in enumerate(cells):
+        expected = _closed_form_reference(c, b, k, half_periods)
+        assert [repr(float(column[i])) for column in grid] == \
+            [repr(value) for value in expected]
+        result = phase_result_for_half_periods(Representation(1.0, 1.0, c, b), k,
+                                               half_periods)
+        assert [repr(v) for v in (result.chi, result.delta, result.gamma,
+                                  result.gamma_canonical)] == \
+            [repr(value) for value in expected]
