@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Layer timings of a formula-only report, written to BENCH_report.json.
 
-    PYTHONPATH=src python scripts/report_timing.py [--repeats 15] [--out BENCH_report.json]
+    PYTHONPATH=src python scripts/report_timing.py [--out BENCH_report.json]
 
 The request has the shape of the benchmark's closed_forms sweep: 20 C x 15
 beta x 17 n = 5,100 points with C < 0, so no oracle runs. Each figure is the
-median over the repeats of one in-process call:
+median over REPEATS runs of one in-process call:
 
 - grid: the sweep's column table (closed forms, refusals, axis columns);
 - json_render, csv_render: that table rendered as a report;
@@ -30,14 +30,15 @@ import numpy as np
 
 from shoberry import cli
 
+REPEATS = 15
 ARGV = ["sweep", "--sweep", "C:-6.0:-0.2:20", "--sweep", "beta:-1.3:1.3:15",
         "--sweep", "n:0:64:17"]
 
 
-def _median_seconds(call, repeats: int) -> float:
+def _median_seconds(call) -> float:
     call()   # warm-up: caches and lazy imports
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -52,7 +53,6 @@ def _end_to_end():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--out", type=Path, default=Path("BENCH_report.json"))
     args = parser.parse_args()
 
@@ -64,18 +64,17 @@ def main() -> int:
     table = grid()
     rows = len(table["error"])
     layers = {
-        "grid": _median_seconds(grid, args.repeats),
-        "json_render": _median_seconds(lambda: cli._render_json("sweep", table),
-                                       args.repeats),
-        "csv_render": _median_seconds(lambda: cli._render_csv(table), args.repeats),
+        "grid": _median_seconds(grid),
+        "json_render": _median_seconds(lambda: cli._render_json("sweep", table)),
+        "csv_render": _median_seconds(lambda: cli._render_csv(table)),
     }
     report = {
         "request": " ".join(ARGV),
         "rows": rows,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "layer_s": layers,
         "layer_s_per_1k_rows": {name: s * 1000 / rows for name, s in layers.items()},
-        "sweep_end_to_end_s": _median_seconds(_end_to_end, args.repeats),
+        "sweep_end_to_end_s": _median_seconds(_end_to_end),
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
     }

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -443,15 +442,12 @@ def _emit(command: str, table: dict, cfg, extra=None) -> None:
     _deliver(text, cfg.out)
 
 
-def _point_index(steps) -> list[np.ndarray]:
-    """For each axis, the index of its value at every point of the product
-    of axes with ``steps`` values each, in itertools.product order."""
-    total = math.prod(steps)
-    index, inner = [], total
-    for count in steps:
-        inner //= count
-        index.append(np.arange(total) // inner % count)
-    return index
+def _point_index(axes) -> np.ndarray:
+    """Row i: the index of axis i's value at every point of the product of
+    ``axes``, the last axis fastest. This is the one point order of a grid
+    and of its report."""
+    steps = [ax.steps for ax in axes]
+    return np.indices(steps).reshape(len(steps), math.prod(steps))
 
 
 def _with_nulls(values: np.ndarray, present: np.ndarray):
@@ -479,7 +475,7 @@ def _berry_grid(cfg, axes):
     """
     values = {ax.parameter: ax.values() for ax in axes}
     points = math.prod(ax.steps for ax in axes)
-    index = dict(zip(values, _point_index([ax.steps for ax in axes])))
+    index = dict(zip(values, _point_index(axes)))
     C_at, beta_at = (index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta"))
     Cs, betas = values.get("C", [cfg.rep.C]), values.get("beta", [cfg.rep.beta])
     cells = []
@@ -563,11 +559,11 @@ def _driven_table(rep, physical, ns, force, D, comm_tol) -> dict:
 def _driven_grid(cfg, axes):
     """Driven columns at every point of the product of ``axes``, as
     _berry_grid gives berry columns; each point goes through _driven_table."""
-    names = [ax.parameter for ax in axes]
-    per_point = 1 if "n" in names else len(cfg.n)
+    values = [ax.values() for ax in axes]
+    per_point = 1 if any(ax.parameter == "n" for ax in axes) else len(cfg.n)
     parts, errors = [], []
-    for combo in itertools.product(*(ax.values() for ax in axes)):
-        point = dict(zip(names, combo))
+    for combo in _point_index(axes).T.tolist():
+        point = {ax.parameter: vals[i] for ax, vals, i in zip(axes, values, combo)}
         omega_f = point.get("omega_f", cfg.force.omega_f)
         try:
             rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=point.get("C", cfg.rep.C),
@@ -599,7 +595,7 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     keep[failed, 1:] = False
     keep = keep.ravel()
     table = {}
-    for ax, index in zip(axes, _point_index([ax.steps for ax in axes])):
+    for ax, index in zip(axes, _point_index(axes)):
         table[ax.parameter] = np.repeat(np.array(ax.values())[index], per_point)[keep]
     for name, values in columns.items():
         if name not in table:
