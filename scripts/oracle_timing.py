@@ -67,12 +67,12 @@ def main() -> int:
     tau = 0.5 * reps[0].tau0
     config, spec = PhysicalConfig(), DEFAULT_QUADRATURE
     layers = {
-        "overlap": _median_seconds(lambda: [wavefunction.family_overlaps(
-            rep, NS, 0.0, tau, config, spec) for rep in reps]),
+        "overlap": _median_seconds(lambda: wavefunction._family_overlaps(
+            reps, NS, 0.0, tau, config, spec)),
         "branch_tracking": _median_seconds(
-            lambda: [phase._branch_windings(rep, NS, tau) for rep in reps]),
+            lambda: phase._branch_windings(reps, NS, tau)),
         "dynamical_quadrature": _median_seconds(
-            lambda: [phase._dynamical_phases(rep, NS, tau, spec) for rep in reps]),
+            lambda: phase._dynamical_phases(reps, NS, tau, spec)),
     }
     report = {
         "request": " ".join(ARGV),

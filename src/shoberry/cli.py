@@ -33,7 +33,7 @@ from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
                      drive_phase_quadrature, particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, UndefinedPhaseError)
-from .phase import berry_phase_oracles, closed_form_overflow, closed_form_phases
+from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
 from .representation import PhysicalConfig, Representation, kinematics, validate
 from .selfcheck import run_battery
 from .wavefunction import check_quantum_number
@@ -125,10 +125,16 @@ def _items(value, what: str, shape: str, count: int) -> list:
 
 
 def _quantum_numbers(value, what: str) -> list[int]:
+    """Nonnegative integers. Whether the phases of each can be evaluated is
+    checked per sweep point, so a sweep reports a refused n in its rows."""
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{what} must be an integer or a nonempty list of integers")
-    return [check_quantum_number(_integer(item, what)) for item in items]
+    numbers = [_integer(item, what) for item in items]
+    for n, item in zip(numbers, items):
+        if n < 0:
+            raise ConfigError(f"{what} must hold nonnegative integers, got {item!r}")
+    return numbers
 
 
 def _half_periods(value, what: str) -> int:
@@ -468,10 +474,11 @@ def _berry_grid(cfg, axes):
     columns that hold a value; ``errors`` holds each point's exception or
     None. A Representation is built once per (C, beta) cell and each n is
     checked once, so refusals read as they do for the berry command; the
-    closed forms of every row are one closed_form_phases expression, and a
-    point whose cell has omega > 0 makes one oracle call for its rows. A
-    point's first error wins: its cell's, then its quantum numbers' in order
-    (refused, or closed forms that overflow), then the oracle's.
+    closed forms of every row are one closed_form_phases expression, and the
+    points whose cells have omega > 0 make one batched oracle call per tuple
+    of quantum numbers. A point's first error wins: its cell's, then its
+    quantum numbers' in order (refused, or closed forms that overflow), then
+    the oracle's, which is the message a one-point call raises.
     """
     values = {ax.parameter: ax.values() for ax in axes}
     points = math.prod(ax.steps for ax in axes)
@@ -493,7 +500,7 @@ def _berry_grid(cfg, axes):
         try:
             n_values[i] = float(check_quantum_number(n))
             n_errors.append(None)
-        except (InvalidParameterError, OverflowError) as exc:
+        except InvalidParameterError as exc:
             n_errors.append(exc)
     chi, delta, gamma, canonical = closed_form_phases(
         np.array(Cs)[C_at][:, None],
@@ -513,16 +520,20 @@ def _berry_grid(cfg, axes):
                      for c, bad in zip(cells, cell_bad)])
     oracle = np.zeros(chi.shape)
     has_oracle = np.zeros(points, dtype=bool)
+    groups = {}   # the full-mode points of each tuple of quantum numbers
     for p in np.flatnonzero(full[cell]).tolist():
         if errors[p] is None:
-            rep = cells[cell[p]]
-            try:
-                oracle[p] = berry_phase_oracles(
-                    rep, [ns[k] for k in slot[p]],
-                    cfg.duration * 0.5 * rep.tau0, cfg.physical)
+            groups.setdefault(tuple(ns[k] for k in slot[p].tolist()), []).append(p)
+    for group_ns, group in groups.items():
+        reps = [cells[cell[p]] for p in group]
+        results = _oracle_batch(reps, group_ns, cfg.duration * 0.5 * reps[0].tau0,
+                                cfg.physical)
+        for p, result in zip(group, results):
+            if isinstance(result, Exception):
+                errors[p] = result
+            else:
+                oracle[p] = result
                 has_oracle[p] = True
-            except _POINT_ERRORS as exc:
-                errors[p] = exc
     columns = {"n": np.array(ns)[slot], "chi": chi, "delta": delta,
                "gamma": gamma, "gamma_canonical": canonical,
                "oracle_gamma": oracle, "abs_diff": np.abs(gamma - oracle)}
@@ -537,7 +548,9 @@ def _driven_table(rep, physical, ns, force, D, comm_tol) -> dict:
         if D == 0 and rep.C == 1.0 and rep.beta == 0.0:
             # Stationary-based special representation: the phase over one
             # force period exists for any periodic drive. p = N = 0 marks
-            # the tau_f duration in the report.
+            # the tau_f duration in the report. Each n is still checked, as
+            # berry_phase_driven checks it on the other path.
+            ns = [check_quantum_number(n) for n in ns]
             gamma = berry_phase_special_rep(force, rep.M, rep.w, physical.hbar)
             xp = particular_solution(force, rep, None, 0j)
             quad = drive_phase_quadrature(xp, rep.M, physical.hbar, force.tau_f)
@@ -708,9 +721,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A negative number in exponent form, like -1e-3 or -.5e2, or a value that
+# starts with one, like the D pair -0.3:0.1. argparse takes only -1 and -0.5
+# for numbers and reads the rest as options; no shoberry flag looks like this.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with every negative value written as --flag=value after its flag."""
+    out = []
+    for token in argv:
+        if (out and _NEGATIVE_VALUE.match(token) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2

@@ -58,41 +58,84 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+# Array elements one call of a batched evaluation may hold per temporary:
+# batches are split so that memory stays that of a single small evaluation.
+CHUNK_ELEMENTS = 1 << 13
+
+
+def chunks(index: np.ndarray, width: int) -> list[np.ndarray]:
+    """``index`` split into as few near-equal consecutive parts as keep each
+    part's len(part) * width elements within about CHUNK_ELEMENTS."""
+    if len(index) * width <= CHUNK_ELEMENTS:
+        return [index]
+    return np.array_split(index, -(-len(index) * width // CHUNK_ELEMENTS))
+
+
+def integrate_rows(f, a: float, b: float, rows: int,
+                   spec: QuadratureSpec = DEFAULT_QUADRATURE, *, order: int = 16,
+                   initial_panels: int = 4):
+    """Integrate ``rows`` integrands over [a, b] at once.
+
+    f(active, nodes) gives the values of the rows ``active`` (an index array)
+    at the abscissas ``nodes``, shape (len(active), len(nodes)), real or
+    complex. Composite Gauss-Legendre panels; each row's panel count doubles
+    until two successive results of that row agree within the spec
+    tolerances, and a row that has converged drops out of the next level.
+    Returns (values, errors, failures): each row's value, its last
+    refinement difference, and the ConvergenceError of a row that hit the
+    refinement cap, else None.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite")
+    if a == b:
+        return np.zeros(rows), np.zeros(rows), [None] * rows
+    values = errors = prev = None
+    active = np.arange(rows)
+    for level in range(spec.max_refinements + 1):
+        nodes, weights = composite_gauss_nodes(a, b, initial_panels * 2 ** level, order)
+        cur = np.concatenate([np.sum(weights * f(part, nodes), axis=-1)
+                              for part in chunks(active, len(nodes))])
+        if values is None:
+            values, errors = np.zeros(rows, dtype=cur.dtype), np.zeros(rows)
+        if prev is not None:
+            change = np.abs(cur - prev)
+            done = change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))
+            values[active[done]] = cur[done]
+            errors[active] = change
+            active, cur = active[~done], cur[~done]
+            if not active.size:
+                break
+        prev = cur
+    failures = [None] * rows
+    for row in active.tolist():
+        failures[row] = ConvergenceError(
+            f"quadrature on [{a:g}, {b:g}] did not meet tol within "
+            f"{spec.max_refinements} refinements (last change {errors[row]:.3e})")
+    return values, errors, failures
+
+
 def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
                  *, order: int = 16, initial_panels: int = 4):
-    """Integrate a vectorized callable over [a, b].
+    """Integrate a vectorized callable over [a, b]: integrate_rows for one row.
 
-    Composite Gauss-Legendre panels; the panel count doubles until two
-    successive results agree within the spec tolerances. Returns
-    (value, error_estimate) where the estimate is the last refinement
+    Returns (value, error_estimate) where the estimate is the last refinement
     difference. The integrand may return real or complex arrays and must
     accept an ndarray of abscissas.
 
     Raises ConvergenceError when the refinement cap is hit.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if a == b:
-        return 0.0, 0.0
-
-    def evaluate(panels):
-        nodes, weights = composite_gauss_nodes(a, b, panels, order)
+    def row(_, nodes):
         vals = np.asarray(f(nodes))
         if vals.shape != nodes.shape:
             raise ValueError("integrand must be vectorized over its input array")
-        total = np.sum(weights * vals)
-        return complex(total) if np.iscomplexobj(vals) else float(total)
+        return vals[None]
 
-    prev = evaluate(initial_panels)
-    for level in range(1, spec.max_refinements + 1):
-        cur = evaluate(initial_panels * 2 ** level)
-        err = abs(cur - prev)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur, err
-        prev = cur
-    raise ConvergenceError(
-        f"quadrature on [{a:g}, {b:g}] did not meet tol within "
-        f"{spec.max_refinements} refinements (last change {err:.3e})")
+    values, errors, (failure,) = integrate_rows(row, a, b, 1, spec, order=order,
+                                                initial_panels=initial_panels)
+    if failure is not None:
+        raise failure
+    value = complex(values[0]) if np.iscomplexobj(values) else float(values[0])
+    return value, float(errors[0])
 
 
 def sample_vectorized(f: Callable, ts: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import (ConvergenceError, InvalidParameterError,
                      InvalidRepresentationError, NotCyclicError)
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d
+from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d,
+                       integrate_rows)
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
-                             kinematics, require_valid, winding_phase)
-from .wavefunction import (QuantumState, check_quantum_number,
-                           energy_per_quantum, family_overlaps)
+                             RepresentationArrays, _winding, require_valid)
+from .wavefunction import (QuantumState, _energy_per_quantum, _family_overlaps,
+                           check_quantum_number)
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,10 +138,10 @@ def berry_phase(rep: Representation, n: int, duration: str = "half") -> PhaseRes
 # An evolution is cyclic when |<psi(0)|psi(tau')>| is at least 1 - this.
 FIDELITY_FLOOR = 1e-8
 _STEP_LIMIT = 0.25 * math.pi
-# Branch-tracking samples evaluated per array call: memory stays bounded for
-# long evolutions of squeezed states, and typical cells fit in one block.
-_BLOCK_SAMPLES = 1 << 16
-# Beyond this many samples (about 256 blocks) the tracker raises rather than
+# Branch-tracking samples evaluated per array call, across the points of a
+# batch: memory stays bounded for long evolutions of squeezed states.
+_BLOCK_SAMPLES = 1 << 11
+# Beyond this many samples (about 8192 blocks) the tracker raises rather than
 # grinding on a near-degenerate representation.
 _MAX_SAMPLES = 1 << 24
 
@@ -164,8 +165,41 @@ def _branch_samples(rep: Representation, n: int, tau_prime: float) -> int:
     return max(samples, math.ceil(rate * tau_prime / _STEP_LIMIT))
 
 
-def _branch_windings(rep: Representation, ns, tau_prime: float) -> list[float]:
-    """Unwrapped change over [0, tau'] of each state's branch amplitude.
+def _sample_extremes(arrays: RepresentationArrays, counts: np.ndarray,
+                     tau_prime: float):
+    """The largest theta step and the largest rho of each representation over
+    its counts[p] + 1 uniform samples of [0, tau'].
+
+    The samples of every representation form one stream, evaluated
+    _BLOCK_SAMPLES steps per array call; a representation whose samples
+    straddle two calls appears in both, sharing the boundary sample. theta
+    and rho come from the same u and v.
+    """
+    largest, widest = np.zeros(len(counts)), np.zeros(len(counts))
+    offsets = np.concatenate([[0], np.cumsum(counts)])   # of each one's steps
+    for lo in range(0, int(offsets[-1]), _BLOCK_SAMPLES):
+        hi = min(lo + _BLOCK_SAMPLES, int(offsets[-1]))
+        present = np.arange(np.searchsorted(offsets, lo, side="right") - 1,
+                            np.searchsorted(offsets, hi))
+        first = np.maximum(lo - offsets[present], 0)
+        sizes = np.minimum(hi - offsets[present], counts[present]) - first + 1
+        starts = np.cumsum(sizes) - sizes
+        at = np.repeat(present, sizes)
+        ks = np.arange(int(sizes.sum())) - np.repeat(starts - first, sizes)
+        theta, u, v = _winding(arrays.at(at), tau_prime * (ks / counts[at]),
+                               arrays.theta0[at])
+        steps = np.abs(np.diff(theta))
+        steps[starts[1:] - 1] = 0.0   # from one representation to the next
+        largest[present] = np.maximum(largest[present], np.maximum.reduceat(steps, starts))
+        widest[present] = np.maximum(widest[present],
+                                     np.maximum.reduceat(np.hypot(u, v), starts))
+    return largest, widest
+
+
+def _branch_windings(reps, ns, tau_prime: float) -> list:
+    """Unwrapped change over [0, tau'] of each state's branch amplitude, for
+    each representation of reps: a list over ns, or the ConvergenceError
+    that refuses the representation.
 
     The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
     strongly squeezed representations, so its argument cannot fix the branch
@@ -176,36 +210,46 @@ def _branch_windings(rep: Representation, ns, tau_prime: float) -> list[float]:
     constant, and the unwrapped change of its argument is the continuous
     family phase shared by every x. Consecutive samples of it differ by a
     positive factor times exp(i (n + 1/2) dtheta), so each phase step is
-    (n + 1/2) dtheta, which must stay under pi/4. One theta series, sampled
-    at the largest a-priori count over ns in blocks of _BLOCK_SAMPLES, serves
-    every n.
+    (n + 1/2) dtheta, which must stay under pi/4. One theta series per
+    representation, sampled at the largest a-priori count over ns, serves
+    every n; the steps telescope, so the change is
+    (n + 1/2) (theta(tau') - theta(0)).
     """
-    counts = [_branch_samples(rep, n, tau_prime) for n in ns]
-    for count in counts:
-        if count > _MAX_SAMPLES:
-            raise ConvergenceError(
-                f"branch tracking needs {count} samples (cap {_MAX_SAMPLES});"
+    results, counts = [None] * len(reps), np.zeros(len(reps), dtype=np.int64)
+    for p, rep in enumerate(reps):
+        needed = [_branch_samples(rep, n, tau_prime) for n in ns]
+        over = [count for count in needed if count > _MAX_SAMPLES]
+        if over:
+            results[p] = ConvergenceError(
+                f"branch tracking needs {over[0]} samples (cap {_MAX_SAMPLES});"
                 " the representation is too close to degenerate")
-    samples = max(counts)
-    windings = [0.0] * len(ns)
-    for lo in range(0, samples, _BLOCK_SAMPLES):
-        # consecutive blocks share their boundary sample
-        ks = np.arange(lo, min(lo + _BLOCK_SAMPLES, samples) + 1)
-        ts = tau_prime * (ks / samples)
-        dtheta = np.diff(winding_phase(rep, ts))
-        largest, turn = float(np.max(np.abs(dtheta))), float(np.sum(dtheta))
-        r = kinematics(rep, ts)[4]
-        vanished = {odd: not np.all(r ** (-0.5 - odd) > 0)
-                    for odd in {n % 2 for n in ns}}
-        for i, n in enumerate(ns):
-            if vanished[n % 2]:
-                raise ConvergenceError("branch amplitude vanished at a tracking node")
-            if not (n + 0.5) * largest < _STEP_LIMIT:   # NaN fails too
-                raise ConvergenceError(
+        else:
+            counts[p] = max(needed)
+    tracked = np.flatnonzero(counts)
+    if not tracked.size:
+        return results
+    arrays = RepresentationArrays.of([reps[p] for p in tracked])
+    largest, widest = _sample_extremes(arrays, counts[tracked], tau_prime)
+    columns = arrays.at((slice(None), None))
+    theta = _winding(columns, np.array([0.0, tau_prime]), columns.theta0)[0]
+    turns = (theta[:, 1] - theta[:, 0]).tolist()
+    # rho^(-1/2 - odd) is smallest where rho is largest, so one power per
+    # representation tells whether the amplitude vanished at any sample
+    with np.errstate(divide="ignore", over="ignore"):
+        vanished = {odd: ~(widest ** (-0.5 - odd) > 0) for odd in {n % 2 for n in ns}}
+    for i, p in enumerate(tracked.tolist()):
+        for n in ns:
+            if vanished[n % 2][i]:
+                results[p] = ConvergenceError("branch amplitude vanished at a tracking node")
+                break
+            if not (n + 0.5) * largest[i] < _STEP_LIMIT:   # NaN fails too
+                results[p] = ConvergenceError(
                     "a branch-tracking step reached pi/4 despite the a-priori"
                     " sample count; the phase branch is not trustworthy")
-            windings[i] += (n + 0.5) * turn
-    return windings
+                break
+        else:
+            results[p] = [(n + 0.5) * turns[i] for n in ns]
+    return results
 
 
 def _check_duration(tau_prime) -> None:
@@ -213,40 +257,103 @@ def _check_duration(tau_prime) -> None:
         raise ValueError("tau_prime must be positive")
 
 
-def _overall_phases(rep: Representation, ns, tau_prime: float,
-                    config: PhysicalConfig, spec: QuadratureSpec,
-                    fidelity_floor: float) -> list[tuple[float, float]]:
-    """(chi, fidelity) for every n of ns; see overall_phase_oracle."""
+def _overall_phases(reps, ns, tau_prime: float, config: PhysicalConfig,
+                    spec: QuadratureSpec, fidelity_floor: float) -> list:
+    """(chi, fidelity) for every n of ns, or the exception that refuses the
+    representation, for each representation of reps; see
+    overall_phase_oracle."""
     _check_duration(tau_prime)
-    finals = family_overlaps(rep, ns, 0.0, float(tau_prime), config, spec)
+    finals, results = _family_overlaps(reps, ns, 0.0, float(tau_prime), config, spec)
     fidelities = np.abs(finals)
-    for fidelity in fidelities:
-        if fidelity < 1.0 - fidelity_floor:
-            raise NotCyclicError(
-                f"evolution over {tau_prime:g} is not cyclic"
-                f" (fidelity {fidelity:.12f}); overall phase undefined")
-    windings = _branch_windings(rep, ns, float(tau_prime))
-    phases = []
-    for final, fidelity, winding in zip(finals, fidelities, windings):
-        angle = cmath.phase(final)
-        chi = angle + TWO_PI * round((winding - angle) / TWO_PI)
-        phases.append((chi, float(fidelity)))
-    return phases
+    for p, row in enumerate(fidelities):
+        if results[p] is not None:
+            continue
+        for fidelity in row:
+            if fidelity < 1.0 - fidelity_floor:
+                results[p] = NotCyclicError(
+                    f"evolution over {tau_prime:g} is not cyclic"
+                    f" (fidelity {fidelity:.12f}); overall phase undefined")
+                break
+    live = [p for p, result in enumerate(results) if result is None]
+    windings = _branch_windings([reps[p] for p in live], ns, float(tau_prime))
+    for p, winding in zip(live, windings):
+        if isinstance(winding, Exception):
+            results[p] = winding
+            continue
+        results[p] = []
+        for final, fidelity, turn in zip(finals[p], fidelities[p], winding):
+            angle = cmath.phase(final)
+            chi = angle + TWO_PI * round((turn - angle) / TWO_PI)
+            results[p].append((chi, float(fidelity)))
+    return results
 
 
-def _dynamical_phases(rep: Representation, ns, tau_prime: float,
-                      spec: QuadratureSpec) -> list[float]:
-    """delta for every n of ns; see dynamical_phase_oracle.
+def _dynamical_phases(reps, ns, tau_prime: float, spec: QuadratureSpec) -> list:
+    """delta for every n of ns, or the ConvergenceError that refuses the
+    representation, for each representation of reps; see
+    dynamical_phase_oracle.
 
     <psi_n|H|psi_n> is (n + 1/2) hbar times energy_per_quantum, so one time
     integral of the latter gives delta = -(n + 1/2) * integral for every n.
     The integral is at least pi over a half period, so the relative
-    tolerance, not the absolute one, decides when it has converged.
+    tolerance, not the absolute one, decides when it has converged. The
+    integrals of all representations are refined together, each until its
+    own has converged.
     """
     _check_duration(tau_prime)
-    value, _ = integrate_1d(lambda ts: energy_per_quantum(rep, ts),
-                            0.0, float(tau_prime), spec)
-    return [-(n + 0.5) * float(value) for n in ns]
+    arrays = RepresentationArrays.of(reps)
+
+    def energy(rows, ts):
+        columns = arrays.at((rows, None))
+        return _energy_per_quantum(columns, ts, columns.stiffness)
+
+    values, _, failures = integrate_rows(energy, 0.0, float(tau_prime), len(reps), spec)
+    return [failure or [-(n + 0.5) * value for n in ns]
+            for value, failure in zip(values.tolist(), failures)]
+
+
+def _each_point(stage, reps, *args) -> list:
+    """stage(reps, *args), a list with each representation's result or
+    exception. An ArithmeticError names no representation (a Hermite
+    overflow, rho vanishing at a node), so it runs the representations one
+    at a time, and each gets its own result or error."""
+    try:
+        return stage(reps, *args)
+    except ArithmeticError as exc:
+        if len(reps) == 1:
+            return [exc]
+        return [_each_point(stage, [rep], *args)[0] for rep in reps]
+
+
+def _oracle_batch(reps, ns, tau_prime: float,
+                  config: PhysicalConfig = PhysicalConfig(),
+                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list:
+    """berry_phase_oracles for every representation of reps: a list of the
+    oracle Berry phases over ns, or the exception the one-representation
+    call raises, per representation.
+
+    The representations are evaluated together, as arrays: the overlaps of
+    all of them on one Gauss-Hermite level at a time, their branch samples
+    as one stream, their time integrals as rows of one quadrature. Each
+    still refines, is certified and is checked on its own, so its result is
+    the same float, and its error the same message, as when it is alone.
+    """
+    results = _each_point(_overall_phases, reps, ns, tau_prime, config, spec,
+                          FIDELITY_FLOOR)
+    live = [p for p, result in enumerate(results) if not isinstance(result, Exception)]
+    deltas = _each_point(_dynamical_phases, [reps[p] for p in live], ns, tau_prime, spec)
+    for p, delta in zip(live, deltas):
+        results[p] = delta if isinstance(delta, Exception) else [
+            chi - d for (chi, _), d in zip(results[p], delta)]
+    return results
+
+
+def _only(results):
+    """The one representation's result of a batch; its exception is raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
@@ -260,9 +367,7 @@ def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
     per quantum gives every delta. Every check still holds per n, and the
     first failure raises.
     """
-    phases = _overall_phases(rep, ns, tau_prime, config, spec, FIDELITY_FLOOR)
-    deltas = _dynamical_phases(rep, ns, tau_prime, spec)
-    return [chi - delta for (chi, _), delta in zip(phases, deltas)]
+    return _only(_oracle_batch([rep], ns, tau_prime, config, spec))
 
 
 def overall_phase_oracle(state: QuantumState, tau_prime: float,
@@ -278,14 +383,15 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float,
     1 - fidelity_floor, i.e. the evolution did not return the state to
     itself, and ConvergenceError when the branch cannot be tracked.
     """
-    return _overall_phases(state.rep, (state.n,), tau_prime, state.config,
-                           spec, fidelity_floor)[0]
+    return _only(_each_point(_overall_phases, [state.rep], (state.n,), tau_prime,
+                             state.config, spec, fidelity_floor))[0]
 
 
 def dynamical_phase_oracle(state: QuantumState, tau_prime: float,
                            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """-(1/hbar) * time integral of <psi|H|psi> by adaptive quadrature."""
-    return _dynamical_phases(state.rep, (state.n,), tau_prime, spec)[0]
+    return _only(_each_point(_dynamical_phases, [state.rep], (state.n,), tau_prime,
+                             spec))[0]
 
 
 def berry_phase_oracle(state: QuantumState, tau_prime: float,

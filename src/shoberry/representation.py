@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,37 @@ def require_valid(rep: Representation, mode: str = "full") -> None:
         raise InvalidRepresentationError("; ".join(report.failures))
 
 
+class RepresentationArrays(NamedTuple):
+    """The fields of several representations as arrays, one entry each.
+
+    classical_pair, kinematics and the cores of winding_phase and
+    energy_per_quantum read only these names, so they take this in place of
+    a Representation and broadcast the fields against the times: fields
+    shaped as columns evaluate every representation on a row of times. Each
+    field is taken from its Representation with the scalar arithmetic the
+    one-representation code uses, so every entry matches it bit for bit.
+    """
+
+    M: np.ndarray
+    w: np.ndarray
+    C: np.ndarray
+    beta: np.ndarray
+    omega: np.ndarray
+    tau0: np.ndarray
+    theta0: np.ndarray     # winding_phase at t = 0
+    stiffness: np.ndarray  # M w^2
+
+    @classmethod
+    def of(cls, reps) -> "RepresentationArrays":
+        fields = np.array([(r.M, r.w, r.C, r.beta, r.omega, r.tau0, _initial_winding(r),
+                            r.M * r.w ** 2) for r in reps]).reshape(-1, len(cls._fields))
+        return cls(*np.ascontiguousarray(fields.T))
+
+    def at(self, index) -> "RepresentationArrays":
+        """Every field indexed by ``index``, e.g. ``(rows, None)`` for columns."""
+        return RepresentationArrays(*(values[index] for values in self))
+
+
 def classical_pair(rep: Representation, t):
     """u, v and their time derivatives at t (scalar or array)."""
     arr, scalar = _as_time(t)
@@ -166,17 +198,28 @@ def winding_phase(rep: Representation, t):
     """
     require_valid(rep, "full")
     arr, scalar = _as_time(t)
+    out = _winding(rep, arr, _initial_winding(rep))[0]
+    return float(out) if scalar else out
+
+
+def _initial_winding(rep: Representation) -> float:
+    """The principal argument of u - i v at t = 0."""
+    return math.atan2(-rep.C * math.sin(rep.beta), 1.0)
+
+
+def _winding(rep, arr, theta0):
+    """winding_phase at the times arr, given its value theta0 at t = 0, for
+    a Representation or RepresentationArrays; also u and v at the times
+    reduced into [0, tau0/2), which the argument is taken of."""
     half = 0.5 * rep.tau0
     m = np.floor(arr / half)
-    local = arr - m * half
-    u, v, _, _ = classical_pair(rep, local)
+    wt = rep.w * (arr - m * half)
+    u, v = np.cos(wt), rep.C * np.sin(wt + rep.beta)
     raw = np.arctan2(np.negative(v), u)
-    theta0 = math.atan2(-rep.C * math.sin(rep.beta), 1.0)
     # unique representative of raw (mod 2pi) inside (theta0 - pi, theta0]
     center = theta0 - 0.5 * math.pi
     theta_local = raw + 2.0 * math.pi * np.round((center - raw) / (2.0 * math.pi))
-    out = theta_local - math.pi * m
-    return float(out) if scalar else out
+    return theta_local - math.pi * m, u, v
 
 
 def trajectory(rep: Representation, samples: int) -> np.ndarray:

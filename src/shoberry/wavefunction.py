@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-from .representation import (PhysicalConfig, Representation, kinematics,
-                             require_valid, rho_ddot, winding_phase)
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, chunks
+from .representation import (PhysicalConfig, Representation, RepresentationArrays,
+                             _winding, kinematics, require_valid, rho_ddot,
+                             winding_phase)
 
 # Upward Hermite recurrence keeps full double precision for degrees this low;
 # beyond it the values overflow for the arguments the Gaussian tails allow.
@@ -38,10 +39,17 @@ _LOG2 = math.log(2.0)
 
 
 def check_quantum_number(n) -> int:
-    """n as an int; refuses bools, non-integers and negative values."""
+    """n as an int; refuses bools, non-integers, negative values and values
+    that do not convert to a float, which every phase formula needs."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidParameterError(
             f"quantum number must be a nonnegative integer, got {n!r}")
+    try:
+        float(n)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"quantum number of {int(n).bit_length()} bits is beyond double"
+            " precision") from None
     return int(n)
 
 
@@ -52,9 +60,10 @@ def _check_degree(n):
 
 
 def _hermite_rows(ns, y) -> np.ndarray:
-    """H_n(y) for every n of ns, one row each in the order of ns, from one
-    upward recurrence H_{k+1} = 2y H_k - 2k H_{k-1} up to max(ns)."""
-    rows = np.empty((len(ns),) + y.shape)
+    """H_n(y) for every n of ns from one upward recurrence H_{k+1} = 2y H_k
+    - 2k H_{k-1} up to max(ns). y has a length-1 axis second to last, which
+    the result fills with one row per n, in the order of ns."""
+    rows = np.empty(y.shape[:-2] + (len(ns),) + y.shape[-1:])
     wanted = {}
     for i, n in enumerate(ns):
         wanted.setdefault(n, []).append(i)
@@ -64,9 +73,9 @@ def _hermite_rows(ns, y) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(top):
             if k in wanted:
-                rows[wanted[k]] = cur
+                rows[..., wanted[k], :] = cur
             prev, cur = cur, two_y * cur - (2.0 * k) * prev
-    rows[wanted[top]] = cur
+    rows[..., wanted[top], :] = cur
     if not np.all(np.isfinite(rows)):
         raise OverflowError(
             f"H_{top} overflowed in double precision"
@@ -82,7 +91,7 @@ def hermite(n: int, x):
     """
     _check_degree(n)
     arr = np.asarray(x, dtype=float)
-    result = _hermite_rows((n,), arr)[0]
+    result = _hermite_rows((n,), arr[..., None, None])[..., 0, 0]
     return float(result) if arr.ndim == 0 else result
 
 
@@ -174,11 +183,17 @@ def energy_per_quantum(rep: Representation, t):
     (1/2) [Omega/(M rho^2) + M rho'^2/Omega + M w^2 rho^2/Omega], which is w
     in the stationary representation.
     """
+    return _energy_per_quantum(rep, t, rep.M * rep.w ** 2)
+
+
+def _energy_per_quantum(rep, t, stiffness):
+    """energy_per_quantum given M w^2, for a Representation or
+    RepresentationArrays."""
     u, v, du, dv, _, _ = kinematics(rep, t)
     r2 = u * u + v * v
     rd2 = (u * du + v * dv) ** 2 / r2
     om = rep.omega
-    return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + rep.M * rep.w ** 2 * r2 / om)
+    return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + stiffness * r2 / om)
 
 
 def energy_expectation(state: QuantumState, t):
@@ -253,99 +268,183 @@ def hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Snapshot:
-    """The number states of one representation at one time t: rho, the
-    exponent and theta are evaluated once, for any abscissas and any n."""
+    """The number states of several representations at one time t: rho, the
+    exponent and theta are evaluated once, for any abscissas and any n.
+    Arrays have one entry per representation, shaped (points, 1, 1) to
+    broadcast against (points, len(ns), nodes)."""
 
-    def __init__(self, rep: Representation, config: PhysicalConfig, t: float):
-        self.rep, self.config = rep, config
-        self.r, self.quad, self.theta = _geometry(rep, config, float(t))
+    def __init__(self, reps: RepresentationArrays, config: PhysicalConfig, t: float):
+        self.reps = reps.at((slice(None), None, None))
+        self.hbar = config.hbar
+        om = self.reps.omega
+        t = np.full(om.shape, float(t))
+        _, _, _, _, self.r, rdot = kinematics(self.reps, t)
+        self.theta = _winding(self.reps, t, self.reps.theta0)[0]
+        # (-Omega/rho^2 + i M rho'/rho) / (2 hbar) from its real and imaginary
+        # parts: the one-point code divides by rho in exact Python complex
+        # arithmetic and by 2 hbar in numpy's, which multiplies by the
+        # reciprocal; numpy's complex array division would take the
+        # reciprocal of rho too, and differ in the last digit.
+        reciprocal = 1.0 / (2.0 * self.hbar)
+        self.quad = np.empty(om.shape, dtype=complex)
+        self.quad.real = -om / (self.r * self.r) * reciprocal
+        self.quad.imag = self.reps.M * rdot / self.r * reciprocal
         # |psi_n| decays like exp(-rate x^2)
-        self.rate = rep.omega / (2.0 * config.hbar * self.r * self.r)
+        self.rate = om / (2.0 * self.hbar * self.r * self.r)
+        self._coefficients = {}
 
-    def envelope(self, ns, x: np.ndarray) -> np.ndarray:
-        """psi_n(x, t) / H_n(hermite_argument(x)), one row per n of ns."""
-        om, hbar = self.rep.omega, self.config.hbar
-        n = np.array(ns, dtype=float)[:, None]
-        pref = np.array([_prefactor(k, om, hbar) for k in ns])[:, None]
-        return (pref / np.sqrt(self.r)) * np.exp(1j * (n + 0.5) * self.theta) \
-            * np.exp(self.quad * x * x)
+    def hermite_argument(self, active, x: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.reps.omega[active] / self.hbar) * x / self.r[active]
 
-    def hermite_argument(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.rep.omega / self.config.hbar) * x / self.r
-
-
-def _psi_at(points, ns) -> list[np.ndarray]:
-    """psi_n for every n of ns (one row each) at each (snapshot, x) of
-    points, from one Hermite recurrence over all the abscissas."""
-    args = [snapshot.hermite_argument(x) for snapshot, x in points]
-    rows = _hermite_rows(ns, np.concatenate(args))
-    cuts = np.cumsum([arg.size for arg in args])[:-1]
-    return [snapshot.envelope(ns, x) * h
-            for (snapshot, x), h in zip(points, np.split(rows, cuts, axis=1))]
+    def coefficient(self, ns) -> np.ndarray:
+        """The x-independent factor of psi_n, (points, len(ns), 1)."""
+        key = tuple(ns)
+        if key not in self._coefficients:
+            n = np.array(key, dtype=float)[:, None]
+            pref = np.array([[_prefactor(k, om, self.hbar) for k in key]
+                             for om in self.reps.omega.ravel().tolist()])[:, :, None]
+            self._coefficients[key] = (pref / np.sqrt(self.r)) \
+                * np.exp(1j * (n + 0.5) * self.theta)
+        return self._coefficients[key]
 
 
-def _spatial_integrals(integrands, s: float, m: int, spec: QuadratureSpec):
-    """Integrals over the real line of the rows of integrands(x), whose moduli
-    decay like exp(-s^2 x^2), on the Gauss-Hermite rule in y = s x.
+def _psi_at(points, ns, active) -> list[np.ndarray]:
+    """psi_n for every n of ns at each (snapshot, x) of points, for the
+    representations ``active`` of the snapshots: one (len(active), len(ns),
+    nodes) array per pair, from one Hermite recurrence over all abscissas."""
+    args = np.stack([snapshot.hermite_argument(active, x) for snapshot, x in points])
+    rows = _hermite_rows(ns, args)
+    return [snapshot.coefficient(ns)[active]
+            * np.exp(snapshot.quad[active] * x * x) * h
+            for (snapshot, x), h in zip(points, rows)]
 
-    The node count doubles from m until every row agrees with the previous
-    level within spec. Returns the values and the node count they came from.
-    Raises ConvergenceError past spec.max_refinements or MAX_SPATIAL_NODES.
+
+def _spatial_integrals(integrands, s: np.ndarray, m: int, spec: QuadratureSpec):
+    """Integrals over the real line of the rows of integrands(active, x) for
+    every point p, whose moduli decay like exp(-s[p]^2 x^2), on the
+    Gauss-Hermite rule in y = s x.
+
+    integrands takes an index array of points and their abscissas, shaped
+    (len(active), 1, nodes), and returns (len(active), rows, nodes). A
+    point's node count doubles from m until each of its rows agrees with the
+    previous level within spec; a point that has converged drops out of the
+    next level. Returns the values (points, rows), each point's node count,
+    and each point's ConvergenceError (past spec.max_refinements or
+    MAX_SPATIAL_NODES) or None.
     """
-    prev = None
-    err = math.inf
+    points = len(s)
+    values, prev = None, None
+    nodes = np.zeros(points, dtype=int)
+    err = np.full(points, math.inf)
+    active = np.arange(points)
     for _ in range(spec.max_refinements + 1):
-        if m > MAX_SPATIAL_NODES:
+        if m > MAX_SPATIAL_NODES or not active.size:
             break
         y, weights = hermite_rule(m)
-        cur = np.sum(weights * integrands(y / s), axis=-1) / s
+        cur = np.concatenate([
+            np.sum(weights * integrands(part, y / s[part, None, None]), axis=-1)
+            / s[part, None] for part in chunks(active, m)])
+        if values is None:
+            values = np.zeros((points,) + cur.shape[1:], dtype=cur.dtype)
         if prev is not None:
             change = np.abs(cur - prev)
-            if np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
-                return cur, m
-            err = float(np.max(change))
+            done = np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur)),
+                          axis=1)
+            values[active[done]] = cur[done]
+            nodes[active[done]] = m
+            err[active] = np.max(change, axis=1)
+            active, cur = active[~done], cur[~done]
         prev = cur
         m *= 2
-    raise ConvergenceError(
-        f"spatial quadrature did not meet tol up to {m // 2} Gauss-Hermite"
-        f" nodes (last change {err:.3e})")
+    errors = [None] * points
+    for p in active.tolist():
+        errors[p] = ConvergenceError(
+            f"spatial quadrature did not meet tol up to {m // 2} Gauss-Hermite"
+            f" nodes (last change {err[p]:.3e})")
+    return values, nodes, errors
 
 
-def _certify(snapshots, ns, m: int) -> None:
-    """Raise ConvergenceError unless the m-node rule, scaled to the width of
-    each snapshot's states, integrates |psi_n|^2 to 1 within NORM_TOL for
-    every n of ns."""
-    y, weights = hermite_rule(m)
-    scales = [math.sqrt(2.0 * snapshot.rate) for snapshot in snapshots]
-    values = _psi_at([(snapshot, y / s) for snapshot, s in zip(snapshots, scales)], ns)
-    for s, psis in zip(scales, values):
-        norms = np.sum(weights * np.abs(psis) ** 2, axis=-1) / s
-        for n, norm in zip(ns, norms):
-            if not abs(norm - 1.0) <= NORM_TOL:
-                raise ConvergenceError(
-                    f"the {m}-node spatial rule integrates |psi_{n}|^2 to"
-                    f" {norm:.12g}, not 1; the spatial integral is not"
+def _certify(snapshots, ns, nodes: np.ndarray, points: np.ndarray) -> dict:
+    """The ConvergenceError of each point of ``points`` whose nodes[p]-node
+    rule, scaled to the width of each snapshot's states, does not integrate
+    |psi_n|^2 to 1 within NORM_TOL for every n of ns, keyed by point. The
+    first failure in the order (snapshot, n) is a point's error."""
+    errors = {}
+    for m in np.unique(nodes[points]).tolist():
+        y, weights = hermite_rule(m)
+        for part in chunks(points[nodes[points] == m], m):
+            scales = [np.sqrt(2.0 * snapshot.rate[part]) for snapshot in snapshots]
+            values = _psi_at([(snapshot, y / s) for snapshot, s in zip(snapshots, scales)],
+                             ns, part)
+            norms = np.stack([np.sum(weights * np.abs(psis) ** 2, axis=-1) / s[:, :, 0]
+                              for s, psis in zip(scales, values)], axis=1)
+            failed = ~(np.abs(norms - 1.0) <= NORM_TOL)
+            for i in np.flatnonzero(failed.any(axis=(1, 2))).tolist():
+                k, j = divmod(int(np.argmax(failed[i])), len(ns))
+                errors[int(part[i])] = ConvergenceError(
+                    f"the {m}-node spatial rule integrates |psi_{ns[j]}|^2 to"
+                    f" {norms[i, k, j]:.12g}, not 1; the spatial integral is not"
                     " trustworthy")
+    return errors
 
 
 def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns,
-              spec: QuadratureSpec) -> np.ndarray:
-    """<bra_ns[i]|ket_ns[i]> for every i, each state of bra_ns and ket_ns
-    evaluated at both times from one Hermite recurrence per level."""
+              spec: QuadratureSpec) -> tuple[np.ndarray, list]:
+    """<bra_ns[i]|ket_ns[i]> for every i at every point of the snapshots, as
+    (values, errors): one row of values per point and each point's
+    ConvergenceError or None. Each state of bra_ns and ket_ns is evaluated
+    at both times from one Hermite recurrence per level."""
     ns = list(bra_ns)
     if ns != list(ket_ns):
         ns += list(ket_ns)
     bra_rows = slice(0, len(bra_ns))
     ket_rows = slice(len(ns) - len(ket_ns), len(ns))
 
-    def integrand(x):
-        at_bra, at_ket = _psi_at([(bra, x), (ket, x)], ns)
-        return np.conj(at_bra[bra_rows]) * at_ket[ket_rows]
+    def integrand(active, x):
+        at_bra, at_ket = _psi_at([(bra, x), (ket, x)], ns, active)
+        return np.conj(at_bra[:, bra_rows]) * at_ket[:, ket_rows]
 
     m = (max(bra_ns) + max(ket_ns)) // 2 + 16
-    values, m = _spatial_integrals(integrand, math.sqrt(bra.rate + ket.rate), m, spec)
-    _certify((bra, ket), ns, m)
-    return values
+    values, nodes, errors = _spatial_integrals(
+        integrand, np.sqrt(bra.rate + ket.rate)[:, 0, 0], m, spec)
+    converged = np.array([error is None for error in errors])
+    for p, error in _certify((bra, ket), ns, nodes, np.flatnonzero(converged)).items():
+        errors[p] = error
+    return values, errors
+
+
+def _one_point(values, errors):
+    """The only point's row of values; its error is raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _family_overlaps(reps, ns, t_bra: float, t_ket: float, config: PhysicalConfig,
+                     spec: QuadratureSpec) -> tuple[np.ndarray, list]:
+    """family_overlaps for every representation of reps, as (values, errors):
+    one row of values per representation and the exception that refuses
+    each one, or None."""
+    errors = [None] * len(reps)
+    for p, rep in enumerate(reps):
+        try:
+            require_valid(rep, "full")
+        except InvalidParameterError as exc:
+            errors[p] = exc
+    try:
+        for n in ns:
+            _check_degree(n)
+    except InvalidParameterError as exc:
+        errors = [error or exc for error in errors]
+    values = np.zeros((len(reps), len(ns)), dtype=complex)
+    live = [p for p, error in enumerate(errors) if error is None]
+    if live:
+        arrays = RepresentationArrays.of([reps[p] for p in live])
+        found, found_errors = _overlaps(_Snapshot(arrays, config, t_bra), ns,
+                                        _Snapshot(arrays, config, t_ket), ns, spec)
+        for i, p in enumerate(live):
+            values[p], errors[p] = found[i], found_errors[i]
+    return values, errors
 
 
 def family_overlaps(rep: Representation, ns, t_bra: float, t_ket: float,
@@ -353,30 +452,27 @@ def family_overlaps(rep: Representation, ns, t_bra: float, t_ket: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """<psi_n(t_bra)|psi_n(t_ket)> for every n of ns, on one shared rule:
     rho and theta once per time, one Hermite recurrence up to max(ns)."""
-    require_valid(rep, "full")
-    for n in ns:
-        _check_degree(n)
-    return _overlaps(_Snapshot(rep, config, t_bra), ns,
-                     _Snapshot(rep, config, t_ket), ns, spec)
+    return _one_point(*_family_overlaps([rep], ns, t_bra, t_ket, config, spec))
 
 
 def overlap(bra: QuantumState, t_bra: float, ket: QuantumState, t_ket: float,
             spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
     """<bra(t_bra)|ket(t_ket)> by the self-certified Gauss-Hermite rule."""
-    return complex(_overlaps(_Snapshot(bra.rep, bra.config, t_bra), (bra.n,),
-                             _Snapshot(ket.rep, ket.config, t_ket), (ket.n,),
-                             spec)[0])
+    snapshots = [_Snapshot(RepresentationArrays.of([state.rep]), state.config, t)
+                 for state, t in ((bra, t_bra), (ket, t_ket))]
+    return complex(_one_point(*_overlaps(snapshots[0], (bra.n,), snapshots[1],
+                                         (ket.n,), spec))[0])
 
 
 def norm_quadrature(state: QuantumState, t: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """integral of |psi_n|^2 dx, which must equal 1; this is the integral the
     certification of the other spatial results checks."""
-    snapshot = _Snapshot(state.rep, state.config, t)
-    value, _ = _spatial_integrals(
-        lambda x: np.abs(_psi_at([(snapshot, x)], (state.n,))[0]) ** 2,
-        math.sqrt(2.0 * snapshot.rate), state.n + 16, spec)
-    return float(value[0])
+    snapshot = _Snapshot(RepresentationArrays.of([state.rep]), state.config, t)
+    values, _, errors = _spatial_integrals(
+        lambda active, x: np.abs(_psi_at([(snapshot, x)], (state.n,), active)[0]) ** 2,
+        np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, spec)
+    return float(_one_point(values, errors)[0])
 
 
 def energy_expectation_quadrature(state: QuantumState, t: float,
@@ -388,16 +484,18 @@ def energy_expectation_quadrature(state: QuantumState, t: float,
     """
     rep = state.rep
     hbar = state.config.hbar
-    snapshot = _Snapshot(rep, state.config, t)
+    snapshot = _Snapshot(RepresentationArrays.of([rep]), state.config, t)
 
-    def integrand(xs):
+    def integrand(_, xs):
         dpsi = psi_dx(state, xs, t)
         p = psi(state, xs, t)
         kinetic = (hbar ** 2 / (2.0 * rep.M)) * np.abs(dpsi) ** 2
         potential = 0.5 * rep.M * rep.w ** 2 * xs * xs * np.abs(p) ** 2
         return kinetic + potential
 
-    value, m = _spatial_integrals(integrand, math.sqrt(2.0 * snapshot.rate),
-                                  state.n + 16, spec)
-    _certify((snapshot,), (state.n,), m)
-    return float(value)
+    values, nodes, errors = _spatial_integrals(
+        integrand, np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, spec)
+    value = _one_point(values, errors)
+    for error in _certify((snapshot,), (state.n,), nodes, np.arange(1)).values():
+        raise error
+    return float(value[0])

@@ -11,7 +11,9 @@ import pytest
 
 from shoberry import cli
 from shoberry.cli import main, parse_angle
-from shoberry.errors import ConfigError
+from shoberry.errors import ConfigError, ConvergenceError
+from shoberry.phase import berry_phase_oracles
+from shoberry.representation import Representation
 from shoberry.schemas import CONFIG_SCHEMA, RESULT_SCHEMA
 
 
@@ -216,6 +218,41 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "berry", "--C", "1", "--beta", beta,
                                "--n", "0")
         assert code == 0 and json.loads(out)["rows"][0]["abs_diff"] < 1e-7
+
+    def test_failing_point_in_a_batch_fails_alone(self, capsys):
+        # three full-mode points share one oracle batch: (C, beta) = (1, lo),
+        # (1, ~pi/2 - 1e-8), whose branch needs more samples than the cap,
+        # and (-1, hi); the other three cells are formula-only
+        mid = 0.5 * math.pi - 1e-8
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1:-1:2", "--sweep",
+                                 f"beta:{mid - 0.3!r}:{mid + 0.3!r}:3", "--n", "0")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [row["error"] is not None for row in rows] == [False, True] + [False] * 4
+        for row in rows:
+            rep = Representation(1.0, 1.0, row["C"], row["beta"])
+            if rep.omega <= 0:
+                assert row["oracle_gamma"] is None
+                continue
+            try:
+                expected = berry_phase_oracles(rep, [0], 0.5 * rep.tau0)[0]
+            except ConvergenceError as exc:
+                assert row["error"] == str(exc) and "cap" in row["error"]
+                assert row["gamma"] is None
+            else:
+                assert row["oracle_gamma"] == expected
+
+    def test_n_axis_points_carry_their_own_n(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:0.5:3:3",
+                                 "--sweep", "n:0:8:3", "--beta", "0.4")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == [0, 4, 8] * 3
+        for row in rows:
+            rep = Representation(1.0, 1.0, row["C"], 0.4)
+            assert row["error"] is None
+            assert row["oracle_gamma"] == berry_phase_oracles(
+                rep, [row["n"]], 0.5 * rep.tau0)[0]
 
     def test_overflowing_closed_form_gets_its_own_error_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--sweep", "C:-1e200:-1:2",
@@ -482,6 +519,35 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys):
     assert code == 2, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_quantum_number_beyond_double_precision_is_refused(capsys):
+    huge = "9" * 400
+    code, out, err = run_cli(capsys, "berry", "--n", huge)
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: quantum number of 1329 bits")
+    message = lines[0][len("error: "):]
+    code, out, err = run_cli(capsys, "sweep", "--n", f"0,{huge}",
+                             "--sweep", "C:1:2:2", "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1:] == [f'{C},,,,,,,,"{message}"' for C in (1, 2)]
+    # the driven special representation needs no wavefunction, but checks n too
+    code, out, err = run_cli(capsys, "driven", "--omega-f", "0.61803398874989484",
+                             "--force-coeff", "1:0.5:0", "--n", huge)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("berry", "--C", "-1e-3"),
+    ("berry", "--beta", "-2e-1"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0", "--D", "-0.3:0.1"),
+], ids=" ".join)
+def test_negative_exponent_values_read_as_values(argv, capsys):
+    joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert (code, out, err) == run_cli(capsys, *joined)
 
 
 def test_error_row_quoted_in_csv(capsys):

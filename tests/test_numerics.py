@@ -237,3 +237,29 @@ class TestPropagator:
             for steps in (128, 256, 512)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_integrate_rows_converge_on_their_own():
+    # rows of growing frequency need more panels; each matches integrate_1d
+    from shoberry.numerics import integrate_rows
+    ks = np.array([0.5, 3.0, 40.0, 200.0])
+    values, errors, failures = integrate_rows(
+        lambda rows, t: np.sin(ks[rows, None] * t) ** 2, 0.0, 10.0, len(ks))
+    assert failures == [None] * len(ks)
+    for k, value, error in zip(ks.tolist(), values.tolist(), errors.tolist()):
+        alone = integrate_1d(lambda t: np.sin(k * t) ** 2, 0.0, 10.0)
+        assert (value, error) == alone
+        assert value == pytest.approx(5.0 - math.sin(20.0 * k) / (4.0 * k), abs=1e-9)
+
+
+def test_integrate_rows_reports_a_row_at_the_cap():
+    from shoberry.numerics import integrate_rows
+    spec = QuadratureSpec(max_refinements=2)
+    ks = np.array([0.1, 57.3])
+    values, _, failures = integrate_rows(
+        lambda rows, t: np.sin(ks[rows, None] * t) ** 2, 0.0, 10.0, 2, spec)
+    assert failures[0] is None and isinstance(failures[1], ConvergenceError)
+    assert values[0] == integrate_1d(lambda t: np.sin(0.1 * t) ** 2, 0.0, 10.0, spec)[0]
+    with pytest.raises(ConvergenceError) as alone:
+        integrate_1d(lambda t: np.sin(57.3 * t) ** 2, 0.0, 10.0, spec)
+    assert str(alone.value) == str(failures[1])

@@ -229,10 +229,11 @@ class TestPerPointOracle:
     def test_matches_one_n_calls(self, rep):
         # one call for every n against the single-state entry points
         tau = 0.5 * rep.tau0
-        phases = phase._overall_phases(rep, self.NS, tau, PhysicalConfig(),
-                                       phase.DEFAULT_QUADRATURE, phase.FIDELITY_FLOOR)
-        deltas = phase._dynamical_phases(rep, self.NS, tau,
-                                         phase.DEFAULT_QUADRATURE)
+        (phases,) = phase._overall_phases([rep], self.NS, tau, PhysicalConfig(),
+                                          phase.DEFAULT_QUADRATURE,
+                                          phase.FIDELITY_FLOOR)
+        (deltas,) = phase._dynamical_phases([rep], self.NS, tau,
+                                            phase.DEFAULT_QUADRATURE)
         gammas = berry_phase_oracles(rep, self.NS, tau)
         for n, (chi, fidelity), delta, gamma in zip(self.NS, phases, deltas,
                                                     gammas):
@@ -381,3 +382,66 @@ def test_closed_form_grid_matches_scalar_arithmetic_bit_for_bit(cells, half_peri
         assert [repr(v) for v in (result.chi, result.delta, result.gamma,
                                   result.gamma_canonical)] == \
             [repr(value) for value in expected]
+
+
+def _one_point(rep, ns, tau):
+    """berry_phase_oracles for one representation, or the exception it raises."""
+    try:
+        return berry_phase_oracles(rep, ns, tau)
+    except (InvalidParameterError, NotCyclicError, ConvergenceError,
+            ArithmeticError) as exc:
+        return exc
+
+
+def _same_outcome(batched, alone):
+    if isinstance(alone, Exception):
+        return type(batched) is type(alone) and str(batched) == str(alone)
+    return not isinstance(batched, Exception) and batched == alone
+
+
+class TestBatchedOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(math.log(1e-2), math.log(1e2)),
+                              st.floats(-math.acos(0.05), math.acos(0.05))),
+                    min_size=1, max_size=5),
+           st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True),
+           st.sampled_from([1, 2]))
+    def test_batch_gives_the_floats_of_one_point_calls(self, cells, ns, half_periods):
+        # per point exactly the floats (or the exception) of a call alone
+        reps = [Representation(1.0, 1.0, math.exp(log_c), beta) for log_c, beta in cells]
+        tau = half_periods * 0.5 * reps[0].tau0
+        batched = phase._oracle_batch(reps, ns, tau)
+        assert len(batched) == len(reps)
+        for rep, result in zip(reps, batched):
+            assert _same_outcome(result, _one_point(rep, ns, tau))
+
+    @pytest.mark.parametrize("periods,reps,kinds", [
+        # half a period: a branch beyond the sample cap and a formula-only cell
+        (0.5, [STRETCHED, Representation(1.0, 1.0, 1.0, 0.5 * math.pi - 1e-8),
+               Representation(2.0, 1.0, 0.5, -math.pi / 6),
+               Representation(1.0, 1.0, -1.0, 0.3), Representation(1.0, 1.0, 64.0, 1.4)],
+         ["list", "ConvergenceError", "list", "InvalidRepresentationError", "list"]),
+        # 0.3 periods: cyclic only for the stationary cell; a spatial rule
+        # that does not converge, and fidelities of their own
+        (0.3, [STRETCHED, STATIONARY, Representation(1.0, 1.0, 30.0, 0.5),
+               Representation(1.0, 1.0, 1000.0, 0.0)],
+         ["NotCyclicError", "list", "ConvergenceError", "NotCyclicError"]),
+        # C far beyond the closed forms' range: a Hermite recurrence that is
+        # not finite names no point, so the batch reruns its points one by one
+        (0.5, [STRETCHED, Representation(1.0, 1.0, 1e200, 0.3),
+               Representation(1.0, 1.0, 1e-160, 0.0)],
+         ["list", "OverflowError", "ConvergenceError"]),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # C = 1e200 overflows
+    def test_failing_points_fail_alone(self, periods, reps, kinds):
+        ns = (0, 3, 20)
+        tau = periods * reps[0].tau0
+        batched = phase._oracle_batch(reps, ns, tau)
+        assert [type(result).__name__ for result in batched] == kinds
+        for rep, result in zip(reps, batched):
+            assert _same_outcome(result, _one_point(rep, ns, tau))
+
+    def test_quantum_number_above_the_cap_refuses_every_point(self):
+        results = phase._oracle_batch([STRETCHED, STATIONARY], (0, 65), math.pi)
+        assert all(isinstance(r, InvalidParameterError) and "capped at 64" in str(r)
+                   for r in results)

@@ -10,7 +10,8 @@ from scipy.special import eval_hermite
 from shoberry import wavefunction
 from shoberry.errors import ConvergenceError, InvalidRepresentationError
 from shoberry.numerics import composite_gauss_nodes, integrate_1d
-from shoberry.representation import PhysicalConfig, Representation
+from shoberry.representation import (PhysicalConfig, Representation,
+                                     RepresentationArrays)
 from shoberry.wavefunction import (MAX_HERMITE_DEGREE, QuantumState, alpha,
                                    alpha_dot, energy_expectation,
                                    energy_expectation_quadrature,
@@ -200,11 +201,13 @@ class TestSqueezedStates:
             assert abs(value - overlap(state, 0.0, state, t)) < 1e-12
 
     def test_rule_too_small_for_the_degree_is_refused(self):
-        # on 4 nodes |psi_20|^2 cannot integrate to 1: certification raises
-        snapshot = wavefunction._Snapshot(STRETCHED, PhysicalConfig(), 0.3)
-        wavefunction._certify((snapshot,), (0, 3), 4)
-        with pytest.raises(ConvergenceError):
-            wavefunction._certify((snapshot,), (0, 20), 4)
+        # on 4 nodes |psi_20|^2 cannot integrate to 1: certification refuses it
+        snapshot = wavefunction._Snapshot(RepresentationArrays.of([STRETCHED]),
+                                          PhysicalConfig(), 0.3)
+        nodes, points = np.array([4]), np.arange(1)
+        assert wavefunction._certify((snapshot,), (0, 3), nodes, points) == {}
+        (error,) = wavefunction._certify((snapshot,), (0, 20), nodes, points).values()
+        assert isinstance(error, ConvergenceError)
 
     def test_unresolved_chirp_raises_instead_of_converging(self):
         # two wide, strongly chirped times: the rule refuses, it never guesses
