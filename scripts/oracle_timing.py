@@ -10,8 +10,10 @@ in-process call:
 
 - sweep_end_to_end: ``shoberry.cli.main`` on the whole argv (CSV), from
   argument parsing to the report text, written to an in-memory buffer;
-- overlap, branch_tracking, dynamical_quadrature: the three layers of the
-  oracle on the request's 500 representations, also given per 1,000 points.
+- overlap, branch_tracking, dynamical_quadrature: the three stages of the
+  oracle on the request's 500 representations, each call including the
+  one RepresentationArrays and error list it is given, also per 1,000
+  points.
 
 Run on an idle machine; the numbers are only comparable between runs on the
 same one.
@@ -30,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from shoberry import cli, phase, wavefunction
-from shoberry.numerics import DEFAULT_QUADRATURE
-from shoberry.representation import PhysicalConfig, Representation
+from shoberry.representation import (PhysicalConfig, Representation,
+                                     RepresentationArrays)
 
 REPEATS = 15
 C_AXIS, BETA_AXIS = (0.25, 4.0, 25), (-1.0, 1.0, 20)
@@ -65,14 +67,20 @@ def main() -> int:
             for C in np.linspace(*C_AXIS).tolist()
             for beta in np.linspace(*BETA_AXIS).tolist()]
     tau = 0.5 * reps[0].tau0
-    config, spec = PhysicalConfig(), DEFAULT_QUADRATURE
+    config = PhysicalConfig()
+
+    def stage(run):
+        # one call of a stage as the oracle makes it: the points' arrays and
+        # an error list with no refusals
+        return lambda: run(RepresentationArrays.of(reps), [None] * len(reps))
+
     layers = {
-        "overlap": _median_seconds(lambda: wavefunction._family_overlaps(
-            reps, NS, 0.0, tau, config, spec)),
-        "branch_tracking": _median_seconds(
-            lambda: phase._branch_windings(reps, NS, tau)),
-        "dynamical_quadrature": _median_seconds(
-            lambda: phase._dynamical_phases(reps, NS, tau, spec)),
+        "overlap": _median_seconds(stage(lambda arrays, errors: (
+            wavefunction._family_overlaps(arrays, NS, 0.0, tau, config, errors)))),
+        "branch_tracking": _median_seconds(stage(lambda arrays, errors: (
+            phase._branch_windings(arrays, NS, tau, errors)))),
+        "dynamical_quadrature": _median_seconds(stage(lambda arrays, errors: (
+            phase._dynamical_phases(arrays, NS, tau, errors)))),
     }
     report = {
         "request": " ".join(ARGV),

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from shoberry import Representation, berry_phase, rho, trajectory
+from shoberry import Representation, berry_phase
+from shoberry.representation import rho, trajectory
 
 PORTRAITS = [
     ("circle", Representation(1.0, 1.0, 1.0, 0.0)),

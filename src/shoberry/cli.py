@@ -526,14 +526,13 @@ def _berry_grid(cfg, axes):
             groups.setdefault(tuple(ns[k] for k in slot[p].tolist()), []).append(p)
     for group_ns, group in groups.items():
         reps = [cells[cell[p]] for p in group]
-        results = _oracle_batch(reps, group_ns, cfg.duration * 0.5 * reps[0].tau0,
-                                cfg.physical)
-        for p, result in zip(group, results):
-            if isinstance(result, Exception):
-                errors[p] = result
+        gammas, oracle_errors = _oracle_batch(
+            reps, group_ns, cfg.duration * 0.5 * reps[0].tau0, cfg.physical)
+        for p, row, error in zip(group, gammas, oracle_errors):
+            if error is None:
+                oracle[p], has_oracle[p] = row, True
             else:
-                oracle[p] = result
-                has_oracle[p] = True
+                errors[p] = error
     columns = {"n": np.array(ns)[slot], "chi": chi, "delta": delta,
                "gamma": gamma, "gamma_canonical": canonical,
                "oracle_gamma": oracle, "abs_diff": np.abs(gamma - oracle)}

@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, ResonanceError)
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d,
-                       rationalize, sample_vectorized)
+from .numerics import integrate_1d, rationalize, sample_vectorized
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
-from .wavefunction import QuantumState, _parts, hermite
+from .wavefunction import QuantumState, _parts, _scalar_time, hermite
 
 # Relative threshold below which a mode coefficient counts as absent, and the
 # conditioning floor on resonance denominators |w^2 - n^2 omega_f^2|.
@@ -324,10 +323,9 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
 
 
 def drive_phase_quadrature(xp: ParticularSolution, M: float, hbar: float,
-                           duration: float,
-                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                           duration: float) -> float:
     """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature."""
-    value, _ = integrate_1d(lambda ts: xp.xdot(ts) ** 2, 0.0, duration, spec)
+    value, _ = integrate_1d(lambda ts: xp.xdot(ts) ** 2, 0.0, duration)
     return M * float(value) / hbar
 
 
@@ -350,8 +348,7 @@ class DrivenPhaseResult:
 
 def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
                        D: complex, comm: Commensurability,
-                       config: PhysicalConfig = PhysicalConfig(),
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> DrivenPhaseResult:
+                       config: PhysicalConfig = PhysicalConfig()) -> DrivenPhaseResult:
     """Berry phase over N tau0: N times the undriven phase plus the drive term.
 
     The drive term is computed both in closed form and by quadrature of the
@@ -361,7 +358,7 @@ def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
     undriven = comm.N * berry_phase(rep, n, "full").gamma
     closed = drive_phase_closed(force, comm, rep.M, rep.w, config.hbar, D)
     duration = comm.N * rep.tau0
-    quadrature = drive_phase_quadrature(xp, rep.M, config.hbar, duration, spec)
+    quadrature = drive_phase_quadrature(xp, rep.M, config.hbar, duration)
     return DrivenPhaseResult(n=n, p=comm.p, N=comm.N, duration=duration,
                              gamma_undriven=undriven, drive_closed=closed,
                              drive_quadrature=quadrature)
@@ -392,21 +389,22 @@ def berry_phase_special_rep(force: DrivingForce, M: float, w: float,
 
 
 def psi_driven(state: QuantumState, xp: ParticularSolution, x, t):
-    """Driven wavefunction: the undriven structure recentered at x - x_p with
-    the extra factor exp[i (M xdot_p x + action)/hbar].
+    """Driven wavefunction at an array or scalar x and a scalar t: the
+    undriven structure recentered at x - x_p with the extra factor
+    exp[i (M xdot_p x + action)/hbar].
 
     The winding factor uses the same continuous branch of arg(u - iv) as the
     undriven wavefunction.
     """
     rep = state.rep
     hbar = state.config.hbar
-    arr_t = np.asarray(t, dtype=float)
-    xpv = xp.x(arr_t)
-    xdv = xp.xdot(arr_t)
-    action = action_phase(rep, xp, 0.0, arr_t)
+    t = _scalar_time(t)
+    xpv = xp.x(t)
+    xdv = xp.xdot(t)
+    action = action_phase(rep, xp, 0.0, t)
     x = np.asarray(x, dtype=float)
     shifted = x - xpv
-    env, y, _, _ = _parts(state, shifted, arr_t)
+    env, y, _, _ = _parts(state, shifted, t)
     extra = np.exp(1j * (rep.M * xdv * x + action) / hbar)
     out = env * extra * hermite(state.n, y)
     arr = np.asarray(out)

@@ -1,8 +1,8 @@
 """Shared numerical machinery.
 
-Quadrature, phase unwrapping, best-rational approximation, and a
-split-operator Schrodinger propagator used as the strongest
-independent cross-check of the analytic wavefunctions.
+Quadrature, best-rational approximation, and a split-operator Schrodinger
+propagator used as the strongest independent cross-check of the analytic
+wavefunctions.
 
 All routines are deterministic: node layouts and summation orders are fixed,
 so repeated runs produce bit-identical results.
@@ -149,30 +149,6 @@ def sample_vectorized(f: Callable, ts: np.ndarray) -> np.ndarray:
     if values.shape != ts.shape:
         raise ValueError(message)
     return values
-
-
-def unwrap_phase(samples, margin: float = 1e-6) -> np.ndarray:
-    """Continuous phase of a complex sequence.
-
-    Starts from the principal argument of the first sample; consecutive output
-    differences lie in (-pi, pi). A consecutive jump of at least pi - margin
-    means the sampling is too coarse to fix the branch, and the caller should
-    refine: that raises ConvergenceError.
-    """
-    z = np.asarray(samples, dtype=complex)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("expected a nonempty 1-d sequence of complex samples")
-    if np.any(z == 0):
-        raise ValueError("zero sample has no phase")
-    steps = np.angle(z[1:] / z[:-1])
-    if steps.size and np.max(np.abs(steps)) >= math.pi - margin:
-        raise ConvergenceError(
-            "consecutive phase jump too close to pi; refine the sampling")
-    out = np.empty(z.shape, dtype=float)
-    out[0] = np.angle(z[0])
-    np.cumsum(steps, out=out[1:])
-    out[1:] += out[0]
-    return out
 
 
 def rationalize(x: float, tol: float, max_den: int = 10 ** 6) -> Optional[tuple[int, int]]:

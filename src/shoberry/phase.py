@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import (ConvergenceError, InvalidParameterError,
                      InvalidRepresentationError, NotCyclicError)
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_1d,
-                       integrate_rows)
+from .numerics import integrate_1d, integrate_rows
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              RepresentationArrays, _winding, require_valid)
 from .wavefunction import (QuantumState, _energy_per_quantum, _family_overlaps,
-                           check_quantum_number)
+                           _live, _one_point, _refusals, check_quantum_number)
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,10 +195,11 @@ def _sample_extremes(arrays: RepresentationArrays, counts: np.ndarray,
     return largest, widest
 
 
-def _branch_windings(reps, ns, tau_prime: float) -> list:
-    """Unwrapped change over [0, tau'] of each state's branch amplitude, for
-    each representation of reps: a list over ns, or the ConvergenceError
-    that refuses the representation.
+def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
+                     errors: list) -> np.ndarray:
+    """Unwrapped change over [0, tau'] of each state's branch amplitude, one
+    row over ns per point of arrays not yet refused in ``errors``; a point
+    whose branch cannot be tracked gets its ConvergenceError there.
 
     The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
     strongly squeezed representations, so its argument cannot fix the branch
@@ -215,150 +215,136 @@ def _branch_windings(reps, ns, tau_prime: float) -> list:
     every n; the steps telescope, so the change is
     (n + 1/2) (theta(tau') - theta(0)).
     """
-    results, counts = [None] * len(reps), np.zeros(len(reps), dtype=np.int64)
-    for p, rep in enumerate(reps):
+    windings = np.zeros((len(errors), len(ns)))
+    counts = np.zeros(len(errors), dtype=np.int64)
+    # the sample counts from each point's fields as Python floats, as a
+    # Representation holds them
+    for p, fields in enumerate(zip(*(values.tolist() for values in arrays))):
+        if errors[p] is not None:
+            continue
+        rep = RepresentationArrays(*fields)
         needed = [_branch_samples(rep, n, tau_prime) for n in ns]
         over = [count for count in needed if count > _MAX_SAMPLES]
         if over:
-            results[p] = ConvergenceError(
+            errors[p] = ConvergenceError(
                 f"branch tracking needs {over[0]} samples (cap {_MAX_SAMPLES});"
                 " the representation is too close to degenerate")
         else:
             counts[p] = max(needed)
     tracked = np.flatnonzero(counts)
     if not tracked.size:
-        return results
-    arrays = RepresentationArrays.of([reps[p] for p in tracked])
-    largest, widest = _sample_extremes(arrays, counts[tracked], tau_prime)
-    columns = arrays.at((slice(None), None))
+        return windings
+    largest, widest = _sample_extremes(arrays.at(tracked), counts[tracked], tau_prime)
+    columns = arrays.at((tracked, None))
     theta = _winding(columns, np.array([0.0, tau_prime]), columns.theta0)[0]
-    turns = (theta[:, 1] - theta[:, 0]).tolist()
+    half = np.array(ns, dtype=float) + 0.5   # n + 1/2
     # rho^(-1/2 - odd) is smallest where rho is largest, so one power per
     # representation tells whether the amplitude vanished at any sample
     with np.errstate(divide="ignore", over="ignore"):
-        vanished = {odd: ~(widest ** (-0.5 - odd) > 0) for odd in {n % 2 for n in ns}}
-    for i, p in enumerate(tracked.tolist()):
-        for n in ns:
-            if vanished[n % 2][i]:
-                results[p] = ConvergenceError("branch amplitude vanished at a tracking node")
-                break
-            if not (n + 0.5) * largest[i] < _STEP_LIMIT:   # NaN fails too
-                results[p] = ConvergenceError(
-                    "a branch-tracking step reached pi/4 despite the a-priori"
-                    " sample count; the phase branch is not trustworthy")
-                break
-        else:
-            results[p] = [(n + 0.5) * turns[i] for n in ns]
-    return results
+        vanished = ~(widest[:, None] ** (-0.5 - np.array(ns) % 2) > 0)
+    steep = ~(half * largest[:, None] < _STEP_LIMIT)   # NaN fails too
+    failed = vanished | steep
+    for i in np.flatnonzero(failed.any(axis=1)).tolist():
+        j = int(np.argmax(failed[i]))
+        errors[tracked[i]] = ConvergenceError(
+            "branch amplitude vanished at a tracking node" if vanished[i, j] else
+            "a branch-tracking step reached pi/4 despite the a-priori sample"
+            " count; the phase branch is not trustworthy")
+    windings[tracked] = half * (theta[:, 1] - theta[:, 0])[:, None]
+    return windings
 
 
-def _check_duration(tau_prime) -> None:
+def _check_duration(tau_prime) -> float:
     if not tau_prime > 0:
         raise ValueError("tau_prime must be positive")
+    return float(tau_prime)
 
 
-def _overall_phases(reps, ns, tau_prime: float, config: PhysicalConfig,
-                    spec: QuadratureSpec, fidelity_floor: float) -> list:
-    """(chi, fidelity) for every n of ns, or the exception that refuses the
-    representation, for each representation of reps; see
+def _overall_phases(arrays: RepresentationArrays, ns, tau_prime: float,
+                    finals: np.ndarray, errors: list) -> np.ndarray:
+    """chi for every n of ns, one row per point of arrays not yet refused in
+    ``errors``, from the overlaps ``finals`` = <psi_n(0)|psi_n(tau')>: a
+    point that is not cyclic gets its NotCyclicError in ``errors``, and one
+    whose branch cannot be tracked its ConvergenceError; see
     overall_phase_oracle."""
-    _check_duration(tau_prime)
-    finals, results = _family_overlaps(reps, ns, 0.0, float(tau_prime), config, spec)
     fidelities = np.abs(finals)
-    for p, row in enumerate(fidelities):
-        if results[p] is not None:
-            continue
-        for fidelity in row:
-            if fidelity < 1.0 - fidelity_floor:
-                results[p] = NotCyclicError(
-                    f"evolution over {tau_prime:g} is not cyclic"
-                    f" (fidelity {fidelity:.12f}); overall phase undefined")
-                break
-    live = [p for p, result in enumerate(results) if result is None]
-    windings = _branch_windings([reps[p] for p in live], ns, float(tau_prime))
-    for p, winding in zip(live, windings):
-        if isinstance(winding, Exception):
-            results[p] = winding
-            continue
-        results[p] = []
-        for final, fidelity, turn in zip(finals[p], fidelities[p], winding):
+    low = fidelities < 1.0 - FIDELITY_FLOOR
+    for p in np.flatnonzero(low.any(axis=1)).tolist():
+        if errors[p] is None:
+            errors[p] = NotCyclicError(
+                f"evolution over {tau_prime:g} is not cyclic (fidelity"
+                f" {fidelities[p, np.argmax(low[p])]:.12f}); overall phase undefined")
+    windings = _branch_windings(arrays, ns, tau_prime, errors)
+    chis = np.zeros(windings.shape)
+    for p in _live(errors).tolist():
+        for j, (final, turn) in enumerate(zip(finals[p].tolist(),
+                                              windings[p].tolist())):
             angle = cmath.phase(final)
-            chi = angle + TWO_PI * round((turn - angle) / TWO_PI)
-            results[p].append((chi, float(fidelity)))
-    return results
+            chis[p, j] = angle + TWO_PI * round((turn - angle) / TWO_PI)
+    return chis
 
 
-def _dynamical_phases(reps, ns, tau_prime: float, spec: QuadratureSpec) -> list:
-    """delta for every n of ns, or the ConvergenceError that refuses the
-    representation, for each representation of reps; see
-    dynamical_phase_oracle.
+def _dynamical_phases(arrays: RepresentationArrays, ns, tau_prime: float,
+                      errors: list) -> np.ndarray:
+    """delta for every n of ns, one row per point of arrays not yet refused
+    in ``errors``; a point whose time integral does not converge gets its
+    ConvergenceError there. See dynamical_phase_oracle.
 
     <psi_n|H|psi_n> is (n + 1/2) hbar times energy_per_quantum, so one time
     integral of the latter gives delta = -(n + 1/2) * integral for every n.
     The integral is at least pi over a half period, so the relative
     tolerance, not the absolute one, decides when it has converged. The
-    integrals of all representations are refined together, each until its
-    own has converged.
+    integrals of all points are refined together, each until its own has
+    converged.
     """
-    _check_duration(tau_prime)
-    arrays = RepresentationArrays.of(reps)
+    deltas = np.zeros((len(errors), len(ns)))
+    live = _live(errors)
+    if not live.size:
+        return deltas
 
     def energy(rows, ts):
-        columns = arrays.at((rows, None))
+        columns = arrays.at((live[rows], None))
         return _energy_per_quantum(columns, ts, columns.stiffness)
 
-    values, _, failures = integrate_rows(energy, 0.0, float(tau_prime), len(reps), spec)
-    return [failure or [-(n + 0.5) * value for n in ns]
-            for value, failure in zip(values.tolist(), failures)]
-
-
-def _each_point(stage, reps, *args) -> list:
-    """stage(reps, *args), a list with each representation's result or
-    exception. An ArithmeticError names no representation (a Hermite
-    overflow, rho vanishing at a node), so it runs the representations one
-    at a time, and each gets its own result or error."""
-    try:
-        return stage(reps, *args)
-    except ArithmeticError as exc:
-        if len(reps) == 1:
-            return [exc]
-        return [_each_point(stage, [rep], *args)[0] for rep in reps]
+    values, _, failures = integrate_rows(energy, 0.0, tau_prime, len(live))
+    deltas[live] = -(np.array(ns, dtype=float) + 0.5) * values[:, None]
+    for p, failure in zip(live.tolist(), failures):
+        errors[p] = failure
+    return deltas
 
 
 def _oracle_batch(reps, ns, tau_prime: float,
-                  config: PhysicalConfig = PhysicalConfig(),
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list:
-    """berry_phase_oracles for every representation of reps: a list of the
-    oracle Berry phases over ns, or the exception the one-representation
-    call raises, per representation.
+                  config: PhysicalConfig = PhysicalConfig()):
+    """berry_phase_oracles for every representation of reps, as (gammas,
+    errors): one row of oracle Berry phases over ns per representation, and
+    the exception its one-representation call raises, or None. A refused
+    representation's row holds no result.
 
     The representations are evaluated together, as arrays: the overlaps of
     all of them on one Gauss-Hermite level at a time, their branch samples
     as one stream, their time integrals as rows of one quadrature. Each
     still refines, is certified and is checked on its own, so its result is
-    the same float, and its error the same message, as when it is alone.
+    the same float, and its error the same message, as when it is alone. An
+    ArithmeticError names no representation (a Hermite overflow, rho
+    vanishing at a node), so the batch then reruns each one alone.
     """
-    results = _each_point(_overall_phases, reps, ns, tau_prime, config, spec,
-                          FIDELITY_FLOOR)
-    live = [p for p, result in enumerate(results) if not isinstance(result, Exception)]
-    deltas = _each_point(_dynamical_phases, [reps[p] for p in live], ns, tau_prime, spec)
-    for p, delta in zip(live, deltas):
-        results[p] = delta if isinstance(delta, Exception) else [
-            chi - d for (chi, _), d in zip(results[p], delta)]
-    return results
-
-
-def _only(results):
-    """The one representation's result of a batch; its exception is raised."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
+    tau_prime = _check_duration(tau_prime)
+    errors = _refusals(reps, ns)
+    arrays = RepresentationArrays.of(reps)
+    try:
+        finals = _family_overlaps(arrays, ns, 0.0, tau_prime, config, errors)
+        chis = _overall_phases(arrays, ns, tau_prime, finals, errors)
+        return chis - _dynamical_phases(arrays, ns, tau_prime, errors), errors
+    except ArithmeticError as exc:
+        if len(reps) == 1:
+            return np.zeros((1, len(ns))), [exc]
+        alone = [_oracle_batch([rep], ns, tau_prime, config) for rep in reps]
+        return (np.concatenate([gammas for gammas, _ in alone]),
+                [error for _, (error,) in alone])
 
 
 def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
-                        config: PhysicalConfig = PhysicalConfig(),
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list[float]:
+                        config: PhysicalConfig = PhysicalConfig()) -> list[float]:
     """Oracle Berry phases chi - delta of the states n of ns after tau'.
 
     One call serves every n: theta and rho are evaluated once per time, the
@@ -367,12 +353,10 @@ def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
     per quantum gives every delta. Every check still holds per n, and the
     first failure raises.
     """
-    return _only(_oracle_batch([rep], ns, tau_prime, config, spec))
+    return _one_point(*_oracle_batch([rep], ns, tau_prime, config)).tolist()
 
 
-def overall_phase_oracle(state: QuantumState, tau_prime: float,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                         fidelity_floor: float = FIDELITY_FLOOR) -> tuple[float, float]:
+def overall_phase_oracle(state: QuantumState, tau_prime: float) -> tuple[float, float]:
     """Unwrapped overall phase and fidelity after evolving for tau_prime.
 
     The mod-2pi phase and the fidelity come from the overlap
@@ -380,30 +364,31 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float,
     branch comes from continuously tracking a zero-free amplitude of the state
     from t = 0 on a uniform grid fine enough that every phase step stays under
     pi/4. Raises NotCyclicError when the fidelity falls below
-    1 - fidelity_floor, i.e. the evolution did not return the state to
+    1 - FIDELITY_FLOOR, i.e. the evolution did not return the state to
     itself, and ConvergenceError when the branch cannot be tracked.
     """
-    return _only(_each_point(_overall_phases, [state.rep], (state.n,), tau_prime,
-                             state.config, spec, fidelity_floor))[0]
+    tau_prime = _check_duration(tau_prime)
+    arrays, ns, errors = RepresentationArrays.of([state.rep]), (state.n,), [None]
+    finals = _family_overlaps(arrays, ns, 0.0, tau_prime, state.config, errors)
+    chi = _one_point(_overall_phases(arrays, ns, tau_prime, finals, errors), errors)
+    return float(chi[0]), float(np.abs(finals)[0, 0])
 
 
-def dynamical_phase_oracle(state: QuantumState, tau_prime: float,
-                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def dynamical_phase_oracle(state: QuantumState, tau_prime: float) -> float:
     """-(1/hbar) * time integral of <psi|H|psi> by adaptive quadrature."""
-    return _only(_each_point(_dynamical_phases, [state.rep], (state.n,), tau_prime,
-                             spec))[0]
+    errors = [None]
+    deltas = _dynamical_phases(RepresentationArrays.of([state.rep]), (state.n,),
+                               _check_duration(tau_prime), errors)
+    return float(_one_point(deltas, errors)[0])
 
 
-def berry_phase_oracle(state: QuantumState, tau_prime: float,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def berry_phase_oracle(state: QuantumState, tau_prime: float) -> float:
     """Oracle Berry phase chi - delta, sharing the closed forms' branch."""
-    return berry_phase_oracles(state.rep, (state.n,), tau_prime, state.config,
-                               spec)[0]
+    return berry_phase_oracles(state.rep, (state.n,), tau_prime, state.config)[0]
 
 
 def ge_child_integral(rep: Representation,
-                      config: PhysicalConfig = PhysicalConfig(),
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                      config: PhysicalConfig = PhysicalConfig()) -> float:
     """Cycle integral -(i/2) * int_0^tau0 alpha' / (alpha + alpha*) dt.
 
     alpha is the Gaussian exponent parameter; its derivative is analytic. The
@@ -416,7 +401,7 @@ def ge_child_integral(rep: Representation,
     def integrand(ts):
         return alpha_dot(rep, ts, config) / (2.0 * np.real(alpha(rep, ts, config)))
 
-    value, _ = integrate_1d(integrand, 0.0, rep.tau0, spec)
+    value, _ = integrate_1d(integrand, 0.0, rep.tau0)
     result = -0.5j * complex(value)
     if abs(result.imag) > 1e-9:
         raise ConvergenceError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import driven as drv
 from . import numerics, phase, representation as rm, wavefunction as wf
-from .numerics import GridState, integrate_1d, propagate_schrodinger, rationalize, unwrap_phase
+from .numerics import GridState, integrate_1d, propagate_schrodinger, rationalize
 from .representation import PhysicalConfig, Representation
 
 TWO_PI = 2.0 * math.pi
@@ -361,16 +361,6 @@ def check_quadrature_battery():
                    detail=f"{len(_quad_battery())} analytic integrals")
 
 
-def check_unwrap_equivariance():
-    ts = np.linspace(0.0, 6.0, 400)
-    z = np.exp(1j * (1.7 * ts - 0.4 * np.sin(ts)))
-    base = unwrap_phase(z)
-    shift = 0.9
-    shifted = unwrap_phase(z * np.exp(1j * shift))
-    dev = float(np.max(np.abs(shifted - base - shift)))
-    return _result("numerics/unwrap-equivariance", dev, 1e-12)
-
-
 def _analytic_grid_state(state, half, points, t):
     xs = np.linspace(-half, half, points, endpoint=False)
     return GridState(-half, half, points, wf.psi(state, xs, t), t)
@@ -427,7 +417,6 @@ _ALL_CHECKS = (
     check_special_rep_scaling,
     check_drive_phase_scaling,
     check_quadrature_battery,
-    check_unwrap_equivariance,
     check_propagator_order,
     check_rationalize,
 )

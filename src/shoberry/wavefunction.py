@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, chunks
+from .numerics import DEFAULT_QUADRATURE, chunks
 from .representation import (PhysicalConfig, Representation, RepresentationArrays,
-                             _winding, kinematics, require_valid, rho_ddot,
-                             winding_phase)
+                             _winding, classical_pair, kinematics, require_valid,
+                             rho_ddot)
 
 # Upward Hermite recurrence keeps full double precision for degrees this low;
 # beyond it the values overflow for the arguments the Gaussian tails allow.
@@ -114,31 +114,27 @@ def _prefactor(n: int, om: float, hbar: float) -> float:
                     - 0.5 * (n * _LOG2 + math.lgamma(n + 1)))
 
 
-def _geometry(rep: Representation, config: PhysicalConfig, t):
-    """rho, the quadratic exponent coefficient (-Omega/rho^2 + i M rho'/rho)
-    / (2 hbar) and theta at t, shared by every n."""
-    _, _, _, _, r, rdot = kinematics(rep, t)
-    quad = (-rep.omega / (r * r) + 1j * rep.M * rdot / r) / (2.0 * config.hbar)
-    return r, quad, winding_phase(rep, t)
+def _scalar_time(t) -> float:
+    """t as a float; an array of times is refused."""
+    if np.ndim(t):
+        raise InvalidParameterError(f"t must be a scalar time, not shape {np.shape(t)}")
+    return float(t)
 
 
 def _parts(state: QuantumState, x, t):
     """Envelope (everything but the Hermite factor), Hermite argument, the
-    quadratic exponent coefficient and rho, broadcast over x and t."""
-    rep = state.rep
-    hbar = state.config.hbar
-    r, quad, theta = _geometry(rep, state.config, t)
-    om = rep.omega
-    n = state.n
+    quadratic exponent coefficient and rho at the scalar time t, broadcast
+    over x: the oracle's snapshot of the one representation."""
+    snapshot = _Snapshot(RepresentationArrays.of([state.rep]), state.config,
+                         _scalar_time(t))
     x = np.asarray(x, dtype=float)
-    env = (_prefactor(n, om, hbar) / np.sqrt(r)) \
-        * np.exp(1j * (n + 0.5) * theta) * np.exp(quad * x * x)
-    y = np.sqrt(om / hbar) * x / r
-    return env, y, quad, r
+    quad, r = snapshot.quad[0, 0, 0], snapshot.r[0, 0, 0]
+    env = snapshot.coefficient((state.n,))[0, 0, 0] * np.exp(quad * x * x)
+    return env, np.sqrt(state.rep.omega / state.config.hbar) * x / r, quad, r
 
 
 def psi(state: QuantumState, x, t):
-    """Wavefunction value at (x, t); x and t broadcast together."""
+    """Wavefunction value at (x, t) for an array or scalar x and a scalar t."""
     env, y, _, _ = _parts(state, x, t)
     out = env * hermite(state.n, y)
     arr = np.asarray(out)
@@ -148,7 +144,8 @@ def psi(state: QuantumState, x, t):
 
 
 def psi_dx(state: QuantumState, x, t):
-    """Analytic spatial derivative of psi (uses H_n' = 2n H_{n-1})."""
+    """Analytic spatial derivative of psi (uses H_n' = 2n H_{n-1}); x and t
+    as for psi."""
     env, y, quad, r = _parts(state, x, t)
     x = np.asarray(x, dtype=float)
     out = env * (2.0 * quad * x) * hermite(state.n, y)
@@ -189,8 +186,10 @@ def energy_per_quantum(rep: Representation, t):
 def _energy_per_quantum(rep, t, stiffness):
     """energy_per_quantum given M w^2, for a Representation or
     RepresentationArrays."""
-    u, v, du, dv, _, _ = kinematics(rep, t)
+    u, v, du, dv = classical_pair(rep, t)
     r2 = u * u + v * v
+    if np.any(np.asarray(r2) == 0.0):
+        raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
     rd2 = (u * du + v * dv) ** 2 / r2
     om = rep.omega
     return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + stiffness * r2 / om)
@@ -281,29 +280,30 @@ class _Snapshot:
         _, _, _, _, self.r, rdot = kinematics(self.reps, t)
         self.theta = _winding(self.reps, t, self.reps.theta0)[0]
         # (-Omega/rho^2 + i M rho'/rho) / (2 hbar) from its real and imaginary
-        # parts: the one-point code divides by rho in exact Python complex
-        # arithmetic and by 2 hbar in numpy's, which multiplies by the
-        # reciprocal; numpy's complex array division would take the
-        # reciprocal of rho too, and differ in the last digit.
+        # parts, each divided by rho in real arithmetic and multiplied by the
+        # reciprocal of 2 hbar: numpy's complex array division would take
+        # the reciprocal of rho too, and differ in the last digit.
         reciprocal = 1.0 / (2.0 * self.hbar)
         self.quad = np.empty(om.shape, dtype=complex)
         self.quad.real = -om / (self.r * self.r) * reciprocal
         self.quad.imag = self.reps.M * rdot / self.r * reciprocal
         # |psi_n| decays like exp(-rate x^2)
         self.rate = om / (2.0 * self.hbar * self.r * self.r)
+        # the rho-free normalizations per tuple of ns do not depend on t:
+        # snapshots of the same representations may share this table
+        self.prefactors = {}
         self._coefficients = {}
-
-    def hermite_argument(self, active, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.reps.omega[active] / self.hbar) * x / self.r[active]
 
     def coefficient(self, ns) -> np.ndarray:
         """The x-independent factor of psi_n, (points, len(ns), 1)."""
         key = tuple(ns)
         if key not in self._coefficients:
+            if key not in self.prefactors:
+                self.prefactors[key] = np.array(
+                    [[_prefactor(k, om, self.hbar) for k in key]
+                     for om in self.reps.omega.ravel().tolist()])[:, :, None]
             n = np.array(key, dtype=float)[:, None]
-            pref = np.array([[_prefactor(k, om, self.hbar) for k in key]
-                             for om in self.reps.omega.ravel().tolist()])[:, :, None]
-            self._coefficients[key] = (pref / np.sqrt(self.r)) \
+            self._coefficients[key] = (self.prefactors[key] / np.sqrt(self.r)) \
                 * np.exp(1j * (n + 0.5) * self.theta)
         return self._coefficients[key]
 
@@ -312,31 +312,45 @@ def _psi_at(points, ns, active) -> list[np.ndarray]:
     """psi_n for every n of ns at each (snapshot, x) of points, for the
     representations ``active`` of the snapshots: one (len(active), len(ns),
     nodes) array per pair, from one Hermite recurrence over all abscissas."""
-    args = np.stack([snapshot.hermite_argument(active, x) for snapshot, x in points])
-    rows = _hermite_rows(ns, args)
+    rows = _hermite_rows(ns, np.stack([
+        np.sqrt(snapshot.reps.omega[active] / snapshot.hbar) * x / snapshot.r[active]
+        for snapshot, x in points]))
     return [snapshot.coefficient(ns)[active]
             * np.exp(snapshot.quad[active] * x * x) * h
             for (snapshot, x), h in zip(points, rows)]
 
 
-def _spatial_integrals(integrands, s: np.ndarray, m: int, spec: QuadratureSpec):
+def _live(errors) -> np.ndarray:
+    """The points of a batch that no stage has refused yet."""
+    return np.flatnonzero([error is None for error in errors])
+
+
+def _one_point(values, errors):
+    """The only point's row of values; its error is raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
     """Integrals over the real line of the rows of integrands(active, x) for
-    every point p, whose moduli decay like exp(-s[p]^2 x^2), on the
-    Gauss-Hermite rule in y = s x.
+    every point p not yet refused in ``errors``, whose moduli decay like
+    exp(-s[p]^2 x^2), on the Gauss-Hermite rule in y = s x.
 
     integrands takes an index array of points and their abscissas, shaped
     (len(active), 1, nodes), and returns (len(active), rows, nodes). A
     point's node count doubles from m until each of its rows agrees with the
-    previous level within spec; a point that has converged drops out of the
-    next level. Returns the values (points, rows), each point's node count,
-    and each point's ConvergenceError (past spec.max_refinements or
-    MAX_SPATIAL_NODES) or None.
+    previous level within DEFAULT_QUADRATURE; a point that has converged
+    drops out of the next level. Returns the values (points, rows) and each
+    point's node count; a point that does not converge within the refinement
+    cap or MAX_SPATIAL_NODES gets its ConvergenceError in ``errors``.
     """
+    spec = DEFAULT_QUADRATURE
     points = len(s)
     values, prev = None, None
     nodes = np.zeros(points, dtype=int)
     err = np.full(points, math.inf)
-    active = np.arange(points)
+    active = _live(errors)
     for _ in range(spec.max_refinements + 1):
         if m > MAX_SPATIAL_NODES or not active.size:
             break
@@ -356,20 +370,19 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, spec: QuadratureSpec):
             active, cur = active[~done], cur[~done]
         prev = cur
         m *= 2
-    errors = [None] * points
     for p in active.tolist():
         errors[p] = ConvergenceError(
             f"spatial quadrature did not meet tol up to {m // 2} Gauss-Hermite"
             f" nodes (last change {err[p]:.3e})")
-    return values, nodes, errors
+    return values, nodes
 
 
-def _certify(snapshots, ns, nodes: np.ndarray, points: np.ndarray) -> dict:
-    """The ConvergenceError of each point of ``points`` whose nodes[p]-node
-    rule, scaled to the width of each snapshot's states, does not integrate
-    |psi_n|^2 to 1 within NORM_TOL for every n of ns, keyed by point. The
-    first failure in the order (snapshot, n) is a point's error."""
-    errors = {}
+def _certify(snapshots, ns, nodes: np.ndarray, errors: list) -> None:
+    """Refuse in ``errors``, with a ConvergenceError, each point not yet
+    refused whose nodes[p]-node rule, scaled to the width of each snapshot's
+    states, does not integrate |psi_n|^2 to 1 within NORM_TOL for every n of
+    ns. The first failure in the order (snapshot, n) is a point's error."""
+    points = _live(errors)
     for m in np.unique(nodes[points]).tolist():
         y, weights = hermite_rule(m)
         for part in chunks(points[nodes[points] == m], m):
@@ -385,15 +398,13 @@ def _certify(snapshots, ns, nodes: np.ndarray, points: np.ndarray) -> dict:
                     f"the {m}-node spatial rule integrates |psi_{ns[j]}|^2 to"
                     f" {norms[i, k, j]:.12g}, not 1; the spatial integral is not"
                     " trustworthy")
-    return errors
 
 
-def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns,
-              spec: QuadratureSpec) -> tuple[np.ndarray, list]:
-    """<bra_ns[i]|ket_ns[i]> for every i at every point of the snapshots, as
-    (values, errors): one row of values per point and each point's
-    ConvergenceError or None. Each state of bra_ns and ket_ns is evaluated
-    at both times from one Hermite recurrence per level."""
+def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns, errors: list) -> np.ndarray:
+    """<bra_ns[i]|ket_ns[i]> for every i at every point of the snapshots, one
+    row per point; a point refused in ``errors`` is skipped, and one whose
+    integral fails gets its ConvergenceError there. Each state of bra_ns and
+    ket_ns is evaluated at both times from one Hermite recurrence per level."""
     ns = list(bra_ns)
     if ns != list(ket_ns):
         ns += list(ket_ns)
@@ -405,26 +416,15 @@ def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns,
         return np.conj(at_bra[:, bra_rows]) * at_ket[:, ket_rows]
 
     m = (max(bra_ns) + max(ket_ns)) // 2 + 16
-    values, nodes, errors = _spatial_integrals(
-        integrand, np.sqrt(bra.rate + ket.rate)[:, 0, 0], m, spec)
-    converged = np.array([error is None for error in errors])
-    for p, error in _certify((bra, ket), ns, nodes, np.flatnonzero(converged)).items():
-        errors[p] = error
-    return values, errors
+    values, nodes = _spatial_integrals(
+        integrand, np.sqrt(bra.rate + ket.rate)[:, 0, 0], m, errors)
+    _certify((bra, ket), ns, nodes, errors)
+    return values
 
 
-def _one_point(values, errors):
-    """The only point's row of values; its error is raised."""
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0]
-
-
-def _family_overlaps(reps, ns, t_bra: float, t_ket: float, config: PhysicalConfig,
-                     spec: QuadratureSpec) -> tuple[np.ndarray, list]:
-    """family_overlaps for every representation of reps, as (values, errors):
-    one row of values per representation and the exception that refuses
-    each one, or None."""
+def _refusals(reps, ns) -> list:
+    """Each representation's refusal by the spatial stages, or None: not
+    full mode, else a quantum number of ns beyond the Hermite cap."""
     errors = [None] * len(reps)
     for p, rep in enumerate(reps):
         try:
@@ -436,47 +436,58 @@ def _family_overlaps(reps, ns, t_bra: float, t_ket: float, config: PhysicalConfi
             _check_degree(n)
     except InvalidParameterError as exc:
         errors = [error or exc for error in errors]
-    values = np.zeros((len(reps), len(ns)), dtype=complex)
-    live = [p for p, error in enumerate(errors) if error is None]
-    if live:
-        arrays = RepresentationArrays.of([reps[p] for p in live])
-        found, found_errors = _overlaps(_Snapshot(arrays, config, t_bra), ns,
-                                        _Snapshot(arrays, config, t_ket), ns, spec)
-        for i, p in enumerate(live):
-            values[p], errors[p] = found[i], found_errors[i]
-    return values, errors
+    return errors
+
+
+def _family_overlaps(arrays: RepresentationArrays, ns, t_bra: float, t_ket: float,
+                     config: PhysicalConfig, errors: list) -> np.ndarray:
+    """family_overlaps for every point of arrays not yet refused in
+    ``errors``, one row per point; a point whose integral fails gets its
+    ConvergenceError there. The normalizations are computed once, for both
+    times."""
+    values = np.zeros((len(errors), len(ns)), dtype=complex)
+    live = _live(errors)
+    if live.size:
+        reps = arrays.at(live)
+        bra, ket = _Snapshot(reps, config, t_bra), _Snapshot(reps, config, t_ket)
+        ket.prefactors = bra.prefactors
+        found = [None] * len(live)
+        values[live] = _overlaps(bra, ns, ket, ns, found)
+        for p, error in zip(live.tolist(), found):
+            errors[p] = error
+    return values
 
 
 def family_overlaps(rep: Representation, ns, t_bra: float, t_ket: float,
-                    config: PhysicalConfig = PhysicalConfig(),
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+                    config: PhysicalConfig = PhysicalConfig()) -> np.ndarray:
     """<psi_n(t_bra)|psi_n(t_ket)> for every n of ns, on one shared rule:
     rho and theta once per time, one Hermite recurrence up to max(ns)."""
-    return _one_point(*_family_overlaps([rep], ns, t_bra, t_ket, config, spec))
+    errors = _refusals([rep], ns)
+    return _one_point(_family_overlaps(RepresentationArrays.of([rep]), ns, t_bra,
+                                       t_ket, config, errors), errors)
 
 
-def overlap(bra: QuantumState, t_bra: float, ket: QuantumState, t_ket: float,
-            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
+def overlap(bra: QuantumState, t_bra: float, ket: QuantumState, t_ket: float) -> complex:
     """<bra(t_bra)|ket(t_ket)> by the self-certified Gauss-Hermite rule."""
     snapshots = [_Snapshot(RepresentationArrays.of([state.rep]), state.config, t)
                  for state, t in ((bra, t_bra), (ket, t_ket))]
-    return complex(_one_point(*_overlaps(snapshots[0], (bra.n,), snapshots[1],
-                                         (ket.n,), spec))[0])
+    errors = [None]
+    values = _overlaps(snapshots[0], (bra.n,), snapshots[1], (ket.n,), errors)
+    return complex(_one_point(values, errors)[0])
 
 
-def norm_quadrature(state: QuantumState, t: float,
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def norm_quadrature(state: QuantumState, t: float) -> float:
     """integral of |psi_n|^2 dx, which must equal 1; this is the integral the
     certification of the other spatial results checks."""
     snapshot = _Snapshot(RepresentationArrays.of([state.rep]), state.config, t)
-    values, _, errors = _spatial_integrals(
+    errors = [None]
+    values, _ = _spatial_integrals(
         lambda active, x: np.abs(_psi_at([(snapshot, x)], (state.n,), active)[0]) ** 2,
-        np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, spec)
+        np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, errors)
     return float(_one_point(values, errors)[0])
 
 
-def energy_expectation_quadrature(state: QuantumState, t: float,
-                                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def energy_expectation_quadrature(state: QuantumState, t: float) -> float:
     """<psi|H|psi> by spatial quadrature, independent of the closed form.
 
     Uses the integrated-by-parts kinetic term (hbar^2/2M) |psi'|^2 so only the
@@ -493,9 +504,8 @@ def energy_expectation_quadrature(state: QuantumState, t: float,
         potential = 0.5 * rep.M * rep.w ** 2 * xs * xs * np.abs(p) ** 2
         return kinetic + potential
 
-    values, nodes, errors = _spatial_integrals(
-        integrand, np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, spec)
-    value = _one_point(values, errors)
-    for error in _certify((snapshot,), (state.n,), nodes, np.arange(1)).values():
-        raise error
-    return float(value[0])
+    errors = [None]
+    values, nodes = _spatial_integrals(
+        integrand, np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, errors)
+    _certify((snapshot,), (state.n,), nodes, errors)
+    return float(_one_point(values, errors)[0])

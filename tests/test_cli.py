@@ -479,11 +479,11 @@ class TestValidateCommand:
         assert code == 0
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
-        assert len(lines) >= 25
+        assert len(lines) == 24
 
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--only", "rationalize",
-                               "--only", "unwrap")
+                               "--only", "quadrature-battery")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 

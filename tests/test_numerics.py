@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from shoberry.errors import ConvergenceError
 from shoberry.numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
-                               integrate_1d, propagate_schrodinger,
-                               rationalize, unwrap_phase)
+                               integrate_1d, propagate_schrodinger, rationalize)
 from shoberry.selfcheck import _quad_battery
 
 from _ode import rk_integrate
@@ -57,45 +56,6 @@ class TestIntegrate1d:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_refinements=0)
-
-
-class TestUnwrapPhase:
-    def test_quarter_turns(self):
-        thetas = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI])
-        out = unwrap_phase(np.exp(1j * thetas))
-        assert np.allclose(out, thetas, atol=1e-12)
-
-    def test_constant_samples(self):
-        out = unwrap_phase(np.full(7, 0.3 - 0.4j))
-        assert np.allclose(out, out[0])
-
-    def test_two_negative_turns(self):
-        thetas = -np.linspace(0.0, 2 * TWO_PI, 200)
-        out = unwrap_phase(np.exp(1j * thetas))
-        assert abs(out[-1] + 2 * TWO_PI) < 1e-10
-        assert np.all(np.diff(out) <= 0)
-
-    def test_rejects_large_jump(self):
-        with pytest.raises(ConvergenceError):
-            unwrap_phase(np.array([1.0, -1.0 + 1e-9j]))
-
-    def test_rejects_zero_sample(self):
-        with pytest.raises(ValueError):
-            unwrap_phase(np.array([1.0, 0.0, 1.0j]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(-2.5, 2.5), st.floats(0.05, 2.8))
-    def test_global_phase_equivariance(self, shift, span):
-        # first sample pinned near arg 0 so the principal anchor cannot wrap
-        thetas = np.linspace(0.0, span, 60) - 0.0
-        z = np.exp(1j * thetas)
-        base = unwrap_phase(z)
-        moved = unwrap_phase(z * np.exp(1j * shift))
-        offsets = moved - base - shift
-        wrapped = (offsets + math.pi) % TWO_PI - math.pi
-        assert np.max(np.abs(wrapped)) < 1e-9
-        if abs(shift) < math.pi - 1e-6:
-            assert np.max(np.abs(offsets)) < 1e-9
 
 
 class TestRationalize:

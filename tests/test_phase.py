@@ -14,8 +14,9 @@ from shoberry.phase import (PhaseResult, berry_phase, berry_phase_oracle,
                             dynamical_phase_oracle, equivalence_class_C,
                             ge_child_integral, overall_phase_closed,
                             overall_phase_oracle, phase_result_for_half_periods)
-from shoberry.representation import PhysicalConfig, Representation
-from shoberry.wavefunction import QuantumState, alpha, alpha_dot
+from shoberry.representation import (PhysicalConfig, Representation,
+                                     RepresentationArrays)
+from shoberry.wavefunction import QuantumState, alpha, alpha_dot, family_overlaps
 
 TWO_PI = 2.0 * math.pi
 STATIONARY = Representation(1.0, 1.0, 1.0, 0.0)
@@ -229,14 +230,14 @@ class TestPerPointOracle:
     def test_matches_one_n_calls(self, rep):
         # one call for every n against the single-state entry points
         tau = 0.5 * rep.tau0
-        (phases,) = phase._overall_phases([rep], self.NS, tau, PhysicalConfig(),
-                                          phase.DEFAULT_QUADRATURE,
-                                          phase.FIDELITY_FLOOR)
-        (deltas,) = phase._dynamical_phases([rep], self.NS, tau,
-                                            phase.DEFAULT_QUADRATURE)
+        arrays, errors = RepresentationArrays.of([rep]), [None]
+        finals = family_overlaps(rep, self.NS, 0.0, tau)
+        (chis,) = phase._overall_phases(arrays, self.NS, tau, finals[None], errors)
+        (deltas,) = phase._dynamical_phases(arrays, self.NS, tau, errors)
+        assert errors == [None]
         gammas = berry_phase_oracles(rep, self.NS, tau)
-        for n, (chi, fidelity), delta, gamma in zip(self.NS, phases, deltas,
-                                                    gammas):
+        for n, chi, fidelity, delta, gamma in zip(self.NS, chis, np.abs(finals),
+                                                  deltas, gammas):
             state = QuantumState(rep, n)
             chi_one, fidelity_one = overall_phase_oracle(state, tau)
             assert abs(chi - chi_one) < 1e-12
@@ -393,6 +394,14 @@ def _one_point(rep, ns, tau):
         return exc
 
 
+def _batch(reps, ns, tau):
+    """phase._oracle_batch as one outcome per point: its list of Berry
+    phases, or its exception."""
+    gammas, errors = phase._oracle_batch(reps, ns, tau)
+    assert gammas.shape == (len(reps), len(ns)) and len(errors) == len(reps)
+    return [error or row for row, error in zip(gammas.tolist(), errors)]
+
+
 def _same_outcome(batched, alone):
     if isinstance(alone, Exception):
         return type(batched) is type(alone) and str(batched) == str(alone)
@@ -410,7 +419,7 @@ class TestBatchedOracle:
         # per point exactly the floats (or the exception) of a call alone
         reps = [Representation(1.0, 1.0, math.exp(log_c), beta) for log_c, beta in cells]
         tau = half_periods * 0.5 * reps[0].tau0
-        batched = phase._oracle_batch(reps, ns, tau)
+        batched = _batch(reps, ns, tau)
         assert len(batched) == len(reps)
         for rep, result in zip(reps, batched):
             assert _same_outcome(result, _one_point(rep, ns, tau))
@@ -436,12 +445,12 @@ class TestBatchedOracle:
     def test_failing_points_fail_alone(self, periods, reps, kinds):
         ns = (0, 3, 20)
         tau = periods * reps[0].tau0
-        batched = phase._oracle_batch(reps, ns, tau)
+        batched = _batch(reps, ns, tau)
         assert [type(result).__name__ for result in batched] == kinds
         for rep, result in zip(reps, batched):
             assert _same_outcome(result, _one_point(rep, ns, tau))
 
     def test_quantum_number_above_the_cap_refuses_every_point(self):
-        results = phase._oracle_batch([STRETCHED, STATIONARY], (0, 65), math.pi)
+        results = _batch([STRETCHED, STATIONARY], (0, 65), math.pi)
         assert all(isinstance(r, InvalidParameterError) and "capped at 64" in str(r)
                    for r in results)

@@ -204,9 +204,11 @@ class TestSqueezedStates:
         # on 4 nodes |psi_20|^2 cannot integrate to 1: certification refuses it
         snapshot = wavefunction._Snapshot(RepresentationArrays.of([STRETCHED]),
                                           PhysicalConfig(), 0.3)
-        nodes, points = np.array([4]), np.arange(1)
-        assert wavefunction._certify((snapshot,), (0, 3), nodes, points) == {}
-        (error,) = wavefunction._certify((snapshot,), (0, 20), nodes, points).values()
+        nodes, errors = np.array([4]), [None]
+        wavefunction._certify((snapshot,), (0, 3), nodes, errors)
+        assert errors == [None]
+        wavefunction._certify((snapshot,), (0, 20), nodes, errors)
+        (error,) = errors
         assert isinstance(error, ConvergenceError)
 
     def test_unresolved_chirp_raises_instead_of_converging(self):
