@@ -668,8 +668,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scale = 1.0 + 1e-6 if args.perturb_delta else 1.0
-    results = run_battery(delta_scale=scale, only=args.only or None)
+    results = run_battery(args.only)
     if not results:
         print("no checks matched the --only filter", file=sys.stderr)
         return 2
@@ -710,12 +709,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in specs:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
-    v = sub.add_parser("validate", parents=[common],
-                       help="run the self-validation battery")
+    v = sub.add_parser("validate", help="run the self-validation battery")
     v.add_argument("--only", action="append", metavar="NAME",
                    help="run only checks whose name contains NAME; repeatable")
-    v.add_argument("--perturb-delta", action="store_true",
-                   help=argparse.SUPPRESS)  # sensitivity canary for tests
     v.set_defaults(func=cmd_validate)
     return parser
 

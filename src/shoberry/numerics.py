@@ -72,15 +72,15 @@ def chunks(index: np.ndarray, width: int) -> list[np.ndarray]:
 
 
 def integrate_rows(f, a: float, b: float, rows: int,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE, *, order: int = 16,
-                   initial_panels: int = 4):
+                   spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Integrate ``rows`` integrands over [a, b] at once.
 
     f(active, nodes) gives the values of the rows ``active`` (an index array)
     at the abscissas ``nodes``, shape (len(active), len(nodes)), real or
-    complex. Composite Gauss-Legendre panels; each row's panel count doubles
-    until two successive results of that row agree within the spec
-    tolerances, and a row that has converged drops out of the next level.
+    complex. Composite 16-point Gauss-Legendre panels, four at first; each
+    row's panel count doubles until two successive results of that row agree
+    within the spec tolerances, and a row that has converged drops out of the
+    next level.
     Returns (values, errors, failures): each row's value, its last
     refinement difference, and the ConvergenceError of a row that hit the
     refinement cap, else None.
@@ -92,7 +92,7 @@ def integrate_rows(f, a: float, b: float, rows: int,
     values = errors = prev = None
     active = np.arange(rows)
     for level in range(spec.max_refinements + 1):
-        nodes, weights = composite_gauss_nodes(a, b, initial_panels * 2 ** level, order)
+        nodes, weights = composite_gauss_nodes(a, b, 4 * 2 ** level)
         cur = np.concatenate([np.sum(weights * f(part, nodes), axis=-1)
                               for part in chunks(active, len(nodes))])
         if values is None:
@@ -114,8 +114,7 @@ def integrate_rows(f, a: float, b: float, rows: int,
     return values, errors, failures
 
 
-def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                 *, order: int = 16, initial_panels: int = 4):
+def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Integrate a vectorized callable over [a, b]: integrate_rows for one row.
 
     Returns (value, error_estimate) where the estimate is the last refinement
@@ -130,8 +129,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
             raise ValueError("integrand must be vectorized over its input array")
         return vals[None]
 
-    values, errors, (failure,) = integrate_rows(row, a, b, 1, spec, order=order,
-                                                initial_panels=initial_panels)
+    values, errors, (failure,) = integrate_rows(row, a, b, 1, spec)
     if failure is not None:
         raise failure
     value = complex(values[0]) if np.iscomplexobj(values) else float(values[0])

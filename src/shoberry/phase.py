@@ -410,27 +410,20 @@ def ge_child_integral(rep: Representation,
     return float(result.real)
 
 
-def equivalence_class_C(beta: float, target_gamma_mod_2pi: float = 0.0,
-                        count: int = 2) -> list[float]:
+def equivalence_class_C(beta: float, count: int = 2) -> list[float]:
     """C values sharing the Berry phase 0 (mod 2pi) for every n, at fixed beta.
 
     gamma_n(half) = (n + 1/2) pi X with X = (1 + C^2)/(2 C cos beta) - 1
     vanishes mod 2pi for all n simultaneously exactly when X = 4m, m integer.
     Solving gives C = a +/- sqrt(a^2 - 1) with a = (4m + 1) cos beta; both
     roots are returned for every feasible |m| <= count (infeasible m, where
-    the roots are complex, are skipped). Only the zero target is supported:
-    no other phase can be shared by every quantum number.
+    the roots are complex, are skipped). Zero is the only phase that every
+    quantum number can share.
     """
     cos_beta = math.cos(beta)
     if abs(cos_beta) <= COS_BETA_EPS:
         raise InvalidRepresentationError(
             "beta is too close to an odd multiple of pi/2")
-    wrapped = target_gamma_mod_2pi % TWO_PI
-    if min(wrapped, TWO_PI - wrapped) > 1e-12:
-        raise ValueError(
-            "only the zero equivalence class exists for every quantum number"
-            " simultaneously; nonzero targets would need a different phase"
-            " multiple for each n")
     if count < 1:
         raise ValueError("count must be at least 1")
     values: list[float] = []

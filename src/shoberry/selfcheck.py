@@ -1,16 +1,16 @@
 """Self-validation battery behind the CLI's validate command.
 
 Each check exercises one documented invariant on a small fixed grid and
-reports its worst deviation against the pinned tolerance. The battery is
-deterministic; delta_scale exists as a sensitivity canary (scaling the
-dynamical-phase oracle by 1 + 1e-6 must make the dynamical-phase checks fail).
+reports its worst deviation against the pinned tolerance. Each check is
+registered with its printed name and tolerance; CHECKS keeps them in report
+order. The battery is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -31,9 +31,16 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name, max_dev, tol, detail=""):
-    return CheckResult(name=name, ok=max_dev < tol, max_dev=float(max_dev),
-                       tol=tol, detail=detail)
+# (printed name, tolerance, check) in report order. A check returns its worst
+# deviation, or (deviation, detail) when its report line carries a detail.
+CHECKS: list[tuple[str, float, Callable]] = []
+
+
+def _check(name: str, tol: float):
+    def register(func):
+        CHECKS.append((name, tol, func))
+        return func
+    return register
 
 
 # Small representative grid: the stationary point plus stretched and tilted
@@ -47,7 +54,8 @@ _REPS = (
 )
 
 
-def check_wronskian_constant():
+@_check("representation/wronskian-constant", 1e-10)
+def _wronskian_constant():
     worst = 0.0
     for rep in _REPS:
         ts = np.linspace(0.0, rep.tau0, 400)
@@ -55,19 +63,21 @@ def check_wronskian_constant():
         om = rep.M * (u * dv - v * du)
         ref = rm.omega_invariant(rep)
         worst = max(worst, float(np.max(np.abs(om - ref))) / abs(ref))
-    return _result("representation/wronskian-constant", worst, 1e-10)
+    return worst
 
 
-def check_rho_half_period():
+@_check("representation/rho-half-period", 1e-12)
+def _rho_half_period():
     worst = 0.0
     for rep in _REPS:
         ts = np.linspace(0.0, rep.tau0, 173)
         worst = max(worst, float(np.max(np.abs(
             rm.rho(rep, ts + 0.5 * rep.tau0) - rm.rho(rep, ts)))))
-    return _result("representation/rho-half-period", worst, 1e-12)
+    return worst
 
 
-def check_half_turn_identity():
+@_check("representation/half-turn-identity", 1e-12)
+def _half_turn_identity():
     worst = 0.0
     for rep in _REPS:
         ts = np.linspace(0.0, rep.tau0, 211)
@@ -76,31 +86,33 @@ def check_half_turn_identity():
         lhs = u1 - 1j * v1
         rhs = np.exp(-1j * math.pi) * (u0 - 1j * v0)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("representation/half-turn-identity", worst, 1e-12)
+    return worst
 
 
-def check_rho_dot_finite_difference():
+@_check("representation/rho-dot-vs-fd", 1e-8)
+def _rho_dot_finite_difference():
     worst = 0.0
     h = 1e-6
     for rep in _REPS:
         ts = np.linspace(0.1, rep.tau0, 101)
         fd = (rm.rho(rep, ts + h) - rm.rho(rep, ts - h)) / (2.0 * h)
         worst = max(worst, float(np.max(np.abs(rm.rho_dot(rep, ts) - fd))))
-    return _result("representation/rho-dot-vs-fd", worst, 1e-8,
-                   detail="central differences, h=1e-6")
+    return worst, "central differences, h=1e-6"
 
 
-def check_normalization():
+@_check("wavefunction/normalization", 1e-8)
+def _normalization():
     worst = 0.0
     for rep in (_REPS[1], _REPS[2], _REPS[3]):
         for n in range(0, 9, 2):
             state = wf.QuantumState(rep, n)
             for t in (0.0, 0.31 * rep.tau0):
                 worst = max(worst, abs(wf.norm_quadrature(state, t) - 1.0))
-    return _result("wavefunction/normalization", worst, 1e-8)
+    return worst
 
 
-def check_orthogonality():
+@_check("wavefunction/orthogonality", 1e-8)
+def _orthogonality():
     rep = _REPS[1]
     worst = 0.0
     t = 0.45
@@ -108,10 +120,11 @@ def check_orthogonality():
     for i in range(7):
         for j in range(i + 1, 7):
             worst = max(worst, abs(wf.overlap(states[i], t, states[j], t)))
-    return _result("wavefunction/orthogonality", worst, 1e-8)
+    return worst
 
 
-def check_schrodinger_residual():
+@_check("wavefunction/schrodinger-residual", 1e-5)
+def _schrodinger_residual():
     rep = _REPS[1]
     state = wf.QuantumState(rep, 2)
     hbar = state.config.hbar
@@ -128,11 +141,11 @@ def check_schrodinger_residual():
     resid = 1j * hbar * dpsi_dt[inner] - hpsi
     rel = math.sqrt(float(np.sum(np.abs(resid) ** 2))) \
         / math.sqrt(float(np.sum(np.abs(hpsi) ** 2)))
-    return _result("wavefunction/schrodinger-residual", rel, 1e-5,
-                   detail="4th-order differences in t and x")
+    return rel, "4th-order differences in t and x"
 
 
-def check_quasiperiodicity():
+@_check("wavefunction/quasiperiodicity", 1e-9)
+def _quasiperiodicity():
     worst = 0.0
     for rep, n, t in ((_REPS[1], 0, 0.4), (_REPS[2], 3, 1.1),
                       (_REPS[3], 1, 0.23), (_REPS[4], 4, 2.0)):
@@ -141,10 +154,11 @@ def check_quasiperiodicity():
         lhs = wf.psi(state, xs, t + 0.5 * rep.tau0)
         rhs = np.exp(-1j * (n + 0.5) * math.pi) * wf.psi(state, xs, t)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("wavefunction/quasiperiodicity", worst, 1e-9)
+    return worst
 
 
-def check_energy_closed_vs_quadrature():
+@_check("wavefunction/energy-closed-vs-quadrature", 1e-8)
+def _energy_closed_vs_quadrature():
     worst = 0.0
     for rep in (_REPS[1], _REPS[3]):
         for n in (0, 2):
@@ -153,36 +167,38 @@ def check_energy_closed_vs_quadrature():
                 closed = wf.energy_expectation(state, t)
                 quad = wf.energy_expectation_quadrature(state, t)
                 worst = max(worst, abs(closed - quad) / abs(closed))
-    return _result("wavefunction/energy-closed-vs-quadrature", worst, 1e-8)
+    return worst
 
 
-def check_dynamical_oracle(delta_scale=1.0):
+@_check("phase/dynamical-oracle-agreement", 1e-8)
+def _dynamical_oracle():
     worst = 0.0
     for rep in (_REPS[0], _REPS[1], _REPS[3]):
         for n in (0, 3):
             state = wf.QuantumState(rep, n)
             for k in (1, 2):
                 closed = phase.dynamical_phase_closed(rep, n, k)
-                oracle = delta_scale * phase.dynamical_phase_oracle(
-                    state, k * 0.5 * rep.tau0)
+                oracle = phase.dynamical_phase_oracle(state, k * 0.5 * rep.tau0)
                 worst = max(worst, abs(closed - oracle))
-    return _result("phase/dynamical-oracle-agreement", worst, 1e-8)
+    return worst
 
 
-def check_closed_vs_oracle(delta_scale=1.0):
+@_check("phase/closed-vs-oracle", 1e-7)
+def _closed_vs_oracle():
     worst = 0.0
     for rep in _REPS:
         for n in (0, 3):
             state = wf.QuantumState(rep, n)
             tau = 0.5 * rep.tau0
             chi, _ = phase.overall_phase_oracle(state, tau)
-            delta = delta_scale * phase.dynamical_phase_oracle(state, tau)
+            delta = phase.dynamical_phase_oracle(state, tau)
             gamma = phase.berry_phase(rep, n, "half").gamma
             worst = max(worst, abs(gamma - (chi - delta)))
-    return _result("phase/closed-vs-oracle", worst, 1e-7)
+    return worst
 
 
-def check_parameter_independence():
+@_check("phase/parameter-independence", 1e-7)
+def _parameter_independence():
     worst = 0.0
     for C, beta, n in ((2.0, 0.0, 1), (0.5, math.pi / 6, 0)):
         values = []
@@ -193,47 +209,46 @@ def check_parameter_independence():
                     state = wf.QuantumState(rep, n, PhysicalConfig(hbar))
                     values.append(phase.berry_phase_oracle(state, 0.5 * rep.tau0))
         worst = max(worst, max(values) - min(values))
-    return _result("phase/parameter-independence", worst, 1e-7)
+    return worst
 
 
-def check_doubling():
+@_check("phase/doubling", 1e-7)
+def _doubling():
     worst_oracle = 0.0
     for rep in (_REPS[1], _REPS[2]):
         for n in (0, 2):
             half = phase.berry_phase(rep, n, "half").gamma
             full = phase.berry_phase(rep, n, "full").gamma
             if full != 2.0 * half:
-                return _result("phase/doubling", 1.0, 1e-7,
-                               detail="closed form failed to double exactly")
+                return 1.0, "closed form failed to double exactly"
             state = wf.QuantumState(rep, n)
             g_half = phase.berry_phase_oracle(state, 0.5 * rep.tau0)
             g_full = phase.berry_phase_oracle(state, rep.tau0)
             worst_oracle = max(worst_oracle, abs(g_full - 2.0 * g_half))
-    return _result("phase/doubling", worst_oracle, 1e-7,
-                   detail="closed form doubles exactly; oracle within 1e-7")
+    return worst_oracle, "closed form doubles exactly; oracle within 1e-7"
 
 
-def check_ge_child():
+@_check("phase/ge-child", 1e-8)
+def _ge_child():
     worst = 0.0
     for rep in (_REPS[0], _REPS[1], _REPS[2], _REPS[3]):
         gc = phase.ge_child_integral(rep)
         ref = phase.berry_phase(rep, 0, "full").gamma
         worst = max(worst, abs(gc - ref))
-    return _result("phase/ge-child", worst, 1e-8)
+    return worst
 
 
-def check_positivity():
+@_check("phase/positivity", 1e-15)
+def _positivity():
     worst = -1.0
     for rep in _REPS[1:]:
         for n in (0, 1, 4):
             g = phase.berry_phase(rep, n, "half").gamma
             worst = max(worst, -g)
             if g <= 0:
-                return _result("phase/positivity", 1.0, 1e-12,
-                               detail=f"gamma <= 0 off the stationary point at C={rep.C}")
+                return 1.0, f"gamma <= 0 off the stationary point at C={rep.C}"
     stationary = phase.berry_phase(_REPS[0], 3, "half").gamma
-    return _result("phase/positivity", abs(stationary), 1e-15,
-                   detail="gamma = 0 only at C=1, beta=0")
+    return abs(stationary), "gamma = 0 only at C=1, beta=0"
 
 
 def _demo_drive():
@@ -242,7 +257,8 @@ def _demo_drive():
     return force, comm
 
 
-def check_ode_residual():
+@_check("driven/ode-residual", 1e-9)
+def _ode_residual():
     rep = _REPS[1]
     force, comm = _demo_drive()
     xp = drv.particular_solution(force, rep, comm, D=0.2 + 0.1j)
@@ -250,19 +266,21 @@ def check_ode_residual():
     resid = xp.xddot(ts) + rep.w ** 2 * xp.x(ts) - force(ts) / rep.M
     scale = max(float(np.max(np.abs(force(ts) / rep.M))),
                 rep.w ** 2 * float(np.max(np.abs(xp.x(ts)))))
-    return _result("driven/ode-residual", float(np.max(np.abs(resid))) / scale, 1e-9)
+    return float(np.max(np.abs(resid))) / scale
 
 
-def check_xp_periodicity():
+@_check("driven/xp-periodicity", 1e-10)
+def _xp_periodicity():
     rep = _REPS[1]
     force, comm = _demo_drive()
     xp = drv.particular_solution(force, rep, comm, D=0.2 + 0.1j)
     ts = np.linspace(0.0, comm.N * rep.tau0, 257)
     dev = np.max(np.abs(xp.x(ts + comm.N * rep.tau0) - xp.x(ts)))
-    return _result("driven/xp-periodicity", float(dev), 1e-10)
+    return float(dev)
 
 
-def check_drive_closed_vs_quadrature():
+@_check("driven/closed-vs-quadrature", 1e-8)
+def _drive_closed_vs_quadrature():
     rep = _REPS[1]
     force, comm = _demo_drive()
     worst = 0.0
@@ -271,10 +289,11 @@ def check_drive_closed_vs_quadrature():
         closed = drv.drive_phase_closed(force, comm, rep.M, rep.w, 1.0, D)
         quad = drv.drive_phase_quadrature(xp, rep.M, 1.0, comm.N * rep.tau0)
         worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-30))
-    return _result("driven/closed-vs-quadrature", worst, 1e-8)
+    return worst
 
 
-def check_drive_decomposition():
+@_check("driven/decomposition-independence", 1e-8)
+def _drive_decomposition():
     force, comm = _demo_drive()
     reference = None
     worst = 0.0
@@ -286,19 +305,21 @@ def check_drive_decomposition():
                 reference = drive_part
             worst = max(worst, abs(drive_part - reference),
                         abs(res.drive_quadrature - reference))
-    return _result("driven/decomposition-independence", worst, 1e-8)
+    return worst
 
 
-def check_special_rep_scaling():
+@_check("driven/special-rep-scaling", 1e-10)
+def _special_rep_scaling():
     force, comm = _demo_drive()
     w = comm.N * force.omega_f / comm.p
     full = drv.drive_phase_closed(force, comm, M=1.3, w=w, hbar=0.7, D=0j)
     special = drv.berry_phase_special_rep(force, M=1.3, w=w, hbar=0.7)
-    return _result("driven/special-rep-scaling", abs(full / comm.p - special),
-                   1e-10, detail="tau_f evolution equals the joint cycle over p")
+    return (abs(full / comm.p - special),
+            "tau_f evolution equals the joint cycle over p")
 
 
-def check_drive_phase_scaling():
+@_check("driven/phase-scaling", 1e-12)
+def _drive_phase_scaling():
     # fixed x_p shape means f_n scales with M and D stays put
     force, comm = _demo_drive()
     w = comm.N * force.omega_f / comm.p
@@ -309,56 +330,48 @@ def check_drive_phase_scaling():
     doubled = drv.drive_phase_closed(doubled_force, comm, M=2.0, w=w, hbar=1.0,
                                      D=0.2j)
     dev = max(abs(half_hbar - 2.0 * base), abs(doubled - 2.0 * base))
-    return _result("driven/phase-scaling", dev, 1e-12,
-                   detail="drive term goes as 1/hbar and as M at fixed x_p")
+    return dev, "drive term goes as 1/hbar and as M at fixed x_p"
 
 
-_QUAD_CASES = None
+# Analytic integrals (integrand, a, b, exact value) for the quadrature check.
+QUADRATURE_CASES = (
+    (lambda t: np.sin(t) ** 2, 0.0, TWO_PI, math.pi),
+    (lambda t: np.exp(t), 0.0, 1.0, math.e - 1.0),
+    (lambda t: np.cos(10 * t), 0.0, math.pi, math.sin(10 * math.pi) / 10),
+    (lambda t: 1.0 / (1.0 + t * t), -1.0, 1.0, 0.5 * math.pi),
+    (lambda t: t ** 5, 0.0, 1.0, 1.0 / 6.0),
+    (lambda t: np.exp(-t * t), -6.0, 6.0, math.sqrt(math.pi) * math.erf(6.0)),
+    (lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, 1.0 + 1.0j),
+    (lambda t: t * np.exp(-t), 0.0, 20.0, 1.0 - 21.0 * math.exp(-20.0)),
+    (lambda t: np.sin(3 * t) * np.cos(2 * t), 0.0, math.pi, 1.2),
+    (lambda t: np.cosh(t), -1.0, 1.0, 2.0 * math.sinh(1.0)),
+    (lambda t: 1.0 / (2.0 + np.cos(t)), 0.0, TWO_PI, TWO_PI / math.sqrt(3.0)),
+    (lambda t: t * np.sin(t), 0.0, math.pi, math.pi),
+    (lambda t: np.log1p(t), 0.0, 1.0, 2.0 * math.log(2.0) - 1.0),
+    (lambda t: t * t * np.exp(-t * t), -8.0, 8.0, 0.5 * math.sqrt(math.pi)),
+    (lambda t: np.exp(-t) * np.cos(5 * t), 0.0, 10.0,
+     (math.exp(-10) * (-math.cos(50) + 5 * math.sin(50)) + 1.0) / 26.0),
+    (lambda t: 1.0 / np.cosh(t) ** 2, -3.0, 3.0, 2.0 * math.tanh(3.0)),
+    (lambda t: np.exp(-t * t) * (1.0 + 2.0j * t), -5.0, 5.0,
+     math.sqrt(math.pi) * math.erf(5.0) + 0j),
+    (lambda t: t ** 7 - 3 * t ** 3 + 1.0, -2.0, 3.0, 744.375),
+    (lambda t: np.sin(t) * np.exp(np.cos(t)), 0.0, math.pi, math.e - 1.0 / math.e),
+    (lambda t: 1.0 / (1.0 + np.exp(t)), 0.0, 1.0,
+     1.0 + math.log(2.0) - math.log(1.0 + math.e)),
+    (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 0.4 * math.atan(5.0)),
+)
 
 
-def _quad_battery():
-    global _QUAD_CASES
-    if _QUAD_CASES is None:
-        e = math.e
-        _QUAD_CASES = [
-            (lambda t: np.sin(t) ** 2, 0.0, TWO_PI, math.pi),
-            (lambda t: np.exp(t), 0.0, 1.0, e - 1.0),
-            (lambda t: np.cos(10 * t), 0.0, math.pi, math.sin(10 * math.pi) / 10),
-            (lambda t: 1.0 / (1.0 + t * t), -1.0, 1.0, 0.5 * math.pi),
-            (lambda t: t ** 5, 0.0, 1.0, 1.0 / 6.0),
-            (lambda t: np.exp(-t * t), -6.0, 6.0, math.sqrt(math.pi) * math.erf(6.0)),
-            (lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, 1.0 + 1.0j),
-            (lambda t: t * np.exp(-t), 0.0, 20.0, 1.0 - 21.0 * math.exp(-20.0)),
-            (lambda t: np.sin(3 * t) * np.cos(2 * t), 0.0, math.pi, 1.2),
-            (lambda t: np.cosh(t), -1.0, 1.0, 2.0 * math.sinh(1.0)),
-            (lambda t: 1.0 / (2.0 + np.cos(t)), 0.0, TWO_PI, TWO_PI / math.sqrt(3.0)),
-            (lambda t: t * np.sin(t), 0.0, math.pi, math.pi),
-            (lambda t: np.log1p(t), 0.0, 1.0, 2.0 * math.log(2.0) - 1.0),
-            (lambda t: t * t * np.exp(-t * t), -8.0, 8.0, 0.5 * math.sqrt(math.pi)),
-            (lambda t: np.exp(-t) * np.cos(5 * t), 0.0, 10.0,
-             (math.exp(-10) * (-math.cos(50) + 5 * math.sin(50)) + 1.0) / 26.0),
-            (lambda t: 1.0 / np.cosh(t) ** 2, -3.0, 3.0, 2.0 * math.tanh(3.0)),
-            (lambda t: np.exp(-t * t) * (1.0 + 2.0j * t), -5.0, 5.0,
-             math.sqrt(math.pi) * math.erf(5.0) + 0j),
-            (lambda t: t ** 7 - 3 * t ** 3 + 1.0, -2.0, 3.0, 744.375),
-            (lambda t: np.sin(t) * np.exp(np.cos(t)), 0.0, math.pi, e - 1.0 / e),
-            (lambda t: 1.0 / (1.0 + np.exp(t)), 0.0, 1.0,
-             1.0 + math.log(2.0) - math.log(1.0 + e)),
-            (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 0.4 * math.atan(5.0)),
-        ]
-    return _QUAD_CASES
-
-
-def check_quadrature_battery():
+@_check("numerics/quadrature-battery", 1.0 + 1e-9)
+def _quadrature_battery():
     spec = numerics.DEFAULT_QUADRATURE
     worst = 0.0
-    for f, a, b, exact in _quad_battery():
+    for f, a, b, exact in QUADRATURE_CASES:
         value, estimate = integrate_1d(f, a, b, spec)
         true_err = abs(value - exact)
         allowance = max(estimate, spec.abs_tol, spec.rel_tol * abs(exact))
         worst = max(worst, true_err / allowance)
-    return _result("numerics/quadrature-battery", worst, 1.0 + 1e-9,
-                   detail=f"{len(_quad_battery())} analytic integrals")
+    return worst, f"{len(QUADRATURE_CASES)} analytic integrals"
 
 
 def _analytic_grid_state(state, half, points, t):
@@ -366,7 +379,8 @@ def _analytic_grid_state(state, half, points, t):
     return GridState(-half, half, points, wf.psi(state, xs, t), t)
 
 
-def check_propagator_order():
+@_check("numerics/propagator-order", 0.5)
+def _propagator_order():
     rep = _REPS[1]
     state = wf.QuantumState(rep, 0)
     half = wf.grid_halfwidth(state) * 1.1
@@ -382,63 +396,26 @@ def check_propagator_order():
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     ok_ratio = all(3.5 <= r <= 4.5 for r in ratios)
     dev = 0.0 if (ok_ratio and norm_dev < 1e-10) else 1.0
-    return _result("numerics/propagator-order", dev, 0.5,
-                   detail=f"halving ratios {ratios[0]:.2f}, {ratios[1]:.2f};"
-                          f" norm drift {norm_dev:.1e}")
+    return dev, (f"halving ratios {ratios[0]:.2f}, {ratios[1]:.2f};"
+                 f" norm drift {norm_dev:.1e}")
 
 
-def check_rationalize():
+@_check("numerics/rationalize", 0.5)
+def _rationalize():
     cases_ok = (rationalize(2.0 / 3.0, 1e-10) == (2, 3)
                 and rationalize(0.5 + 1e-14, 1e-10) == (1, 2)
                 and rationalize(math.sqrt(2.0), 1e-12, 10 ** 6) is None)
-    return _result("numerics/rationalize", 0.0 if cases_ok else 1.0, 0.5)
+    return 0.0 if cases_ok else 1.0
 
 
-_ALL_CHECKS = (
-    check_wronskian_constant,
-    check_rho_half_period,
-    check_half_turn_identity,
-    check_rho_dot_finite_difference,
-    check_normalization,
-    check_orthogonality,
-    check_schrodinger_residual,
-    check_quasiperiodicity,
-    check_energy_closed_vs_quadrature,
-    check_dynamical_oracle,
-    check_closed_vs_oracle,
-    check_parameter_independence,
-    check_doubling,
-    check_ge_child,
-    check_positivity,
-    check_ode_residual,
-    check_xp_periodicity,
-    check_drive_closed_vs_quadrature,
-    check_drive_decomposition,
-    check_special_rep_scaling,
-    check_drive_phase_scaling,
-    check_quadrature_battery,
-    check_propagator_order,
-    check_rationalize,
-)
-
-_SCALED = {"check_dynamical_oracle", "check_closed_vs_oracle"}
-
-
-def _matches(func_name: str, patterns: list[str]) -> bool:
-    normalized = func_name.replace("check_", "")
-    return any(p in normalized or normalized in p for p in patterns)
-
-
-def run_battery(delta_scale: float = 1.0,
-                only: Optional[Iterable[str]] = None) -> list[CheckResult]:
-    """Run the invariant battery; `only` filters by check name substring."""
-    wanted = [w.replace("/", "_").replace("-", "_") for w in only] if only else None
+def run_battery(only: Optional[Iterable[str]] = None) -> list[CheckResult]:
+    """Run the checks in report order; with `only`, just those whose printed
+    name contains one of its strings."""
     results = []
-    for func in _ALL_CHECKS:
-        if wanted is not None and not _matches(func.__name__, wanted):
+    for name, tol, func in CHECKS:
+        if only and not any(part in name for part in only):
             continue
-        if func.__name__ in _SCALED:
-            results.append(func(delta_scale))
-        else:
-            results.append(func())
+        out = func()
+        max_dev, detail = out if isinstance(out, tuple) else (out, "")
+        results.append(CheckResult(name, max_dev < tol, float(max_dev), tol, detail))
     return results

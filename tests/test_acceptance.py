@@ -149,7 +149,7 @@ def test_criterion_06_ge_child():
 
 def test_criterion_07_equivalence_classes():
     beta = math.pi / 3  # cos beta = 1/2
-    values = equivalence_class_C(beta, 0.0, 2)
+    values = equivalence_class_C(beta, 2)
     assert len(values) == 8
     worst = 0.0
     for c in values:

@@ -487,11 +487,43 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
-    def test_perturbation_canary_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--perturb-delta",
+    def test_perturbation_canary_fails(self, capsys, monkeypatch):
+        # a relative error of 1e-6 in the dynamical-phase oracle must show
+        from shoberry import phase
+        oracle = phase.dynamical_phase_oracle
+        monkeypatch.setattr(phase, "dynamical_phase_oracle",
+                            lambda *a: (1.0 + 1e-6) * oracle(*a))
+        code, out, _ = run_cli(capsys, "validate",
                                "--only", "dynamical-oracle-agreement")
         assert code == 1
         assert "FAIL phase/dynamical-oracle-agreement" in out
+
+    def test_only_matches_printed_name_prefix(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--only", "numerics")
+        assert code == 0
+        names = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert names == ["numerics/quadrature-battery", "numerics/propagator-order",
+                         "numerics/rationalize"]
+
+    def test_only_matches_across_the_slash(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--only", "driven/xp")
+        assert code == 0
+        assert out.splitlines()[0].split()[:2] == ["PASS", "driven/xp-periodicity"]
+        assert out.splitlines()[-1] == "1/1 checks passed"
+
+    def test_only_is_not_matched_backwards(self, capsys):
+        # a string that merely contains a check's name selects nothing
+        code, out, err = run_cli(capsys, "validate", "--only", "zzrationalizezz")
+        assert code == 2
+        assert out == "" and "no checks matched" in err
+
+    @pytest.mark.parametrize("argv", [("--C", "0"), ("--config", "x.json"),
+                                      ("--perturb-delta",)])
+    def test_run_flags_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

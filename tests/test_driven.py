@@ -445,7 +445,7 @@ class TestPsiDriven:
         for t in (0.0, 1.7):
             value, _ = integrate_1d(
                 lambda xs: np.abs(psi_driven(state, xp, xs, t)) ** 2,
-                -half, half, initial_panels=8)
+                -half, half)
             assert abs(value - 1.0) < 1e-8
 
     def test_schrodinger_residual_with_force(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shoberry.errors import ConvergenceError
 from shoberry.numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
                                integrate_1d, propagate_schrodinger, rationalize)
-from shoberry.selfcheck import _quad_battery
+from shoberry.selfcheck import QUADRATURE_CASES
 
 from _ode import rk_integrate
 
@@ -34,13 +34,13 @@ class TestIntegrate1d:
 
     def test_error_estimate_bounds_true_error(self):
         spec = DEFAULT_QUADRATURE
-        for f, a, b, exact in _quad_battery():
+        for f, a, b, exact in QUADRATURE_CASES:
             value, estimate = integrate_1d(f, a, b, spec)
             allowance = max(estimate, spec.abs_tol, spec.rel_tol * abs(exact))
             assert abs(value - exact) <= allowance, f"case [{a}, {b}]"
 
     def test_battery_is_large_enough(self):
-        assert len(_quad_battery()) >= 20
+        assert len(QUADRATURE_CASES) >= 20
 
     def test_refinement_cap(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_refinements=2)

@@ -289,7 +289,7 @@ class TestGeChild:
 class TestEquivalenceClasses:
     def test_reproduces_reference_sequence(self):
         beta = math.pi / 3  # cos beta = 1/2
-        values = equivalence_class_C(beta, 0.0, 2)
+        values = equivalence_class_C(beta, 2)
         expected = []
         for m in (-2, -1, 1, 2):
             a = (4 * m + 1) * 0.5
@@ -300,27 +300,23 @@ class TestEquivalenceClasses:
 
     def test_members_have_zero_canonical_phase(self):
         beta = math.pi / 3
-        for c in equivalence_class_C(beta, 0.0, 2):
+        for c in equivalence_class_C(beta, 2):
             for n in range(5):
                 g = berry_phase(Representation(1, 1, c, beta), n, "half")
                 assert min(g.gamma_canonical, TWO_PI - g.gamma_canonical) < 1e-9
 
     def test_m_zero_included_when_real(self):
-        values = equivalence_class_C(0.0, 0.0, 1)
+        values = equivalence_class_C(0.0, 1)
         assert any(abs(v - 1.0) < 1e-12 for v in values)  # a = 1, double root
 
     def test_infeasible_m_skipped(self):
         # cos beta = 1/2 makes m = 0 complex: only the m = +-1 pairs remain
-        values = equivalence_class_C(math.pi / 3, 0.0, 1)
+        values = equivalence_class_C(math.pi / 3, 1)
         assert len(values) == 4
-
-    def test_nonzero_target_rejected(self):
-        with pytest.raises(ValueError):
-            equivalence_class_C(math.pi / 3, 1.0, 2)
 
     def test_degenerate_beta_rejected(self):
         with pytest.raises(InvalidRepresentationError):
-            equivalence_class_C(math.pi / 2, 0.0, 2)
+            equivalence_class_C(math.pi / 2, 2)
 
 
 class TestPhaseResultForHalfPeriods:
