@@ -21,7 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional
@@ -29,17 +29,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
-                     commensurability, berry_phase_driven,
-                     drive_phase_quadrature, particular_solution)
+                     commensurability, drive_homogeneous_closed, drive_phase_closed,
+                     drive_phase_quadratures, particular_solution)
 from .errors import (ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, UndefinedPhaseError)
-from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
+from .phase import (_oracle_batch, berry_phase, closed_form_overflow,
+                    closed_form_phases)
 from .representation import PhysicalConfig, Representation, kinematics, validate
 from .selfcheck import run_battery
 from .wavefunction import check_quantum_number
 
-_DRIVEN_COLUMNS = ["n", "gamma_undriven_part", "drive_part_closed",
-                   "drive_part_quadrature", "gamma_total", "p", "N"]
 _FORMATS = ("csv", "json")
 # What a sweep point may raise; its row reports the message and the run goes on.
 _POINT_ERRORS = (InvalidParameterError, UndefinedPhaseError, ConvergenceError,
@@ -539,62 +538,106 @@ def _berry_grid(cfg, axes):
     return columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
 
 
-def _driven_table(rep, physical, ns, force, D, comm_tol) -> dict:
-    D = check_amplitude(D)   # before the D == 0 test of the fallback below
-    try:
-        comm = commensurability(rep.tau0, force.tau_f, comm_tol)
-    except IncommensurateError:
-        if D == 0 and rep.C == 1.0 and rep.beta == 0.0:
-            # Stationary-based special representation: the phase over one
-            # force period exists for any periodic drive. p = N = 0 marks
-            # the tau_f duration in the report. Each n is still checked, as
-            # berry_phase_driven checks it on the other path.
-            ns = [check_quantum_number(n) for n in ns]
-            gamma = berry_phase_special_rep(force, rep.M, rep.w, physical.hbar)
-            xp = particular_solution(force, rep, None, 0j)
-            quad = drive_phase_quadrature(xp, rep.M, physical.hbar, force.tau_f)
-            k = len(ns)
-            return {"n": [int(n) for n in ns], "gamma_undriven_part": [0.0] * k,
-                    "drive_part_closed": [gamma] * k,
-                    "drive_part_quadrature": [quad] * k, "gamma_total": [gamma] * k,
-                    "p": [0] * k, "N": [0] * k}
-        raise
-    results = [berry_phase_driven(rep, int(n), force, D, comm, physical) for n in ns]
-    return {"n": [int(n) for n in ns],
-            "gamma_undriven_part": [r.gamma_undriven for r in results],
-            "drive_part_closed": [r.drive_closed for r in results],
-            "drive_part_quadrature": [r.drive_quadrature for r in results],
-            "gamma_total": [r.gamma_total for r in results],
-            "p": [int(r.p) for r in results], "N": [int(r.N) for r in results]}
-
-
 def _driven_grid(cfg, axes):
-    """Driven columns at every point of the product of ``axes``, as
-    _berry_grid gives berry columns; each point goes through _driven_table."""
-    values = [ax.values() for ax in axes]
-    per_point = 1 if any(ax.parameter == "n" for ax in axes) else len(cfg.n)
-    parts, errors = [], []
-    for combo in _point_index(axes).T.tolist():
-        point = {ax.parameter: vals[i] for ax, vals, i in zip(axes, values, combo)}
-        omega_f = point.get("omega_f", cfg.force.omega_f)
+    """Driven columns at every point of the product of ``axes`` (C, beta, n,
+    omega_f, D_re and D_im; none for the driven command), as _berry_grid
+    gives berry columns.
+
+    What points share is built once, or fails once: each (C, beta) cell's
+    Representation and undriven phases, and each omega_f's force,
+    commensurability, particular solution modes and D-free closed drive
+    term. The drive quadrature, which does not depend on n, integrates each
+    point once: one drive_phase_quadratures call per group of points whose
+    particular solutions share frequencies and duration. A point's first
+    error wins, in berry_phase_driven's order: cell, force, D, periods,
+    particular solution, undriven phase (first failing n), closed drive
+    term, quadrature. An incommensurate point of the special representation
+    (C = 1, beta = 0, D = 0) gets the phase over one force period instead,
+    with p = N = 0: its n, the special closed form, the particular solution
+    and the quadrature, in that order.
+    """
+    values = {ax.parameter: ax.values() for ax in axes}
+    points = math.prod(ax.steps for ax in axes)
+    index = dict(zip(values, _point_index(axes)))
+
+    def at(name, default) -> list:
+        """The value of parameter ``name`` at every point."""
+        if name not in index:
+            return [default] * points
+        return [values[name][i] for i in index[name].tolist()]
+
+    ns = values.get("n", cfg.n)
+    slots = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
+    M, w, hbar, force0 = cfg.rep.M, cfg.rep.w, cfg.physical.hbar, cfg.force
+    shared = {}
+
+    def once(key, build):
+        """build() on the first call for ``key``, what it gave after; a
+        point error it raised is raised again."""
+        if key not in shared:
+            try:
+                shared[key] = build()
+            except _POINT_ERRORS as exc:
+                shared[key] = exc
+        if isinstance(shared[key], Exception):
+            raise shared[key]
+        return shared[key]
+
+    undriven = np.zeros(slots.shape)
+    closed, quadrature = np.zeros((points, 1)), np.zeros((points, 1))
+    pN = np.zeros((points, 2), dtype=int)
+    errors = [None] * points
+    groups = {}   # (duration, frequencies) -> {point: particular solution}
+    for p, (C, beta, omega_f, D_re, D_im, slot) in enumerate(zip(
+            at("C", cfg.rep.C), at("beta", cfg.rep.beta), at("omega_f", force0.omega_f),
+            at("D_re", cfg.D.real), at("D_im", cfg.D.imag), slots.tolist())):
         try:
-            rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=point.get("C", cfg.rep.C),
-                                 beta=point.get("beta", cfg.rep.beta))
-            force = cfg.force if omega_f == cfg.force.omega_f else \
-                DrivingForce(omega_f, cfg.force.coefficients)
-            part = _driven_table(
-                rep, cfg.physical, [point["n"]] if "n" in point else cfg.n, force,
-                complex(point.get("D_re", cfg.D.real), point.get("D_im", cfg.D.imag)),
-                cfg.comm_tol)
+            rep = once(("rep", C, beta), lambda: Representation(M=M, w=w, C=C, beta=beta))
+            force = once(("force", omega_f), lambda: force0 if omega_f == force0.omega_f
+                         else DrivingForce(omega_f, force0.coefficients))
+            D = check_amplitude(complex(D_re, D_im))
+            try:
+                comm = once(("comm", omega_f),
+                            lambda: commensurability(rep.tau0, force.tau_f, cfg.comm_tol))
+            except IncommensurateError:
+                if not (D == 0 and rep.C == 1.0 and rep.beta == 0.0):
+                    raise
+                comm = None
+            if comm is None:
+                # stationary-based special representation: the phase over one
+                # force period exists for any periodic drive
+                for k in slot:
+                    check_quantum_number(ns[k])
+                closed[p] = once(("special", omega_f),
+                                 lambda: berry_phase_special_rep(force, M, w, hbar))
+                xp = once(("xp", omega_f), lambda: particular_solution(force, rep, None))
+                duration = force.tau_f
+            else:
+                xp = once(("xp", omega_f), lambda: particular_solution(force, rep, comm))
+                for i, k in enumerate(slot):
+                    undriven[p, i] = comm.N * once(
+                        ("gamma", C, beta, ns[k]), lambda: berry_phase(rep, ns[k], "full").gamma)
+                closed[p] = once(("closed", omega_f),
+                                 lambda: drive_phase_closed(force, comm, M, w, hbar)) \
+                    + drive_homogeneous_closed(comm, M, w, hbar, D)
+                pN[p] = comm.p, comm.N
+                duration = comm.N * rep.tau0
+                if D != 0:
+                    xp = replace(xp, D=D)
         except _POINT_ERRORS as exc:
-            part = dict.fromkeys(_DRIVEN_COLUMNS, [0] * per_point)
-            errors.append(exc)
+            errors[p] = exc
         else:
-            errors.append(None)
-        parts.append(part)
-    columns = {name: np.array([v for part in parts for v in part[name]]).reshape(
-        len(parts), per_point) for name in _DRIVEN_COLUMNS}
-    return columns, {}, errors
+            groups.setdefault((duration, xp._nu.tobytes()), {})[p] = xp
+    for (duration, _), group in groups.items():
+        quadrature[list(group), 0], failures = drive_phase_quadratures(
+            list(group.values()), M, hbar, duration)
+        for p, failure in zip(group, failures):
+            errors[p] = failure
+    columns = {"n": np.array(ns)[slots], "gamma_undriven_part": undriven,
+               "drive_part_closed": closed, "drive_part_quadrature": quadrature,
+               "gamma_total": undriven + closed, "p": pN[:, :1], "N": pN[:, 1:]}
+    return {name: np.broadcast_to(column, slots.shape)
+            for name, column in columns.items()}, {}, errors
 
 
 def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
@@ -619,14 +662,21 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     return table
 
 
-def cmd_berry(args) -> int:
-    cfg = _load_config(args)
-    columns, present, errors = _berry_grid(cfg, ())
+def _point_table(cfg, grid) -> dict:
+    """The report of the one point a berry or driven command asks for; its
+    error, if it has one, is raised."""
+    columns, present, errors = grid(cfg, ())
     if errors[0] is not None:
         raise errors[0]
     table = _sweep_table((), columns, present, errors)
     del table["error"]
-    _emit("berry", table, cfg, extra={"duration": cfg.duration * 0.5 * cfg.rep.tau0})
+    return table
+
+
+def cmd_berry(args) -> int:
+    cfg = _load_config(args)
+    _emit("berry", _point_table(cfg, _berry_grid), cfg,
+          extra={"duration": cfg.duration * 0.5 * cfg.rep.tau0})
     return 0
 
 
@@ -635,8 +685,7 @@ def cmd_driven(args) -> int:
     if cfg.force is None:
         raise ConfigError("the driven command needs a force section"
                           " (--omega-f plus --force-coeff, or config JSON)")
-    _emit("driven", _driven_table(cfg.rep, cfg.physical, cfg.n, cfg.force, cfg.D,
-                                  cfg.comm_tol), cfg)
+    _emit("driven", _point_table(cfg, _driven_grid), cfg)
     return 0
 
 

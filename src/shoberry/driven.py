@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, ResonanceError)
-from .numerics import integrate_1d, rationalize, sample_vectorized
+from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_rows,
+                       rationalize, sample_vectorized)
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
 from .wavefunction import QuantumState, _parts, _scalar_time, hermite
@@ -60,19 +61,29 @@ def _mode_arrays(coefficients: Mapping[int, complex], omega_f: float,
     return nu, amp
 
 
-def _blocked_sum(t, basis, coeff):
-    """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a float.
+def _blocked_rows(t, basis, coeffs):
+    """Re sum_k coeffs[r, k] basis(t)_k for every row r of ``coeffs`` and every
+    time of the 1-d array t, as a (rows, t.size) array.
 
-    ``basis`` maps a column of B times to a (B, coeff.size) matrix. Times go
-    through it in blocks, so temporaries stay bounded for any number of times.
+    ``basis`` maps a column of B times to a (B, coeffs.shape[1]) matrix. Times
+    go through it in blocks, so temporaries stay bounded for any number of
+    times; each block's basis is evaluated once and shared by the rows.
     """
+    out = np.empty((len(coeffs), t.size))
+    block = max(1, _BLOCK // max(coeffs.shape[1], 1))
+    for start in range(0, t.size, block):
+        values = basis(t[start:start + block, None])
+        for row, coeff in zip(out, coeffs):
+            row[start:start + block] = np.sum(values * coeff, axis=1).real
+        del values   # not alive while the next block's basis is made
+    return out
+
+
+def _blocked_sum(t, basis, coeff):
+    """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a
+    float. _blocked_rows for one row."""
     arr = np.asarray(t, dtype=float)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.shape)
-    block = max(1, _BLOCK // max(coeff.size, 1))
-    for start in range(0, flat.size, block):
-        ts = flat[start:start + block, None]
-        out[start:start + block] = np.sum(basis(ts) * coeff, axis=1).real
+    out = _blocked_rows(arr.reshape(-1), basis, coeff[None])[0]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -302,7 +313,8 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
     2 pi N^3 p^2 / (hbar M w^3) * sum_n n^2 |f_n|^2 / (p^2 n^2 - N^2)^2
     + 4 pi (M N w / hbar) |D|^2. Every mode and the two homogeneous
     frequencies +/-w contribute their mean-square velocity over the joint
-    period; cross terms integrate to zero there.
+    period; cross terms integrate to zero there. The value at D = 0 plus
+    drive_homogeneous_closed is bit for bit the value at D.
     """
     p, N = comm.p, comm.N
     total = 0.0
@@ -318,15 +330,46 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
                 f"mode {n} coincides with the oscillator frequency (p*n = N)")
         total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
     drive = 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total
-    drive += 4.0 * math.pi * M * N * w * abs(complex(D)) ** 2 / hbar
-    return drive
+    return drive + drive_homogeneous_closed(comm, M, w, hbar, D)
+
+
+def drive_homogeneous_closed(comm: Commensurability, M: float, w: float,
+                             hbar: float, D: complex) -> float:
+    """The homogeneous amplitude's term of drive_phase_closed."""
+    return 4.0 * math.pi * M * comm.N * w * abs(complex(D)) ** 2 / hbar
+
+
+def drive_phase_quadratures(xps, M: float, hbar: float, duration: float,
+                            spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature, for
+    particular solutions ``xps`` that share their frequencies.
+
+    One integrate_rows call with a row per solution: each block of nodes
+    evaluates the basis exp(i nu t) once, and each row's value is bit for bit
+    what drive_phase_quadrature gives for that solution alone. Returns
+    (values, failures): a float array, and per row the ConvergenceError of a
+    row that hit the refinement cap, else None.
+    """
+    nu = xps[0]._nu
+    if any(not np.array_equal(xp._nu, nu) for xp in xps):
+        raise ValueError("particular solutions must share their frequencies")
+    coeffs = np.array([1j * nu * xp._amp for xp in xps])
+
+    def rows(active, nodes):
+        return _blocked_rows(nodes, lambda ts: np.exp(1j * nu * ts), coeffs[active]) ** 2
+
+    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps), spec)
+    return M * values / hbar, failures
 
 
 def drive_phase_quadrature(xp: ParticularSolution, M: float, hbar: float,
                            duration: float) -> float:
-    """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature."""
-    value, _ = integrate_1d(lambda ts: xp.xdot(ts) ** 2, 0.0, duration)
-    return M * float(value) / hbar
+    """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature:
+    drive_phase_quadratures for one solution."""
+    (value,), (failure,) = drive_phase_quadratures([xp], M, hbar, duration)
+    if failure is not None:
+        raise failure
+    return float(value)
 
 
 @dataclass(frozen=True)

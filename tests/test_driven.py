@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import tracemalloc
 
@@ -10,11 +11,15 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              ParticularSolution, action_phase,
                              berry_phase_driven, berry_phase_special_rep,
                              commensurability, drive_phase_closed,
-                             drive_phase_quadrature, fourier_decompose,
+                             drive_phase_quadrature, drive_phase_quadratures,
+                             fourier_decompose,
                              particular_solution, psi_driven,
                              velocity_squared_integral)
+from shoberry import cli
 from shoberry.errors import (ConditioningError, ConvergenceError,
-                             IncommensurateError, ResonanceError)
+                             IncommensurateError, InvalidParameterError,
+                             ResonanceError)
+from shoberry.numerics import QuadratureSpec, integrate_1d
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
@@ -424,6 +429,119 @@ class TestSpecialRepresentation:
         xp = particular_solution(force, rep, None, 0j)
         quad = drive_phase_quadrature(xp, rep.M, 1.0, force.tau_f)
         assert abs(gamma - quad) < 1e-8 * gamma
+
+
+GOLDEN_RATIO_F = "0.61803398874989484"   # incommensurate with w = 1
+TWO_MODE_FORCE = ["--force-coeff", "1:0.5:0", "--force-coeff", "3:0.1:0.05"]
+
+
+def driven_rows(capsys, *argv):
+    """The rows of a driven report, read back from its round-trip JSON."""
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+def one_point_quadrature(row, C, beta, hbar):
+    """drive_phase_quadrature for the point of a sweep row, built from scratch."""
+    rep = Representation(1.0, 1.0, C, beta)
+    force = DrivingForce(row["omega_f"], {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j,
+                                          -3: 0.1 - 0.05j})
+    D = complex(row.get("D_re", 0.0), row.get("D_im", 0.0))
+    try:
+        comm = commensurability(rep.tau0, force.tau_f)
+    except IncommensurateError:
+        xp, duration = particular_solution(force, rep, None), force.tau_f
+    else:
+        xp, duration = particular_solution(force, rep, comm, D), comm.N * rep.tau0
+    return drive_phase_quadrature(xp, rep.M, hbar, duration)
+
+
+class TestDrivenSweep:
+    """The driven sweep integrates each point once, in batches of points that
+    share frequencies and duration; every row is bit for bit the one-point
+    quadrature."""
+
+    @pytest.mark.parametrize("n_flags", [("--n", "0,2,5"), ("--sweep", "n:0:4:3")],
+                             ids=["n-list", "n-axis"])
+    @pytest.mark.parametrize("C,beta,omega_f_axis", [
+        # N = 2, 8 and 4: three commensurate groups
+        (1.3, 0.2, "omega_f:0.5:0.75:3"),
+        # the special representation at the incommensurate omega_f (D = 0
+        # only; D != 0 is refused there), next to a commensurate one
+        (1.0, 0.0, f"omega_f:0.5:{GOLDEN_RATIO_F}:2"),
+    ], ids=["commensurate", "special"])
+    def test_rows_equal_one_point_quadrature(self, capsys, n_flags, C, beta,
+                                             omega_f_axis):
+        rows = driven_rows(capsys, "sweep", "--C", str(C), "--beta", str(beta),
+                           "--hbar", "0.7", "--omega-f", "0.5", *TWO_MODE_FORCE,
+                           *n_flags, "--sweep", omega_f_axis,
+                           "--sweep", "D_re:0:0.2:2", "--sweep", "D_im:-0.1:0.1:3")
+        computed = [row for row in rows if row["error"] is None]
+        assert len({(row["D_re"], row["D_im"]) for row in computed}) == 6
+        if C == 1.0:
+            assert {(row["p"], row["N"]) for row in computed} == {(0, 0), (1, 2)}
+            refused = [row for row in rows if row["error"]]
+            assert {row["omega_f"] for row in refused} == {float(GOLDEN_RATIO_F)}
+            assert (0.0, 0.0) not in {(row["D_re"], row["D_im"]) for row in refused}
+        else:
+            assert {row["N"] for row in computed} == {2, 8, 4}
+        for row in computed:
+            assert row["drive_part_quadrature"] == one_point_quadrature(
+                row, C, beta, 0.7)
+
+    def test_each_point_is_integrated_once(self, capsys, monkeypatch):
+        batches = []
+
+        def counting(xps, *args):
+            batches.append(len(xps))
+            return drive_phase_quadratures(xps, *args)
+
+        monkeypatch.setattr(cli, "drive_phase_quadratures", counting)
+        rows = driven_rows(capsys, "sweep", "--omega-f", "0.5", *TWO_MODE_FORCE,
+                           "--n", "0,1,2", "--sweep", "D_re:-0.2:0.2:3",
+                           "--sweep", "D_im:0:0.1:2")
+        assert len(rows) == 3 * 6
+        assert sorted(batches) == [1, 5]    # D = 0, then the other five points
+
+    def test_failing_points_fail_alone(self, capsys):
+        # omega_f = -0.5 and 0 are refused, omega_f = 1 = w resonates with
+        # mode 1; the 0.5 point between them computes
+        sweep = driven_rows(capsys, "sweep", "--omega-f", "0.5", *TWO_MODE_FORCE,
+                            "--n", "0,1", "--sweep", "omega_f:-0.5:1:4")
+        at = {omega_f: [row for row in sweep if row["omega_f"] == omega_f]
+              for omega_f in (-0.5, 0.0, 0.5, 1.0)}
+        for omega_f in (-0.5, 0.0):
+            with pytest.raises(InvalidParameterError) as refused:
+                DrivingForce(omega_f, {1: 0.5, -1: 0.5})
+            assert [row["error"] for row in at[omega_f]] == [str(refused.value)]
+        argv = ["driven", "--omega-f", "1", *TWO_MODE_FORCE, "--n", "0,1"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {at[1.0][0]['error']}\n"
+        assert len(at[1.0]) == 1 and at[1.0][0]["gamma_total"] is None
+        alone = driven_rows(capsys, *argv[:2], "0.5", *argv[3:])
+        assert [{"omega_f": 0.5, **row, "error": None} for row in alone] == at[0.5]
+
+    def test_quadrature_at_the_cap_fails_alone(self):
+        # three solutions with one frequency vector; only the middle one
+        # carries the fast mode, which two levels cannot resolve
+        spec = QuadratureSpec(max_refinements=1)
+        xps = [ParticularSolution(0.5, {1: 0.3, -1: 0.3, 31: f, -31: f}, D, 1.0)
+               for f, D in ((0j, 0.1j), (0.2 + 0j, 0.1j), (0j, 0.3 + 0j))]
+        duration = 2 * STRETCHED.tau0
+        values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration, spec)
+        with pytest.raises(ConvergenceError) as alone:
+            integrate_1d(lambda ts: xps[1].xdot(ts) ** 2, 0.0, duration, spec)
+        assert str(failures[1]) == str(alone.value) and "refinements" in str(alone.value)
+        assert failures[0] is None and failures[2] is None
+        neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration, spec)
+        assert values[::2].tolist() == neighbours.tolist() == [
+            drive_phase_quadrature(xp, 1.0, 0.7, duration) for xp in xps[::2]]
+
+    def test_solutions_must_share_frequencies(self):
+        xps = [particular_solution(DrivingForce(0.5, {1: 0.3, -1: 0.3}), STRETCHED,
+                                   D=D) for D in (0j, 0.1j)]
+        with pytest.raises(ValueError, match="share"):
+            drive_phase_quadratures(xps, 1.0, 1.0, TWO_PI)
 
 
 class TestPsiDriven:

@@ -42,3 +42,13 @@ def test_report_timing(tmp_path, capsys):
     assert report["rows"] == 5100
     layers = ["grid", "json_render", "csv_render"]
     assert list(report["layer_s"]) == list(report["layer_s_per_1k_rows"]) == layers
+
+
+def test_driven_timing(tmp_path, capsys):
+    report = _run("driven_timing", tmp_path, capsys)
+    assert list(report) == ["request", "points", "modes", "repeats",
+                            "sweep_end_to_end_s", "layer_s", "env"]
+    assert (report["points"], report["modes"]) == (16, 36)
+    assert list(report["layer_s"]) == [
+        "drive_quadrature_per_point", "drive_quadrature_batched",
+        "drive_phase_closed", "particular_solution", "propagation"]
