@@ -21,28 +21,27 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .driven import (DrivingForce, berry_phase_special_rep, check_amplitude,
-                     commensurability, drive_homogeneous_closed, drive_phase_closed,
-                     drive_phase_quadratures, particular_solution)
-from .errors import (ConfigError, ConvergenceError, IncommensurateError,
-                     InvalidParameterError, UndefinedPhaseError)
-from .phase import (_oracle_batch, berry_phase, closed_form_overflow,
-                    closed_form_phases)
+from .driven import (DrivingForce, berry_phases_driven, check_amplitude,
+                     commensurability)
+from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
+                     IncommensurateError, InvalidParameterError, UndefinedPhaseError)
+from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
 from .representation import PhysicalConfig, Representation, kinematics, validate
 from .selfcheck import run_battery
 from .wavefunction import check_quantum_number
 
 _FORMATS = ("csv", "json")
-# What a sweep point may raise; its row reports the message and the run goes on.
-_POINT_ERRORS = (InvalidParameterError, UndefinedPhaseError, ConvergenceError,
-                 ArithmeticError)
+_DRIVEN_COLUMNS = {"gamma_undriven_part": "gamma_undriven",
+                   "drive_part_closed": "drive_closed",
+                   "drive_part_quadrature": "drive_quadrature",
+                   "gamma_total": "gamma_total", "p": "p", "N": "N"}
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
@@ -543,18 +542,13 @@ def _driven_grid(cfg, axes):
     omega_f, D_re and D_im; none for the driven command), as _berry_grid
     gives berry columns.
 
-    What points share is built once, or fails once: each (C, beta) cell's
-    Representation and undriven phases, and each omega_f's force,
-    commensurability, particular solution modes and D-free closed drive
-    term. The drive quadrature, which does not depend on n, integrates each
-    point once: one drive_phase_quadratures call per group of points whose
-    particular solutions share frequencies and duration. A point's first
-    error wins, in berry_phase_driven's order: cell, force, D, periods,
-    particular solution, undriven phase (first failing n), closed drive
-    term, quadrature. An incommensurate point of the special representation
-    (C = 1, beta = 0, D = 0) gets the phase over one force period instead,
-    with p = N = 0: its n, the special closed form, the particular solution
-    and the quadrature, in that order.
+    The points of one (C, beta, omega_f) share a representation, a force and
+    its periods, and make one driven.berry_phases_driven call over their D
+    values and quantum numbers, which integrates each D once. A point's first
+    error wins: its cell's, its force's, its D's, its periods', then those of
+    its quantum numbers in order, each as berry_phases_driven gives it. An
+    incommensurate point of the special representation (C = 1, beta = 0,
+    D = 0) gets the phase over one force period instead, with p = N = 0.
     """
     values = {ax.parameter: ax.values() for ax in axes}
     points = math.prod(ax.steps for ax in axes)
@@ -568,76 +562,52 @@ def _driven_grid(cfg, axes):
 
     ns = values.get("n", cfg.n)
     slots = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
-    M, w, hbar, force0 = cfg.rep.M, cfg.rep.w, cfg.physical.hbar, cfg.force
-    shared = {}
-
-    def once(key, build):
-        """build() on the first call for ``key``, what it gave after; a
-        point error it raised is raised again."""
-        if key not in shared:
-            try:
-                shared[key] = build()
-            except _POINT_ERRORS as exc:
-                shared[key] = exc
-        if isinstance(shared[key], Exception):
-            raise shared[key]
-        return shared[key]
-
-    undriven = np.zeros(slots.shape)
-    closed, quadrature = np.zeros((points, 1)), np.zeros((points, 1))
-    pN = np.zeros((points, 2), dtype=int)
-    errors = [None] * points
-    groups = {}   # (duration, frequencies) -> {point: particular solution}
-    for p, (C, beta, omega_f, D_re, D_im, slot) in enumerate(zip(
+    force0 = cfg.force
+    groups = {}   # (C, beta, omega_f) -> {D: its points}
+    for p, (C, beta, omega_f, D_re, D_im) in enumerate(zip(
             at("C", cfg.rep.C), at("beta", cfg.rep.beta), at("omega_f", force0.omega_f),
-            at("D_re", cfg.D.real), at("D_im", cfg.D.imag), slots.tolist())):
-        try:
-            rep = once(("rep", C, beta), lambda: Representation(M=M, w=w, C=C, beta=beta))
-            force = once(("force", omega_f), lambda: force0 if omega_f == force0.omega_f
-                         else DrivingForce(omega_f, force0.coefficients))
-            D = check_amplitude(complex(D_re, D_im))
-            try:
-                comm = once(("comm", omega_f),
-                            lambda: commensurability(rep.tau0, force.tau_f, cfg.comm_tol))
-            except IncommensurateError:
-                if not (D == 0 and rep.C == 1.0 and rep.beta == 0.0):
-                    raise
-                comm = None
-            if comm is None:
-                # stationary-based special representation: the phase over one
-                # force period exists for any periodic drive
-                for k in slot:
-                    check_quantum_number(ns[k])
-                closed[p] = once(("special", omega_f),
-                                 lambda: berry_phase_special_rep(force, M, w, hbar))
-                xp = once(("xp", omega_f), lambda: particular_solution(force, rep, None))
-                duration = force.tau_f
-            else:
-                xp = once(("xp", omega_f), lambda: particular_solution(force, rep, comm))
-                for i, k in enumerate(slot):
-                    undriven[p, i] = comm.N * once(
-                        ("gamma", C, beta, ns[k]), lambda: berry_phase(rep, ns[k], "full").gamma)
-                closed[p] = once(("closed", omega_f),
-                                 lambda: drive_phase_closed(force, comm, M, w, hbar)) \
-                    + drive_homogeneous_closed(comm, M, w, hbar, D)
-                pN[p] = comm.p, comm.N
-                duration = comm.N * rep.tau0
-                if D != 0:
-                    xp = replace(xp, D=D)
-        except _POINT_ERRORS as exc:
+            at("D_re", cfg.D.real), at("D_im", cfg.D.imag))):
+        groups.setdefault((C, beta, omega_f), {}).setdefault(
+            complex(D_re, D_im), []).append(p)
+    errors, results = [None] * points, [None] * points
+
+    def fail(group, exc):
+        for p in group:
             errors[p] = exc
-        else:
-            groups.setdefault((duration, xp._nu.tobytes()), {})[p] = xp
-    for (duration, _), group in groups.items():
-        quadrature[list(group), 0], failures = drive_phase_quadratures(
-            list(group.values()), M, hbar, duration)
-        for p, failure in zip(group, failures):
-            errors[p] = failure
-    columns = {"n": np.array(ns)[slots], "gamma_undriven_part": undriven,
-               "drive_part_closed": closed, "drive_part_quadrature": quadrature,
-               "gamma_total": undriven + closed, "p": pN[:, :1], "N": pN[:, 1:]}
-    return {name: np.broadcast_to(column, slots.shape)
-            for name, column in columns.items()}, {}, errors
+
+    for (C, beta, omega_f), by_D in groups.items():
+        try:
+            rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=C, beta=beta)
+            force = force0 if omega_f == force0.omega_f else \
+                DrivingForce(omega_f, force0.coefficients)
+        except POINT_ERRORS as exc:
+            fail([p for group in by_D.values() for p in group], exc)
+            continue
+        Ds = {}
+        for D, group in by_D.items():
+            try:
+                Ds[check_amplitude(D)] = group
+            except InvalidParameterError as exc:
+                fail(group, exc)
+        try:
+            comm = commensurability(rep.tau0, force.tau_f, cfg.comm_tol)
+        except IncommensurateError as exc:
+            comm = None
+            for D in [D for D in Ds if D != 0 or not (rep.C == 1.0 and rep.beta == 0.0)]:
+                fail(Ds.pop(D), exc)
+        if not Ds:
+            continue
+        table = berry_phases_driven(rep, ns, force, list(Ds), comm, cfg.physical)
+        for entries, group in zip(table, Ds.values()):
+            for p in group:
+                results[p] = [entries[k] for k in slots[p].tolist()]
+                errors[p] = next((e for e in results[p] if isinstance(e, Exception)), None)
+    columns = {"n": np.array(ns)[slots]}
+    for name, field in _DRIVEN_COLUMNS.items():
+        columns[name] = np.array([[getattr(r, field) for r in row] if error is None
+                                  else [0] * slots.shape[1]
+                                  for row, error in zip(results, errors)])
+    return columns, {}, errors
 
 
 def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:

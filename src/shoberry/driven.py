@@ -24,13 +24,14 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
-                     InvalidParameterError, ResonanceError)
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate_rows,
-                       rationalize, sample_vectorized)
+from .errors import (POINT_ERRORS, ConditioningError, ConvergenceError,
+                     IncommensurateError, InvalidParameterError, ResonanceError)
+from .numerics import (DEFAULT_QUADRATURE, integrate_rows, rationalize,
+                       sample_vectorized)
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
-from .wavefunction import QuantumState, _parts, _scalar_time, hermite
+from .wavefunction import (QuantumState, _parts, _scalar_time,
+                           check_quantum_number, hermite)
 
 # Relative threshold below which a mode coefficient counts as absent, and the
 # conditioning floor on resonance denominators |w^2 - n^2 omega_f^2|.
@@ -313,8 +314,7 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
     2 pi N^3 p^2 / (hbar M w^3) * sum_n n^2 |f_n|^2 / (p^2 n^2 - N^2)^2
     + 4 pi (M N w / hbar) |D|^2. Every mode and the two homogeneous
     frequencies +/-w contribute their mean-square velocity over the joint
-    period; cross terms integrate to zero there. The value at D = 0 plus
-    drive_homogeneous_closed is bit for bit the value at D.
+    period; cross terms integrate to zero there.
     """
     p, N = comm.p, comm.N
     total = 0.0
@@ -330,17 +330,11 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
                 f"mode {n} coincides with the oscillator frequency (p*n = N)")
         total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
     drive = 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total
-    return drive + drive_homogeneous_closed(comm, M, w, hbar, D)
+    drive += 4.0 * math.pi * M * N * w * abs(complex(D)) ** 2 / hbar
+    return drive
 
 
-def drive_homogeneous_closed(comm: Commensurability, M: float, w: float,
-                             hbar: float, D: complex) -> float:
-    """The homogeneous amplitude's term of drive_phase_closed."""
-    return 4.0 * math.pi * M * comm.N * w * abs(complex(D)) ** 2 / hbar
-
-
-def drive_phase_quadratures(xps, M: float, hbar: float, duration: float,
-                            spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature, for
     particular solutions ``xps`` that share their frequencies.
 
@@ -358,7 +352,8 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float,
     def rows(active, nodes):
         return _blocked_rows(nodes, lambda ts: np.exp(1j * nu * ts), coeffs[active]) ** 2
 
-    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps), spec)
+    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps),
+                                          DEFAULT_QUADRATURE)
     return M * values / hbar, failures
 
 
@@ -390,21 +385,86 @@ class DrivenPhaseResult:
 
 
 def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
-                       D: complex, comm: Commensurability,
+                       D: complex, comm: Optional[Commensurability],
                        config: PhysicalConfig = PhysicalConfig()) -> DrivenPhaseResult:
     """Berry phase over N tau0: N times the undriven phase plus the drive term.
 
     The drive term is computed both in closed form and by quadrature of the
     mean-square velocity; both are returned so callers can confront them.
+    berry_phases_driven for one D and one n.
     """
-    xp = particular_solution(force, rep, comm, D)
-    undriven = comm.N * berry_phase(rep, n, "full").gamma
-    closed = drive_phase_closed(force, comm, rep.M, rep.w, config.hbar, D)
-    duration = comm.N * rep.tau0
-    quadrature = drive_phase_quadrature(xp, rep.M, config.hbar, duration)
-    return DrivenPhaseResult(n=n, p=comm.p, N=comm.N, duration=duration,
-                             gamma_undriven=undriven, drive_closed=closed,
-                             drive_quadrature=quadrature)
+    ((result,),) = berry_phases_driven(rep, [n], force, [D], comm, config)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _attempt(compute):
+    """compute(), or the point error it raised."""
+    try:
+        return compute()
+    except POINT_ERRORS as exc:
+        return exc
+
+
+def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
+                        comm: Optional[Commensurability],
+                        config: PhysicalConfig = PhysicalConfig()) -> list[list]:
+    """berry_phase_driven at every D of ``Ds`` and n of ``ns``: entry [i][k]
+    is the DrivenPhaseResult of Ds[i] at ns[k], or the point error its
+    one-point call raises, the first in the order particular solution,
+    undriven phase, closed drive term, quadrature.
+
+    The undriven phase of each n and the particular solution and closed drive
+    term of each D are computed once, and so is the quadrature, which does
+    not depend on n: one drive_phase_quadratures row per D, one call per
+    frequency vector (D = 0 or not). With comm None the entries are the
+    phases over one force period of the C = 1, beta = 0 representation at
+    D = 0, where the undriven phase vanishes for any periodic drive: p = N =
+    0, and the order is n, berry_phase_special_rep, particular solution,
+    quadrature.
+    """
+    M, w, hbar = rep.M, rep.w, config.hbar
+    if comm is None:
+        if not (rep.C == 1.0 and rep.beta == 0.0 and all(D == 0 for D in Ds)):
+            raise ValueError("without a commensurability only the C = 1,"
+                             " beta = 0 representation at D = 0 has a phase")
+        p = N = 0
+        duration = force.tau_f
+        # the undriven phase vanishes; each n is still checked
+        undriven = [_attempt(lambda: 0.0 * check_quantum_number(n)) for n in ns]
+        closed = [_attempt(lambda: berry_phase_special_rep(force, M, w, hbar))] * len(Ds)
+        xps = [_attempt(lambda: particular_solution(force, rep, None, D)) for D in Ds]
+    else:
+        p, N = comm.p, comm.N
+        duration = N * rep.tau0
+        xps = [_attempt(lambda: particular_solution(force, rep, comm, D)) for D in Ds]
+        undriven = [_attempt(lambda: N * berry_phase(rep, n, "full").gamma) for n in ns]
+        closed = [_attempt(lambda: drive_phase_closed(force, comm, M, w, hbar, D))
+                  for D in Ds]
+    groups = {}   # frequency vector -> the D rows that reach the quadrature
+    for i, (xp, drive) in enumerate(zip(xps, closed)):
+        if not isinstance(xp, Exception) and not isinstance(drive, Exception):
+            groups.setdefault(xp._nu.tobytes(), []).append(i)
+    quadrature = [None] * len(Ds)
+    for rows in groups.values():
+        values, failures = drive_phase_quadratures([xps[i] for i in rows], M, hbar,
+                                                   duration)
+        for i, value, failure in zip(rows, values.tolist(), failures):
+            quadrature[i] = value if failure is None else failure
+    table = []
+    for i in range(len(Ds)):
+        row = []
+        for k, n in enumerate(ns):
+            stages = (undriven[k], closed[i], xps[i]) if comm is None else \
+                (xps[i], undriven[k], closed[i])
+            error = next((v for v in (*stages, quadrature[i])
+                          if isinstance(v, Exception)), None)
+            row.append(error or DrivenPhaseResult(
+                n=n, p=p, N=N, duration=duration, gamma_undriven=undriven[k],
+                drive_closed=closed[i], drive_quadrature=quadrature[i]))
+        table.append(row)
+    return table
 
 
 def berry_phase_special_rep(force: DrivingForce, M: float, w: float,

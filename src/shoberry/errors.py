@@ -40,3 +40,9 @@ class ConditioningError(UndefinedPhaseError):
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine hit its refinement cap before converging."""
+
+
+# What one point of a sweep may raise: its row reports the message and the run
+# goes on.
+POINT_ERRORS = (InvalidParameterError, UndefinedPhaseError, ConvergenceError,
+                ArithmeticError)

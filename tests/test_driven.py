@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from shoberry.driven import (Commensurability, DrivingForce,
                              ParticularSolution, action_phase,
                              berry_phase_driven, berry_phase_special_rep,
+                             berry_phases_driven,
                              commensurability, drive_phase_closed,
                              drive_phase_quadrature, drive_phase_quadratures,
                              fourier_decompose,
                              particular_solution, psi_driven,
                              velocity_squared_integral)
-from shoberry import cli
+from shoberry import cli, driven
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
                              ResonanceError)
@@ -496,7 +497,7 @@ class TestDrivenSweep:
             batches.append(len(xps))
             return drive_phase_quadratures(xps, *args)
 
-        monkeypatch.setattr(cli, "drive_phase_quadratures", counting)
+        monkeypatch.setattr(driven, "drive_phase_quadratures", counting)
         rows = driven_rows(capsys, "sweep", "--omega-f", "0.5", *TWO_MODE_FORCE,
                            "--n", "0,1,2", "--sweep", "D_re:-0.2:0.2:3",
                            "--sweep", "D_im:0:0.1:2")
@@ -521,21 +522,65 @@ class TestDrivenSweep:
         alone = driven_rows(capsys, *argv[:2], "0.5", *argv[3:])
         assert [{"omega_f": 0.5, **row, "error": None} for row in alone] == at[0.5]
 
-    def test_quadrature_at_the_cap_fails_alone(self):
+    def test_quadrature_at_the_cap_fails_alone(self, monkeypatch):
         # three solutions with one frequency vector; only the middle one
         # carries the fast mode, which two levels cannot resolve
         spec = QuadratureSpec(max_refinements=1)
+        monkeypatch.setattr(driven, "DEFAULT_QUADRATURE", spec)
         xps = [ParticularSolution(0.5, {1: 0.3, -1: 0.3, 31: f, -31: f}, D, 1.0)
                for f, D in ((0j, 0.1j), (0.2 + 0j, 0.1j), (0j, 0.3 + 0j))]
         duration = 2 * STRETCHED.tau0
-        values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration, spec)
+        values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration)
         with pytest.raises(ConvergenceError) as alone:
             integrate_1d(lambda ts: xps[1].xdot(ts) ** 2, 0.0, duration, spec)
         assert str(failures[1]) == str(alone.value) and "refinements" in str(alone.value)
         assert failures[0] is None and failures[2] is None
-        neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration, spec)
+        neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration)
         assert values[::2].tolist() == neighbours.tolist() == [
             drive_phase_quadrature(xp, 1.0, 0.7, duration) for xp in xps[::2]]
+
+    def test_batch_entries_are_one_point_calls(self):
+        # D = 0 and not (two frequency vectors), a refused n between two
+        # valid ones; every entry is what berry_phase_driven gives or raises
+        force = DrivingForce(0.5, {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j})
+        comm = commensurability(STRETCHED.tau0, force.tau_f)
+        Ds, ns, config = [0.2 - 0.1j, 0j, 0.1j], [0, -1, 2], PhysicalConfig(hbar=0.7)
+        table = berry_phases_driven(STRETCHED, ns, force, Ds, comm, config)
+        assert [len(row) for row in table] == [3, 3, 3]
+        for D, row in zip(Ds, table):
+            assert isinstance(row[1], InvalidParameterError)
+            with pytest.raises(InvalidParameterError) as alone:
+                berry_phase_driven(STRETCHED, -1, force, D, comm, config)
+            assert str(row[1]) == str(alone.value)
+            for n, entry in zip(ns[::2], row[::2]):
+                assert entry == berry_phase_driven(STRETCHED, n, force, D, comm, config)
+                assert entry.drive_quadrature == drive_phase_quadrature(
+                    particular_solution(force, STRETCHED, comm, D), 1.0, 0.7,
+                    comm.N * STRETCHED.tau0)
+
+    def test_shared_error_fails_every_entry(self):
+        # mode 2 at omega_f = 0.5 resonates: the particular solution's error
+        # comes before the refused n's
+        force = DrivingForce(0.5, {2: 0.1, -2: 0.1})
+        comm = commensurability(STRETCHED.tau0, force.tau_f)
+        table = berry_phases_driven(STRETCHED, [0, -1], force, [0j, 0.1j], comm)
+        with pytest.raises(ResonanceError) as alone:
+            berry_phase_driven(STRETCHED, -1, force, 0.1j, comm)
+        assert {str(entry) for row in table for entry in row} == {str(alone.value)}
+
+    def test_special_representation_without_commensurability(self):
+        rep = Representation(1, 1, 1, 0)
+        force = DrivingForce(float(GOLDEN_RATIO_F), {1: 0.5, -1: 0.5})
+        (row,) = berry_phases_driven(rep, [0, 3], force, [0j], None)
+        xp = particular_solution(force, rep, None, 0j)
+        for n, entry in zip([0, 3], row):
+            assert (entry.n, entry.p, entry.N, entry.gamma_undriven) == (n, 0, 0, 0.0)
+            assert entry.drive_closed == berry_phase_special_rep(force, 1.0, 1.0, 1.0)
+            assert entry.drive_quadrature == drive_phase_quadrature(xp, 1.0, 1.0,
+                                                                    force.tau_f)
+        for other, D in ((STRETCHED, 0j), (rep, 0.1j)):
+            with pytest.raises(ValueError, match="commensurability"):
+                berry_phases_driven(other, [0], force, [D], None)
 
     def test_solutions_must_share_frequencies(self):
         xps = [particular_solution(DrivingForce(0.5, {1: 0.3, -1: 0.3}), STRETCHED,
