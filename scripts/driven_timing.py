@@ -15,7 +15,9 @@ figure is the median over _timing.REPEATS runs of one in-process call:
   quadrature of the sweep's 16 points, one drive_phase_quadrature call per
   point against one drive_phase_quadratures call for all of them;
 - drive_phase_closed, particular_solution: one call at one point;
-- propagation: propagate_schrodinger from psi_driven at t = 0 over N tau0.
+- propagation: propagate_schrodinger from psi_driven at t = 0 over N tau0;
+- propagation_free: the same propagation without the force, which times
+  the propagator's force-free branch on the same grid and steps.
 
 Run on an idle machine; the numbers are only comparable between runs on the
 same one.
@@ -78,6 +80,9 @@ def main(argv=None) -> int:
         "propagation": timing.median_seconds(
             lambda: numerics.propagate_schrodinger(start, rep.M, rep.w, duration,
                                                    STEPS, force=force)),
+        "propagation_free": timing.median_seconds(
+            lambda: numerics.propagate_schrodinger(start, rep.M, rep.w, duration,
+                                                   STEPS)),
     }
     report = {
         "request": " ".join(ARGV),

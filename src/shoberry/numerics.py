@@ -11,13 +11,14 @@ so repeated runs produce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InvalidParameterError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -169,6 +170,13 @@ def rationalize(x: float, tol: float, max_den: int = 10 ** 6) -> Optional[tuple[
     return None
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int; floats and bools are refused, not rounded."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidParameterError(f"{name} must be an integer")
+    return operator.index(value)
+
+
 @dataclass
 class GridState:
     """Complex amplitudes on a uniform periodic spatial grid at one time.
@@ -184,15 +192,16 @@ class GridState:
     t: float = 0.0
 
     def __post_init__(self):
+        self.points = _integer(self.points, "points")
         if self.points < 64 or (self.points & (self.points - 1)) != 0:
-            raise ValueError("points must be a power of two, at least 64")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise InvalidParameterError("points must be a power of two, at least 64")
+        if not (-math.inf < self.x_min < self.x_max < math.inf and math.isfinite(self.t)):
+            raise InvalidParameterError("x_min < x_max and t must be finite")
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.points,):
-            raise ValueError("values must be a 1-d array of length points")
+            raise InvalidParameterError("values must be a 1-d array of length points")
         if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("grid amplitudes must be finite")
+            raise InvalidParameterError("grid amplitudes must be finite")
 
     @property
     def dx(self) -> float:
@@ -242,8 +251,12 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     each step: the force callable must be vectorized over time arrays, and it
     is called once, on the array of all step midpoints.
     """
+    steps = _integer(steps, "steps")
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise InvalidParameterError("steps must be positive")
+    if not (all(map(math.isfinite, (M, w, t_final, hbar))) and M > 0 and hbar > 0):
+        raise InvalidParameterError(
+            "M, w, t_final and hbar must be finite, and M and hbar positive")
     if t_final == initial.t:
         return GridState(initial.x_min, initial.x_max, initial.points,
                          initial.values.copy(), initial.t)
@@ -252,19 +265,23 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     xs = initial.x
     k = 2.0 * math.pi * np.fft.fftfreq(initial.points, d=initial.dx)
     kinetic = np.exp(-0.5j * hbar * k * k * dt / M)
-    v_quad = 0.5 * M * w * w * xs * xs
-    psi = initial.values.astype(complex, copy=True)
+    quad_kick = np.exp(-0.5j * (0.5 * M * w * w * xs * xs) * dt / hbar)
     if force is None:
-        half_kick = np.exp(-0.5j * v_quad * dt / hbar)
-        for _ in range(steps):
-            psi *= half_kick
-            psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-            psi *= half_kick
+        kicks = [quad_kick] * steps
     else:
         midpoints = initial.t + (np.arange(steps) + 0.5) * dt
-        for f_mid in sample_vectorized(force, midpoints):
-            half_kick = np.exp(-0.5j * (v_quad - f_mid * xs) * dt / hbar)
-            psi *= half_kick
-            psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-            psi *= half_kick
+        f_mid = sample_vectorized(force, midpoints)
+        if not np.all(np.isfinite(f_mid)):
+            raise InvalidParameterError("force samples must be finite")
+        # the force's half kick exp(i a x_j) is rank 1 in the split j = b q + r
+        # of the grid index: 2 sqrt(points) exponentials a step, not points
+        b = 2 ** (initial.points.bit_length() // 2)
+        coarse, fine = 1j * xs[::b], 1j * initial.dx * np.arange(b)
+        kicks = (quad_kick * np.multiply.outer(np.exp(a * coarse), np.exp(a * fine)).ravel()
+                 for a in (0.5 * dt / hbar) * f_mid)
+    psi = initial.values.astype(complex, copy=True)
+    for kick in kicks:
+        psi *= kick
+        np.fft.ifft(np.multiply(kinetic, np.fft.fft(psi, out=psi), out=psi), out=psi)
+        psi *= kick
     return GridState(initial.x_min, initial.x_max, initial.points, psi, t_final)

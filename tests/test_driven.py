@@ -20,7 +20,8 @@ from shoberry import cli, driven
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
                              ResonanceError)
-from shoberry.numerics import QuadratureSpec, integrate_1d
+from shoberry.numerics import (GridState, QuadratureSpec, integrate_1d,
+                               propagate_schrodinger)
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
@@ -633,3 +634,30 @@ class TestPsiDriven:
         residual = 1j * hbar * dpsi_dt[inner] - hpsi
         rel = np.linalg.norm(residual) / np.linalg.norm(hpsi)
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("D", [0j, 0.3 + 0.1j])
+    @pytest.mark.parametrize("p, N", [(1, 2), (2, 3)])
+    def test_split_operator_oracle(self, p, N, D, n):
+        # psi_d(0) propagated under the force over N tau0 lands on
+        # psi_d(N tau0), phase included: second order in the step, and the
+        # Richardson-extrapolated phase vanishes
+        rep = Representation(1.0, 1.0, 1.7, 0.4)
+        force = DrivingForce(p * rep.w / N, {1: 0.3, -1: 0.3, 3: 0.1j, -3: -0.1j})
+        xp = particular_solution(force, rep, Commensurability(p, N), D)
+        state = QuantumState(rep, n)
+        T = N * rep.tau0
+        half = (1.1 * grid_halfwidth(state) + sum(map(abs, xp.modes.values()))
+                + 2 * abs(D))
+        xs = np.linspace(-half, half, 1024, endpoint=False)
+        initial = GridState(-half, half, 1024, psi_driven(state, xp, xs, 0.0), 0.0)
+        exact = GridState(-half, half, 1024, psi_driven(state, xp, xs, T), T)
+        overlaps = [exact.overlap(propagate_schrodinger(
+            initial, rep.M, rep.w, T, steps, force=force))
+            for steps in (1024, 2048, 4096)]
+        errors = [abs(o - 1.0) for o in overlaps]
+        assert abs(overlaps[-1]) >= 1.0 - 1e-6
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+        phases = [cmath.phase(o) for o in overlaps]
+        assert abs(4.0 * phases[2] - phases[1]) / 3.0 < 1e-8

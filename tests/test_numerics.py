@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shoberry.errors import ConvergenceError
+from shoberry.errors import ConvergenceError, InvalidParameterError
 from shoberry.numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
                                integrate_1d, propagate_schrodinger, rationalize)
 from shoberry.selfcheck import QUADRATURE_CASES
@@ -121,6 +122,22 @@ class TestGridState:
         state = _gaussian_state()
         assert abs(state.norm() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("x_min, x_max, t", [
+        (0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0), (math.nan, 1.0, 0.0),
+        (0.0, math.nan, 0.0), (0.0, 1.0, math.nan), (0.0, 1.0, -math.inf)])
+    def test_non_finite_bounds_and_time_refused(self, x_min, x_max, t):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GridState(x_min, x_max, 64, np.ones(64), t)
+
+    @pytest.mark.parametrize("points", [1024.0, True, "1024"])
+    def test_non_integer_points_refused(self, points):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            GridState(-1.0, 1.0, points, np.ones(1024), 0.0)
+
+    def test_numpy_integer_points_stored_as_int(self):
+        state = GridState(-1.0, 1.0, np.int64(64), np.ones(64), 0.0)
+        assert type(state.points) is int and state.points == 64
+
 
 class TestPropagator:
     def test_ground_state_phase_one_period(self):
@@ -182,6 +199,51 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagate_schrodinger(state, 1.0, 1.0, 1.0, 16)
 
+    @pytest.mark.parametrize("force", [None, lambda t: 0.1 * np.cos(t)])
+    @pytest.mark.parametrize("steps", [2.5, 16.0, True, np.float64(16)])
+    def test_non_integer_steps_refused(self, steps, force):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            propagate_schrodinger(_gaussian_state(), 1.0, 1.0, 1.0, steps,
+                                  force=force)
+
+    def test_numpy_integer_steps_accepted(self):
+        state = _gaussian_state()
+        final = propagate_schrodinger(state, 1.0, 1.0, 1.0, np.int64(16))
+        assert np.array_equal(
+            final.values, propagate_schrodinger(state, 1.0, 1.0, 1.0, 16).values)
+
+    @pytest.mark.parametrize("M, w, t_final, hbar", [
+        (0.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0),
+        (1.0, 1.0, 1.0, -0.5), (math.inf, 1.0, 1.0, 1.0),
+        (math.nan, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0),
+        (1.0, -math.inf, 1.0, 1.0), (1.0, 1.0, math.inf, 1.0),
+        (1.0, 1.0, math.nan, 1.0), (1.0, 1.0, 1.0, math.inf),
+        (1.0, 1.0, 1.0, math.nan)])
+    def test_bad_parameters_refused_before_stepping(self, M, w, t_final, hbar):
+        calls = []
+
+        def force(t):
+            calls.append(t)
+            return np.cos(t)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                propagate_schrodinger(_gaussian_state(), M, w, t_final, 16,
+                                      force=force, hbar=hbar)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_force_refused(self, bad):
+        def force(t):
+            return np.where(t > 0.5, bad, np.cos(t))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="force samples"):
+                propagate_schrodinger(_gaussian_state(), 1.0, 1.0, 1.0, 16,
+                                      force=force)
+
     def test_second_order_convergence(self):
         from shoberry.representation import Representation
         from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
@@ -197,6 +259,46 @@ class TestPropagator:
             for steps in (128, 256, 512)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
+
+
+def _reference_propagate(initial, M, w, t_final, steps, force=None, hbar=1.0):
+    """The Strang step with the potential kick exponentiated on the whole
+    grid at every step: the direct form of propagate_schrodinger's kicks."""
+    dt = (t_final - initial.t) / steps
+    xs = initial.x
+    k = 2.0 * math.pi * np.fft.fftfreq(initial.points, d=initial.dx)
+    kinetic = np.exp(-0.5j * hbar * k * k * dt / M)
+    v_quad = 0.5 * M * w * w * xs * xs
+    psi = initial.values.astype(complex, copy=True)
+    midpoints = initial.t + (np.arange(steps) + 0.5) * dt
+    for f_mid in [None] * steps if force is None else force(midpoints):
+        v = v_quad if f_mid is None else v_quad - f_mid * xs
+        half_kick = np.exp(-0.5j * v * dt / hbar)
+        psi *= half_kick
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi *= half_kick
+    return psi
+
+
+@pytest.mark.parametrize("points", [64, 128, 1024, 2048])
+def test_kicks_match_direct_exponentials(points):
+    # a flat-topped state on an off-centre grid resolves at 64 points; the
+    # force's half-kick phase F dt x / 2 hbar reaches about a radian
+    x_min, x_max = -7.0, 13.0
+    xs = x_min + (x_max - x_min) * np.arange(points) / points
+    values = np.exp(-((xs - 3.0) / 6.0) ** 8 + 0.7j * xs)
+    initial = GridState(x_min, x_max, points, values, 0.2)
+    M, w, hbar, t_final, steps = 1.3, 0.4, 0.8, 1.7, 24
+
+    def force(t):
+        return 2.0 * np.cos(3.0 * t) + 0.5
+
+    forced = propagate_schrodinger(initial, M, w, t_final, steps, force, hbar)
+    reference = _reference_propagate(initial, M, w, t_final, steps, force, hbar)
+    assert np.max(np.abs(forced.values - reference)) <= 1e-13
+    free = propagate_schrodinger(initial, M, w, t_final, steps, hbar=hbar)
+    assert np.array_equal(
+        free.values, _reference_propagate(initial, M, w, t_final, steps, hbar=hbar))
 
 
 def test_integrate_rows_converge_on_their_own():

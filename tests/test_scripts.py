@@ -51,4 +51,5 @@ def test_driven_timing(tmp_path, capsys):
     assert (report["points"], report["modes"]) == (16, 36)
     assert list(report["layer_s"]) == [
         "drive_quadrature_per_point", "drive_quadrature_batched",
-        "drive_phase_closed", "particular_solution", "propagation"]
+        "drive_phase_closed", "particular_solution", "propagation",
+        "propagation_free"]
