@@ -35,11 +35,11 @@ def cell(rep: Representation, n: int, duration: str, tol: float):
     return deviation < tol, f"{deviation:.1e}"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", choices=("half", "full"), default="half")
     parser.add_argument("--tol", type=float, default=1e-7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     start = time.perf_counter()
     passed = total = 0

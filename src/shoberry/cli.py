@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: berry, driven, sweep, trajectory, validate. Every run parameter
-is declared once, in PARAMETERS: its flag, its key in the JSON document given
-with --config, its default, the one converter that both forms go through and
-its schema fragment (shoberry.schemas.CONFIG_SCHEMA is assembled from the
-table). A scalar flag wins over the config value; --force-coeff and --sweep
-add to the config's lists. Reports go to stdout or --out as CSV or JSON;
+is declared once, in PARAMETERS: its flag and the commands that take it, its
+key in the JSON document given with --config, its default, the one converter
+that both forms go through and its schema fragment
+(shoberry.schemas.CONFIG_SCHEMA is assembled from the table). A scalar flag
+wins over the config value; --force-coeff and --sweep add to the config's
+lists. Reports go to stdout or --out as CSV or JSON;
 numbers are printed round-trip exact so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 validation or configuration error, 3 mathematically
@@ -202,6 +203,9 @@ def _samples(value, what: str) -> int:
     return samples
 
 
+_RUN_COMMANDS = ("berry", "driven", "sweep", "trajectory")
+
+
 @dataclass(frozen=True)
 class Parameter:
     """One run parameter. ``name`` is the argparse dest; the flag is --name
@@ -211,7 +215,8 @@ class Parameter:
     ``split`` turns a flag's text into config form (default: the text). A
     ``repeats`` flag adds items to the config's list; a ``required`` key must
     be present whenever its config section is; ``axes`` are the sweep
-    parameters it provides."""
+    parameters it provides. Only the ``commands`` that read the parameter
+    take its flag; every command reads its config key."""
     name: str
     key: str
     default: object
@@ -222,6 +227,7 @@ class Parameter:
     repeats: bool = False
     required: bool = False
     axes: tuple = ()
+    commands: tuple = _RUN_COMMANDS
 
     @property
     def flag(self) -> str:
@@ -234,6 +240,8 @@ _PAIR = {"type": "array", "prefixItems": [_NUMBER, _NUMBER],
          "minItems": 2, "maxItems": 2}
 _QUANTUM_NUMBER = {"type": "integer", "minimum": 0}
 _AXIS_REF = {"$ref": "#/$defs/sweep_axis"}
+_PHASE_COMMANDS = ("berry", "driven", "sweep")
+_FORCE_COMMANDS = ("driven", "sweep")
 
 PARAMETERS = (
     Parameter("M", "representation.M", 1.0, _positive, _POSITIVE, "oscillator mass"),
@@ -244,22 +252,24 @@ PARAMETERS = (
               {"oneOf": [_NUMBER, {"type": "string"}]},
               "phase angle in radians, or 'pi/3' style", axes=("beta",)),
     Parameter("hbar", "representation.hbar", 1.0, _positive, _POSITIVE,
-              "reduced Planck constant"),
+              "reduced Planck constant", commands=_PHASE_COMMANDS),
     Parameter("n", "n", 0, _quantum_numbers,
               {"oneOf": [_QUANTUM_NUMBER, {"type": "array", "items": _QUANTUM_NUMBER,
                                            "minItems": 1}]},
               "comma-separated quantum numbers, e.g. 0,1,2",
               split=lambda text: [part for part in text.split(",") if part.strip()],
-              axes=("n",)),
+              axes=("n",), commands=_PHASE_COMMANDS),
     Parameter("duration", "duration", "half", _half_periods,
               {"oneOf": [{"enum": ["half", "full"]}, {"type": "integer", "minimum": 1}]},
-              "'half', 'full', or an integer number of periods"),
+              "'half', 'full', or an integer number of periods",
+              commands=("berry", "sweep")),
     Parameter("D", "force.D", [0, 0], _complex, _PAIR,
               "free homogeneous amplitude as RE:IM",
-              split=lambda text: text.split(":"), axes=("D_re", "D_im")),
+              split=lambda text: text.split(":"), axes=("D_re", "D_im"),
+              commands=_FORCE_COMMANDS),
     Parameter("omega_f", "force.omega_f", None, _positive, _POSITIVE,
               "base angular frequency of the driving force", required=True,
-              axes=("omega_f",)),
+              axes=("omega_f",), commands=_FORCE_COMMANDS),
     Parameter("force_coeff", "force.coefficients", [], _coefficient,
               {"type": "array",
                "items": {"type": "array",
@@ -267,19 +277,21 @@ PARAMETERS = (
                          "minItems": 3, "maxItems": 3}},
               "Fourier coefficient f_N as N:RE:IM (conjugate mate added"
               " automatically); repeatable",
-              split=lambda text: text.split(":"), repeats=True, required=True),
+              split=lambda text: text.split(":"), repeats=True, required=True,
+              commands=_FORCE_COMMANDS),
     Parameter("sweep", "sweep", [], _axis,
               {"oneOf": [_AXIS_REF, {"type": "array", "items": _AXIS_REF,
                                      "minItems": 1}]},
               "sweep axis as PARAM:LO:HI:STEPS; repeatable, grid is the product",
-              split=_split_axis, repeats=True),
+              split=_split_axis, repeats=True, commands=("sweep",)),
     Parameter("out", "output.path", None, _path, {"type": "string"},
               "output file (default stdout)"),
     Parameter("format", "output.format", "json", _format, {"enum": list(_FORMATS)},
               "output format, csv or json"),
     Parameter("samples", "samples", 256, _samples, {"type": "integer", "minimum": 2},
-              "trajectory sample count"),
-    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _positive, _POSITIVE),
+              "trajectory sample count", commands=("trajectory",)),
+    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _positive, _POSITIVE,
+              commands=_FORCE_COMMANDS),
 )
 
 SWEEPABLE = tuple(axis for p in PARAMETERS for axis in p.axes)
@@ -711,13 +723,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="shoberry",
         description="Berry phases of the simple harmonic oscillator in"
                     " classical-solution representations")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    for p in PARAMETERS:
-        if p.help:
-            common.add_argument(p.flag, dest=p.name, help=p.help,
-                                action="append" if p.repeats else "store")
-
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     specs = (
         ("berry", cmd_berry, "closed-form and oracle Berry phases"),
@@ -726,8 +731,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("trajectory", cmd_trajectory, "dump the (u, v) representation curve"),
     )
     for name, func, help_text in specs:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", metavar="PATH", help="JSON run configuration")
+        for p in PARAMETERS:
+            if p.help and name in p.commands:
+                command.add_argument(p.flag, dest=p.name, help=p.help,
+                                     action="append" if p.repeats else "store")
+        command.set_defaults(func=func)
     v = sub.add_parser("validate", help="run the self-validation battery")
     v.add_argument("--only", action="append", metavar="NAME",
                    help="run only checks whose name contains NAME; repeatable")

@@ -1,10 +1,14 @@
 """Overall, dynamical, and Berry phases of the undriven oscillator.
 
 Closed forms (which depend only on C and beta) sit next to numerical oracles
-that never touch them: the overall phase comes from spatial overlap integrals
-tracked continuously in time, and the dynamical phase from time quadrature of
-the energy expectation. Both sides share the t=0 principal-branch convention,
-so agreement is checked on unwrapped phases, not mod-2pi residues.
+that never evaluate them. The overall phase mod 2pi and the fidelity come from
+the spatial overlap <psi(0)|psi(tau')>, and its whole-2pi part from the
+continuous winding of u - i v at the evolution's two endpoints; the dynamical
+phase comes from time quadrature of the energy expectation. Both sides share
+the t=0 principal-branch convention, so agreement is checked on unwrapped
+phases, not mod-2pi residues. The whole-2pi part is the winding theorem, -pi
+per half period, that the closed forms use too: the oracle checks chi mod 2pi
+and delta independently, not that integer.
 """
 
 from __future__ import annotations
@@ -137,11 +141,8 @@ def berry_phase(rep: Representation, n: int, duration: str = "half") -> PhaseRes
 # An evolution is cyclic when |<psi(0)|psi(tau')>| is at least 1 - this.
 FIDELITY_FLOOR = 1e-8
 _STEP_LIMIT = 0.25 * math.pi
-# Branch-tracking samples evaluated per array call, across the points of a
-# batch: memory stays bounded for long evolutions of squeezed states.
-_BLOCK_SAMPLES = 1 << 11
-# Beyond this many samples (about 8192 blocks) the tracker raises rather than
-# grinding on a near-degenerate representation.
+# Beyond this a-priori sample count the oracle refuses a point as too close
+# to degenerate.
 _MAX_SAMPLES = 1 << 24
 
 
@@ -153,9 +154,10 @@ def _branch_samples(rep: Representation, n: int, tau_prime: float) -> int:
     (cos wt, sin wt) with trace 1 + C^2 and determinant (C cos beta)^2, so its
     smallest value exceeds (C cos beta)^2 / (1 + C^2) and
     |theta'| < w (1 + C^2)/(C cos beta). Sampling at that a-priori rate
-    (Itoh's condition) leaves no step that could alias to 2pi k plus a small
-    angle. Only n, w, C and beta enter, never the closed-form phase, so the
-    oracle stays independent of it.
+    (Itoh's condition) would leave no step that could alias to 2pi k plus a
+    small angle. Only n, w, C and beta enter, never the closed-form phase.
+    The oracle samples nothing: it refuses a point whose count exceeds
+    _MAX_SAMPLES.
     """
     rate = (n + 0.5) * rep.w * (1.0 + rep.C * rep.C) \
         / (rep.C * math.cos(rep.beta))
@@ -164,42 +166,12 @@ def _branch_samples(rep: Representation, n: int, tau_prime: float) -> int:
     return max(samples, math.ceil(rate * tau_prime / _STEP_LIMIT))
 
 
-def _sample_extremes(arrays: RepresentationArrays, counts: np.ndarray,
-                     tau_prime: float):
-    """The largest theta step and the largest rho of each representation over
-    its counts[p] + 1 uniform samples of [0, tau'].
-
-    The samples of every representation form one stream, evaluated
-    _BLOCK_SAMPLES steps per array call; a representation whose samples
-    straddle two calls appears in both, sharing the boundary sample. theta
-    and rho come from the same u and v.
-    """
-    largest, widest = np.zeros(len(counts)), np.zeros(len(counts))
-    offsets = np.concatenate([[0], np.cumsum(counts)])   # of each one's steps
-    for lo in range(0, int(offsets[-1]), _BLOCK_SAMPLES):
-        hi = min(lo + _BLOCK_SAMPLES, int(offsets[-1]))
-        present = np.arange(np.searchsorted(offsets, lo, side="right") - 1,
-                            np.searchsorted(offsets, hi))
-        first = np.maximum(lo - offsets[present], 0)
-        sizes = np.minimum(hi - offsets[present], counts[present]) - first + 1
-        starts = np.cumsum(sizes) - sizes
-        at = np.repeat(present, sizes)
-        ks = np.arange(int(sizes.sum())) - np.repeat(starts - first, sizes)
-        theta, u, v = _winding(arrays.at(at), tau_prime * (ks / counts[at]),
-                               arrays.theta0[at])
-        steps = np.abs(np.diff(theta))
-        steps[starts[1:] - 1] = 0.0   # from one representation to the next
-        largest[present] = np.maximum(largest[present], np.maximum.reduceat(steps, starts))
-        widest[present] = np.maximum(widest[present],
-                                     np.maximum.reduceat(np.hypot(u, v), starts))
-    return largest, widest
-
-
 def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
                      errors: list) -> np.ndarray:
     """Unwrapped change over [0, tau'] of each state's branch amplitude, one
     row over ns per point of arrays not yet refused in ``errors``; a point
-    whose branch cannot be tracked gets its ConvergenceError there.
+    whose a-priori sample count exceeds _MAX_SAMPLES for some n gets its
+    ConvergenceError there.
 
     The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
     strongly squeezed representations, so its argument cannot fix the branch
@@ -208,15 +180,12 @@ def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
     factor there is a nonzero constant, so the amplitude is
     sign * rho^(-1/2 or -3/2) * exp(i (n + 1/2) theta) times a positive
     constant, and the unwrapped change of its argument is the continuous
-    family phase shared by every x. Consecutive samples of it differ by a
-    positive factor times exp(i (n + 1/2) dtheta), so each phase step is
-    (n + 1/2) dtheta, which must stay under pi/4. One theta series per
-    representation, sampled at the largest a-priori count over ns, serves
-    every n; the steps telescope, so the change is
-    (n + 1/2) (theta(tau') - theta(0)).
+    family phase shared by every x. theta is the continuous winding of
+    u - i v, which decreases monotonically and drops by exactly pi each half
+    period, so the change is (n + 1/2) (theta(tau') - theta(0)), from the
+    two endpoints alone.
     """
     windings = np.zeros((len(errors), len(ns)))
-    counts = np.zeros(len(errors), dtype=np.int64)
     # the sample counts from each point's fields as Python floats, as a
     # Representation holds them
     for p, fields in enumerate(zip(*(values.tolist() for values in arrays))):
@@ -229,28 +198,11 @@ def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
             errors[p] = ConvergenceError(
                 f"branch tracking needs {over[0]} samples (cap {_MAX_SAMPLES});"
                 " the representation is too close to degenerate")
-        else:
-            counts[p] = max(needed)
-    tracked = np.flatnonzero(counts)
-    if not tracked.size:
-        return windings
-    largest, widest = _sample_extremes(arrays.at(tracked), counts[tracked], tau_prime)
-    columns = arrays.at((tracked, None))
+    live = _live(errors)
+    columns = arrays.at((live, None))
     theta = _winding(columns, np.array([0.0, tau_prime]), columns.theta0)[0]
     half = np.array(ns, dtype=float) + 0.5   # n + 1/2
-    # rho^(-1/2 - odd) is smallest where rho is largest, so one power per
-    # representation tells whether the amplitude vanished at any sample
-    with np.errstate(divide="ignore", over="ignore"):
-        vanished = ~(widest[:, None] ** (-0.5 - np.array(ns) % 2) > 0)
-    steep = ~(half * largest[:, None] < _STEP_LIMIT)   # NaN fails too
-    failed = vanished | steep
-    for i in np.flatnonzero(failed.any(axis=1)).tolist():
-        j = int(np.argmax(failed[i]))
-        errors[tracked[i]] = ConvergenceError(
-            "branch amplitude vanished at a tracking node" if vanished[i, j] else
-            "a branch-tracking step reached pi/4 despite the a-priori sample"
-            " count; the phase branch is not trustworthy")
-    windings[tracked] = half * (theta[:, 1] - theta[:, 0])[:, None]
+    windings[live] = half * (theta[:, 1] - theta[:, 0])[:, None]
     return windings
 
 
@@ -263,10 +215,10 @@ def _check_duration(tau_prime) -> float:
 def _overall_phases(arrays: RepresentationArrays, ns, tau_prime: float,
                     finals: np.ndarray, errors: list) -> np.ndarray:
     """chi for every n of ns, one row per point of arrays not yet refused in
-    ``errors``, from the overlaps ``finals`` = <psi_n(0)|psi_n(tau')>: a
-    point that is not cyclic gets its NotCyclicError in ``errors``, and one
-    whose branch cannot be tracked its ConvergenceError; see
-    overall_phase_oracle."""
+    ``errors``, from the overlaps ``finals`` = <psi_n(0)|psi_n(tau')> and the
+    endpoint windings of _branch_windings: a point that is not cyclic gets
+    its NotCyclicError in ``errors``, and one over the sample cap its
+    ConvergenceError; see overall_phase_oracle."""
     fidelities = np.abs(finals)
     low = fidelities < 1.0 - FIDELITY_FLOOR
     for p in np.flatnonzero(low.any(axis=1)).tolist():
@@ -321,12 +273,13 @@ def _oracle_batch(reps, ns, tau_prime: float,
     representation's row holds no result.
 
     The representations are evaluated together, as arrays: the overlaps of
-    all of them on one Gauss-Hermite level at a time, their branch samples
-    as one stream, their time integrals as rows of one quadrature. Each
-    still refines, is certified and is checked on its own, so its result is
-    the same float, and its error the same message, as when it is alone. An
-    ArithmeticError names no representation (a Hermite overflow, rho
-    vanishing at a node), so the batch then reruns each one alone.
+    all of them on one Gauss-Hermite level at a time, their endpoint
+    windings in one call, their time integrals as rows of one quadrature.
+    Each still refines, is certified, is checked against the sample cap and
+    is checked on its own, so its result is the same float, and its error
+    the same message, as when it is alone. An ArithmeticError names no
+    representation (a Hermite overflow, rho vanishing at a node), so the
+    batch then reruns each one alone.
     """
     tau_prime = _check_duration(tau_prime)
     errors = _refusals(reps, ns)
@@ -348,10 +301,10 @@ def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
     """Oracle Berry phases chi - delta of the states n of ns after tau'.
 
     One call serves every n: theta and rho are evaluated once per time, the
-    overlaps share one Gauss-Hermite rule and one Hermite recurrence, one
-    theta series carries every branch, and one time integral of the energy
-    per quantum gives every delta. Every check still holds per n, and the
-    first failure raises.
+    overlaps share one Gauss-Hermite rule and one Hermite recurrence, theta
+    at the two endpoints gives every branch, and one time integral of the
+    energy per quantum gives every delta. Every check still holds per n, and
+    the first failure raises.
     """
     return _one_point(*_oracle_batch([rep], ns, tau_prime, config)).tolist()
 
@@ -361,11 +314,13 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float) -> tuple[float, 
 
     The mod-2pi phase and the fidelity come from the overlap
     <psi(0)|psi(tau')> on the self-certified Gauss-Hermite rule; the 2pi
-    branch comes from continuously tracking a zero-free amplitude of the state
-    from t = 0 on a uniform grid fine enough that every phase step stays under
-    pi/4. Raises NotCyclicError when the fidelity falls below
-    1 - FIDELITY_FLOOR, i.e. the evolution did not return the state to
-    itself, and ConvergenceError when the branch cannot be tracked.
+    branch is that of a zero-free amplitude of the state, whose argument
+    changes by (n + 1/2)(theta(tau') - theta(0)) with theta the continuous
+    winding of u - i v, taken at the two endpoints. Raises NotCyclicError
+    when the fidelity falls below 1 - FIDELITY_FLOOR, i.e. the evolution did
+    not return the state to itself, and ConvergenceError when the
+    representation is so close to degenerate that the a-priori sample count
+    exceeds 2^24.
     """
     tau_prime = _check_duration(tau_prime)
     arrays, ns, errors = RepresentationArrays.of([state.rep]), (state.n,), [None]

@@ -527,6 +527,21 @@ class TestValidateCommand:
 
 
 @pytest.mark.parametrize("argv", [
+    ("berry", "--sweep", "C:1:2:3"),
+    ("berry", "--omega-f", "0.5", "--force-coeff", "1:0.5:0"),
+    ("trajectory", "--n", "5", "--duration", "full"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:0.5:0", "--sweep", "C:1:2:3"),
+], ids=" ".join)
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    # each would otherwise print a one-point or undriven answer and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: unrecognized arguments: " in err
+
+
+@pytest.mark.parametrize("argv", [
     ("berry", "--C", "nan"),
     ("berry", "--C", "inf"),
     ("berry", "--beta", "nan"),

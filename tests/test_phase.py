@@ -130,15 +130,12 @@ class TestOracles:
         assert fidelity > 1.0 - 1e-8
 
     def test_full_period_overall_phase(self):
-        # the squeezed case tracks its branch over more than one sample block
         for rep, n, periods in ((STRETCHED, 0, 1),
                                 (Representation(1, 1, 0.6, 0.4), 3, 1),
                                 (Representation(1, 1, 64.0, 1.4), 20, 2)):
             state = QuantumState(rep, n)
             chi, _ = overall_phase_oracle(state, periods * rep.tau0)
             assert abs(chi + 2.0 * periods * (n + 0.5) * math.pi) < 1e-7
-        assert phase._branch_samples(rep, n, periods * rep.tau0) \
-            > phase._BLOCK_SAMPLES
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(math.log(1e-2), math.log(1e3)),

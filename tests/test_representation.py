@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shoberry.errors import InvalidRepresentationError
 from shoberry.representation import (PhysicalConfig, Representation,
-                                     classical_pair, omega_invariant,
-                                     require_valid, rho, rho_ddot, rho_dot,
-                                     trajectory, validate, winding_phase)
+                                     _initial_winding, _winding, classical_pair,
+                                     omega_invariant, require_valid, rho, rho_ddot,
+                                     rho_dot, trajectory, validate, winding_phase)
 
 reps_formula = st.builds(
     Representation,
@@ -186,6 +186,43 @@ class TestWindingPhase:
     def test_requires_positive_wronskian(self):
         with pytest.raises(InvalidRepresentationError):
             winding_phase(Representation(1, 1, -1.0, 0.0), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(math.log(1e-3), math.log(1e3)),
+           st.floats(-math.acos(1e-3), math.acos(1e-3)), st.booleans(),
+           st.floats(0.3, 3.0))
+    def test_winding_theorem_in_squeezed_representations(self, log_c, beta,
+                                                         negative, w):
+        # The oracle takes the whole-2pi part of the overall phase from
+        # theta at the two endpoints of an evolution, which holds only if
+        # theta is monotone, drops by exactly pi per half period and is the
+        # continuous argument of u - i v. Both signs of C cos(beta) > 0.
+        C = math.exp(log_c)
+        if negative:
+            C, beta = -C, beta + math.pi
+        rep = Representation(1.0, w, C, beta)
+        ts = np.linspace(0.0, 2.0 * rep.tau0, 4097)
+        theta0 = _initial_winding(rep)
+        theta = _winding(rep, ts, theta0)[0]
+        shifted = _winding(rep, ts + 0.5 * rep.tau0, theta0)[0]
+        # theta moves at up to w (1 + C^2)/(C cos beta), so rounding the
+        # times, here and in the half-period reduction, moves it by that
+        # rate times a few ulp of the latest time
+        slack = 8.0 * np.spacing(2.5 * rep.tau0) * rep.w * (1.0 + C * C) \
+            / abs(C * math.cos(beta))
+        assert np.all(np.diff(theta) <= 0.0)
+        assert np.all(np.abs(shifted - (theta - math.pi))
+                      <= 1e-10 * np.abs(theta - math.pi) + slack)
+        # np.unwrap follows the argument wherever a grid step turns it by
+        # less than pi/2, so the two differ by whole turns that change only
+        # at the steps it does not resolve
+        u, v = np.cos(rep.w * ts), C * np.sin(rep.w * ts + beta)
+        unwrapped = np.unwrap(np.arctan2(-v, u))
+        turns = np.round((theta - unwrapped) / (2.0 * math.pi))
+        resolved = np.abs(np.diff(unwrapped)) < 0.5 * math.pi
+        assert turns[0] == 0 and np.all(np.diff(turns)[resolved] == 0)
+        assert np.all(np.abs(theta - unwrapped - 2.0 * math.pi * turns)
+                      <= 1e-10 * np.abs(theta) + slack)
 
 
 class TestTrajectory:

@@ -1,4 +1,5 @@
-"""Smoke tests of the timing scripts: one repeat each, JSON written to tmp_path."""
+"""Smoke tests of the scripts: the timing scripts run one repeat each and
+write their JSON to tmp_path."""
 
 import importlib
 import json
@@ -53,3 +54,9 @@ def test_driven_timing(tmp_path, capsys):
         "drive_quadrature_per_point", "drive_quadrature_batched",
         "drive_phase_closed", "particular_solution", "propagation",
         "propagation_free"]
+
+
+def test_oracle_domain_map(capsys):
+    # the map over C from 1e-3 to 1e3 and n up to 64 stays whole
+    assert importlib.import_module("oracle_domain_map").main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("passed 108/108 cells")
