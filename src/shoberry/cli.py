@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -35,7 +36,6 @@ from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
                      IncommensurateError, InvalidParameterError, UndefinedPhaseError)
 from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
 from .representation import PhysicalConfig, Representation, kinematics, validate
-from .selfcheck import run_battery
 from .wavefunction import check_quantum_number
 
 _FORMATS = ("csv", "json")
@@ -352,7 +352,8 @@ def _build_force(omega_f: float, entries) -> DrivingForce:
 
 def _load_config(args) -> argparse.Namespace:
     """Every parameter of the table by name, plus the objects the commands
-    share: ``rep``, ``physical`` and ``force`` (None without one)."""
+    share: ``rep``, ``physical`` and ``force`` (None without one), and
+    ``given``, the names of the parameters a flag or the config sets."""
     doc = {}
     if args.config:
         try:
@@ -362,6 +363,8 @@ def _load_config(args) -> argparse.Namespace:
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
     cfg = argparse.Namespace(**{p.name: _resolve(p, args, doc) for p in PARAMETERS})
+    cfg.given = {p.name for p in PARAMETERS
+                 if getattr(args, p.name, None) is not None or _lookup(doc, p) is not _UNSET}
     cfg.rep = Representation(M=cfg.M, w=cfg.w, C=cfg.C, beta=cfg.beta)
     cfg.physical = PhysicalConfig(hbar=cfg.hbar)
     cfg.force = None
@@ -372,8 +375,37 @@ def _load_config(args) -> argparse.Namespace:
     return cfg
 
 
-# A report is a column table: column name -> numpy array, or a list where
-# cells are None or strings. Its columns are the table's keys, in order.
+# A report is a column table: column name -> numpy array, a list where cells
+# are None or strings, or a Factored column. Its columns are the table's keys,
+# in order. A renderer fills one row template per report, in which plain
+# float and int columns are fields of their own and other columns are
+# spelled first.
+
+
+@dataclass(frozen=True)
+class Factored:
+    """A column whose row i holds ``values[index[i]]``: ``values`` is a numpy
+    array or a list of cells, each stored once; ``index`` an int array with
+    one entry per row, or per (point, row of the point) in a grid's columns."""
+    values: object
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.index.shape
+
+
+def _gather(cells: list, column: Factored) -> list:
+    return np.array(cells, dtype=object)[column.index].tolist()
+
+
+def _format_rows(template: str, separator: str, fields) -> str:
+    """``template`` filled once per row and joined by ``separator``; each of
+    ``fields`` is one column's values in row order."""
+    rows = len(fields[0])
+    return separator.join([template] * rows) % tuple(
+        itertools.chain.from_iterable(zip(*fields)))
+
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -390,30 +422,36 @@ def _json_cell(value) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _json_column(values) -> list[str]:
+def _json_field(values) -> tuple[str, list]:
+    """A column's field in the JSON row template and the values it takes.
+    float.__repr__ (%r) and int.__repr__ (%d) are json.dumps's spellings of
+    finite floats and of ints; a Factored column's values are spelled once."""
+    if isinstance(values, Factored):
+        spec, stored = _json_field(values.values)
+        return "%s", _gather([spec % (value,) for value in stored], values)
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
-        return list(map(int.__repr__, values.tolist()))
+        return "%d", values.tolist()
     if kind == "f":
-        cells = list(map(float.__repr__, values.tolist()))
         if np.isfinite(values).all():
-            return cells
-        return [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
-    return list(map(_json_cell, values.tolist() if kind else values))
+            return "%r", values.tolist()
+        cells = map(float.__repr__, values.tolist())
+        return "%s", [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+    return "%s", list(map(_json_cell, values.tolist() if kind else values))
 
 
 def _render_json(command: str, table: dict, extra=None) -> str:
     """Byte for byte what json.dumps(doc, indent=2) prints for the report
-    document with one object per row, written column by column."""
+    document with one object per row."""
     doc = {"command": command, "columns": list(table), **(extra or {}), "rows": []}
     head = json.dumps(doc, indent=2)
-    cells = [_json_column(values) for values in table.values()]
-    if not cells[0]:
+    specs, fields = zip(*map(_json_field, table.values()))
+    if not fields[0]:
         return head + "\n"
     row = "    {\n" + ",\n".join(
-        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-        for name in table) + "\n    }"
-    body = ",\n".join(map(row.__mod__, zip(*cells)))
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": " + spec
+        for name, spec in zip(table, specs)) + "\n    }"
+    body = _format_rows(row, ",\n", fields)
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
 
@@ -425,22 +463,26 @@ def _csv_cell(value) -> str:
     return "%.17g" % value
 
 
-def _csv_column(name: str, values) -> list[str]:
+def _csv_field(name: str, values) -> tuple[str, list]:
+    """A column's field in the CSV row template and the values it takes; a
+    Factored column's values are spelled once."""
+    if isinstance(values, Factored):
+        spec, stored = _csv_field(name, values.values)
+        return "%s", _gather([spec % (value,) for value in stored], values)
     if name == "error":
-        return ['"%s"' % value.replace('"', '""') if value else ""
-                for value in values]
+        return "%s", ['"%s"' % value.replace('"', '""') if value else ""
+                      for value in values]
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
-        return list(map(int.__repr__, values.tolist()))
+        return "%d", values.tolist()
     if kind == "f":
-        return list(map("%.17g".__mod__, values.tolist()))
-    return list(map(_csv_cell, values.tolist() if kind else values))
+        return "%.17g", values.tolist()
+    return "%s", list(map(_csv_cell, values.tolist() if kind else values))
 
 
 def _render_csv(table: dict) -> str:
-    cells = [_csv_column(name, values) for name, values in table.items()]
-    lines = [",".join(table), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    specs, fields = zip(*map(_csv_field, table, table.values()))
+    return ",".join(table) + "\n" + _format_rows(",".join(specs) + "\n", "", fields)
 
 
 def _deliver(text: str, out: Optional[str]) -> None:
@@ -466,10 +508,17 @@ def _point_index(axes) -> np.ndarray:
     return np.indices(steps).reshape(len(steps), math.prod(steps))
 
 
-def _with_nulls(values: np.ndarray, present: np.ndarray):
-    """``values``, or a list with None in the rows not ``present``."""
+def _with_nulls(values, present: np.ndarray):
+    """``values``, with None in the rows not ``present``: one more value of
+    a Factored column, one cell when no row is present, else a list."""
     if present.all():
         return values
+    if not present.any():
+        return Factored([None], np.zeros(len(present), dtype=int))
+    if isinstance(values, Factored):
+        cells = values.values
+        cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        return Factored(cells + [None], np.where(present, values.index, len(cells)))
     return [value if ok else None
             for value, ok in zip(values.tolist(), present.tolist())]
 
@@ -543,7 +592,10 @@ def _berry_grid(cfg, axes):
                 oracle[p], has_oracle[p] = row, True
             else:
                 errors[p] = error
-    columns = {"n": np.array(ns)[slot], "chi": chi, "delta": delta,
+    chi_of_slot = np.empty(len(ns))
+    chi_of_slot[slot] = chi   # chi depends on n alone
+    columns = {"n": Factored(np.array(ns), slot), "chi": Factored(chi_of_slot, slot),
+               "delta": delta,
                "gamma": gamma, "gamma_canonical": canonical,
                "oracle_gamma": oracle, "abs_diff": np.abs(gamma - oracle)}
     return columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
@@ -614,7 +666,7 @@ def _driven_grid(cfg, axes):
             for p in group:
                 results[p] = [entries[k] for k in slots[p].tolist()]
                 errors[p] = next((e for e in results[p] if isinstance(e, Exception)), None)
-    columns = {"n": np.array(ns)[slots]}
+    columns = {"n": Factored(np.array(ns), slots)}
     for name, field in _DRIVEN_COLUMNS.items():
         columns[name] = np.array([[getattr(r, field) for r in row] if error is None
                                   else [0] * slots.shape[1]
@@ -625,22 +677,30 @@ def _driven_grid(cfg, axes):
 def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     """The report of a grid: each axis's value, each column of ``columns``
     that no axis provides, then ``error``. A point with an error keeps one
-    row, with null columns and its message."""
+    row, with null columns and its message. Axis columns and the error column
+    are Factored: each axis value and each message is stored once."""
     points, per_point = next(iter(columns.values())).shape
     failed = np.array([e is not None for e in errors], dtype=bool)
     keep = np.ones((points, per_point), dtype=bool)
     keep[failed, 1:] = False
     keep = keep.ravel()
+    point_of_row = np.repeat(np.arange(points), per_point)[keep]
     table = {}
     for ax, index in zip(axes, _point_index(axes)):
-        table[ax.parameter] = np.repeat(np.array(ax.values())[index], per_point)[keep]
+        table[ax.parameter] = Factored(np.array(ax.values()), index[point_of_row])
     for name, values in columns.items():
         if name not in table:
+            if isinstance(values, Factored):
+                values = Factored(values.values, values.index.ravel()[keep])
+            else:
+                values = values.ravel()[keep]
             ok = ~failed & present.get(name, True)
-            table[name] = _with_nulls(values.ravel()[keep], np.repeat(ok, per_point)[keep])
-    table["error"] = []
-    for error in errors:
-        table["error"] += [None] * per_point if error is None else [str(error)]
+            table[name] = _with_nulls(values, ok[point_of_row])
+    failures = np.flatnonzero(failed)
+    message = np.zeros(points, dtype=int)
+    message[failures] = np.arange(1, len(failures) + 1)
+    table["error"] = Factored([None, *(str(errors[p]) for p in failures.tolist())],
+                              message[point_of_row])
     return table
 
 
@@ -685,6 +745,9 @@ def cmd_sweep(args) -> int:
     unforced = [name for name in axis_names if name in force_axes]
     if unforced and not driven_mode:
         raise ConfigError(f"sweeping {unforced[0]} needs a force section")
+    if driven_mode and "duration" in cfg.given:
+        raise ConfigError("a driven sweep takes no duration: its phases are over"
+                          " the common period N tau0 of the force and the oscillator")
     grid = _driven_grid if driven_mode else _berry_grid
     _emit("sweep", _sweep_table(cfg.sweep, *grid(cfg, cfg.sweep)), cfg)
     return 0
@@ -699,6 +762,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .selfcheck import run_battery   # only validate pays for the battery's import
     results = run_battery(args.only)
     if not results:
         print("no checks matched the --only filter", file=sys.stderr)

@@ -265,6 +265,40 @@ class TestSweepCommand:
         assert lines[2].startswith("-1,0,") and lines[3].startswith("-1,1,")
         assert lines[2].endswith(",") and lines[3].endswith(",")
 
+    def test_signed_zero_axis_value_keeps_its_sign(self, capsys):
+        # linspace ends exactly on the stop, so this axis holds 0.0 and -0.0:
+        # two axis values that compare equal but print apart
+        argv = ["sweep", "--sweep", "beta:0:-0.0:2", "--n", "0,1", "--C", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert [math.copysign(1.0, row["beta"]) for row in json.loads(out)["rows"]] \
+            == [1.0, 1.0, -1.0, -1.0]
+        assert out.count('"beta": 0.0,') == 2 and out.count('"beta": -0.0,') == 2
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "0", "-0", "-0"]
+
+    def test_failing_point_in_a_factored_grid_keeps_one_row(self, capsys):
+        # C = 0 fails at both beta values, between points of two n each
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:-1:1:3",
+                                 "--sweep", "beta:0:0.5:2", "--n", "0,1")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [(row["C"], row["beta"]) for row in rows] == \
+            [(-1.0, 0.0)] * 2 + [(-1.0, 0.5)] * 2 + [(0.0, 0.0), (0.0, 0.5)] + \
+            [(1.0, 0.0)] * 2 + [(1.0, 0.5)] * 2
+        for row in rows[4:6]:
+            assert row["error"] == "C must be nonzero"
+            assert set(k for k, v in row.items() if v is not None) == {"C", "beta", "error"}
+        for C, beta, point in ((-1, 0, rows[0:2]), (-1, 0.5, rows[2:4]),
+                               (1, 0, rows[6:8]), (1, 0.5, rows[8:10])):
+            _, berry, _ = run_cli(capsys, "berry", "--C", str(C), "--beta", str(beta),
+                                  "--n", "0,1")
+            assert [{k: v for k, v in row.items() if k not in ("C", "beta", "error")}
+                    for row in point] == json.loads(berry)["rows"]
+            assert all(row["error"] is None for row in point)
+        assert rows[6]["oracle_gamma"] is not None and rows[0]["oracle_gamma"] is None
+
     def test_repeated_axis_is_named(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--sweep", "n:0:1:2",
                                "--sweep", "C:1:2:2", "--sweep", "n:3:4:2")
@@ -430,6 +464,35 @@ def test_flag_and_config_give_identical_output(name, tmp_path, monkeypatch, caps
             written.unlink()
         outputs.append(out)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--duration", "full", *_FORCE_FLAGS], {}),
+    (["--duration", "half"], {"force": _FORCE_DOC}),
+    (_FORCE_FLAGS, {"duration": "half"}),
+    ([], {"force": _FORCE_DOC, "duration": 2}),
+], ids=["flag", "flag, force in config", "config, force by flags", "config"])
+def test_driven_sweep_refuses_duration(flags, config, tmp_path, capsys):
+    # a driven sweep's phases are over N tau0; a duration would be ignored
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "D_re:0:0.3:2",
+                             "--config", str(path), *flags)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "duration" in lines[0]
+
+
+def test_undriven_sweep_reads_duration(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"duration": "full"}))
+    outputs = []
+    for argv in (["--duration", "full"], ["--config", str(path)]):
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1:2:2", *argv)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert [row["chi"] for row in json.loads(outputs[0])["rows"]] == [-math.pi] * 2
 
 
 def test_repeated_flags_add_to_the_config_lists(tmp_path, capsys):

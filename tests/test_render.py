@@ -4,25 +4,31 @@ JSON reports must be exactly what ``json.dumps(doc, indent=2)`` prints for
 the document with one object per row; CSV reports follow the README's rules:
 17 significant digits, LF line endings, the error column double-quoted only
 when nonempty. Tables mix float, int, None and string columns, as numpy
-arrays or lists, with NaN and infinities, awkward text and zero rows.
+arrays, lists or Factored columns (distinct values gathered by a row index),
+with signed zeros, NaN and infinities, awkward text and zero or one rows.
 """
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from shoberry.cli import _render_csv, _render_json
+from shoberry.cli import Factored, _render_csv, _render_json
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
 TEXT = st.one_of(st.text(), st.sampled_from(['"', '""', ",", "\n", "a,b\r\n", "é→∞", "%s", "\\"]))
 
 
+# distinct values a Factored column stores: both zeros, NaN, infinities, ints
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 0, -1, 2 ** 63 - 1, None]
+
+
 @st.composite
-def columns(draw, rows, text: bool):
+def plain_columns(draw, rows, text: bool):
     """One column of ``rows`` cells: a float or int array, or a list."""
     kind = draw(st.sampled_from(["float", "int", "list"]))
     if kind == "float":
@@ -34,21 +40,52 @@ def columns(draw, rows, text: bool):
 
 
 @st.composite
+def factored(draw, rows, values):
+    """A Factored column of ``rows`` rows over the stored ``values``."""
+    index = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+    return Factored(values, np.array(index, dtype=int))
+
+
+@st.composite
+def columns(draw, rows, text: bool):
+    """A plain column, or a Factored one: over drawn values, over the special
+    values (as a float array, or a list with ints and None), or all None."""
+    kind = draw(st.sampled_from(["plain", "factored", "special", "none"]))
+    if kind == "plain":
+        return draw(plain_columns(rows, text))
+    if kind == "factored":
+        return draw(factored(rows, draw(plain_columns(draw(st.integers(1, 4)), text))))
+    if kind == "special":
+        if draw(st.booleans()):
+            return draw(factored(rows, np.array(SPECIAL[:5])))
+        return draw(factored(rows, draw(st.permutations(SPECIAL))))
+    return Factored([None], np.zeros(rows, dtype=int))
+
+
+@st.composite
 def tables(draw, text: bool):
-    rows = draw(st.integers(0, 5))
+    rows = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 5)))
     names = draw(st.lists(TEXT if text else st.text(
         st.sampled_from("abn_ -.é"), min_size=1).filter(lambda n: n != "error"),
         min_size=1, max_size=4, unique=True))
     table = {name: draw(columns(rows, text)) for name in names}
     if not text and draw(st.booleans()):
-        table["error"] = draw(st.lists(st.one_of(st.none(), TEXT),
-                                       min_size=rows, max_size=rows))
+        error = st.lists(st.one_of(st.none(), TEXT), min_size=rows, max_size=rows)
+        if draw(st.booleans()):
+            table["error"] = draw(error)
+        else:   # one message per failed point, as a sweep's table holds them
+            table["error"] = draw(factored(rows, [None, *draw(error)]))
     return table
 
 
+def _cells(values) -> list:
+    if isinstance(values, Factored):
+        return [_cells(values.values)[i] for i in values.index.tolist()]
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _rows(table) -> list[dict]:
-    cells = [values.tolist() if isinstance(values, np.ndarray) else values
-             for values in table.values()]
+    cells = [_cells(values) for values in table.values()]
     return [dict(zip(table, row)) for row in zip(*cells)]
 
 
@@ -81,4 +118,4 @@ def test_csv_follows_the_readme_rules(table):
         for row in rows]) + "\n"
     if "error" in table:   # a quoted message reads back whole, newlines and all
         parsed = list(csv.DictReader(io.StringIO(text, newline="")))
-        assert [row["error"] for row in parsed] == [e or "" for e in table["error"]]
+        assert [row["error"] for row in parsed] == [e or "" for e in _cells(table["error"])]

@@ -41,7 +41,7 @@ def test_report_timing(tmp_path, capsys):
     assert list(report) == ["request", "rows", "repeats", "layer_s",
                             "layer_s_per_1k_rows", "sweep_end_to_end_s", "env"]
     assert report["rows"] == 5100
-    layers = ["grid", "json_render", "csv_render"]
+    layers = ["grid", "json_render", "csv_render", "trajectory_csv_render"]
     assert list(report["layer_s"]) == list(report["layer_s_per_1k_rows"]) == layers
 
 
