@@ -8,15 +8,21 @@ beta x 17 n = 5,100 points with C < 0, so no oracle runs. Each figure is the
 median over _timing.REPEATS runs of one in-process call:
 
 - grid: the sweep's column table (closed forms, refusals, axis columns);
-- json_render, csv_render: that table rendered as a report;
+- json_render, csv_render: that table rendered as a report, every piece
+  made and dropped, as a sink that writes each piece on would see them;
 - trajectory_csv_render: the table of TRAJECTORY_ARGV (8,192 samples, the
   size of the benchmark's closed_forms CSV dump) rendered as CSV;
 - sweep_end_to_end: ``shoberry.cli.main`` on the whole argv (JSON), from
   argument parsing to the report text, written to an in-memory buffer.
 
-The layers are also given per 1,000 rows of their table. Run on an idle machine; the
-numbers are only comparable between runs on the same one.
+The layers are also given per 1,000 rows of their table. json_render_peak_mb
+is the tracemalloc peak, in MiB, of one json_render: the most memory the
+render holds at once, the table itself not counted. Run on an idle machine;
+the numbers are only comparable between runs on the same one.
 """
+
+import collections
+import tracemalloc
 
 import numpy as np
 
@@ -46,14 +52,22 @@ def main(argv=None) -> int:
     trajectory = {"t": ts, "u": u, "v": v, "rho": r}
     table_rows = {"grid": rows, "json_render": rows, "csv_render": rows,
                   "trajectory_csv_render": traj.samples}
+
+    def drain(pieces) -> None:
+        collections.deque(pieces, maxlen=0)
+
     layers = {
         "grid": timing.median_seconds(grid),
         "json_render": timing.median_seconds(
-            lambda: cli._render_json("sweep", table)),
-        "csv_render": timing.median_seconds(lambda: cli._render_csv(table)),
+            lambda: drain(cli._render_json("sweep", table))),
+        "csv_render": timing.median_seconds(lambda: drain(cli._render_csv(table))),
         "trajectory_csv_render": timing.median_seconds(
-            lambda: cli._render_csv(trajectory)),
+            lambda: drain(cli._render_csv(trajectory))),
     }
+    tracemalloc.start()
+    drain(cli._render_json("sweep", table))
+    json_render_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     report = {
         "request": " ".join(ARGV),
         "rows": rows,
@@ -63,6 +77,7 @@ def main(argv=None) -> int:
                                 for name, s in layers.items()},
         "sweep_end_to_end_s": timing.median_seconds(
             timing.cli_call([*ARGV, "--format", "json"])),
+        "json_render_peak_mb": json_render_peak / 2 ** 20,
     }
     timing.write_report(out, report)
     return 0

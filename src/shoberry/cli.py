@@ -9,9 +9,11 @@ wins over the config value; --force-coeff and --sweep add to the config's
 lists. Reports go to stdout or --out as CSV or JSON;
 numbers are printed round-trip exact so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 validation or configuration error, 3 mathematically
-undefined phase (resonance, incommensurate periods, non-cyclic evolution),
-4 numerical non-convergence; validate exits 1 when any check fails.
+Exit codes: 0 success, 2 validation or configuration error or a report that
+cannot be written, 3 mathematically undefined phase (resonance,
+incommensurate periods, non-cyclic evolution), 4 numerical non-convergence,
+141 a stdout closed by its reader (quietly, as SIGPIPE would end a writer);
+validate exits 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -32,8 +35,8 @@ import numpy as np
 
 from .driven import (DrivingForce, berry_phases_driven, check_amplitude,
                      commensurability)
-from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
-                     IncommensurateError, InvalidParameterError, UndefinedPhaseError)
+from .errors import (POINT_ERRORS, ConfigError, ConvergenceError, IncommensurateError,
+                     InvalidParameterError, OutputError, UndefinedPhaseError)
 from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
 from .representation import PhysicalConfig, Representation, kinematics, validate
 from .wavefunction import check_quantum_number
@@ -77,8 +80,10 @@ class SweepAxis:
     steps: int
 
     def values(self) -> list:
-        """The axis's points; n's are rounded to integers."""
+        """The axis's points, the given start first (np.linspace would turn
+        a -0.0 start into 0.0); n's are rounded to integers."""
         values = np.linspace(self.start, self.stop, self.steps).tolist()
+        values[0] = self.start
         return [int(round(v)) for v in values] if self.parameter == "n" else values
 
 
@@ -379,7 +384,10 @@ def _load_config(args) -> argparse.Namespace:
 # are None or strings, or a Factored column. Its columns are the table's keys,
 # in order. A renderer fills one row template per report, in which plain
 # float and int columns are fields of their own and other columns are
-# spelled first.
+# spelled first, and yields the report in pieces of at most _BLOCK_ROWS rows,
+# so the text held at once stays bounded whatever the row count.
+
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -394,17 +402,27 @@ class Factored:
     def shape(self) -> tuple:
         return self.index.shape
 
+    def __len__(self) -> int:
+        return len(self.index)
 
-def _gather(cells: list, column: Factored) -> list:
-    return np.array(cells, dtype=object)[column.index].tolist()
+
+def _gather(column: Factored, spec: str, field: Callable) -> tuple[str, Callable]:
+    """The field of a Factored column: its values spelled once through their
+    own ``spec`` and ``field``, and gathered by its index in each block."""
+    cells = np.array([spec % (value,) for value in field(slice(None))], dtype=object)
+    return "%s", lambda rows: cells[column.index[rows]].tolist()
 
 
-def _format_rows(template: str, separator: str, fields) -> str:
-    """``template`` filled once per row and joined by ``separator``; each of
-    ``fields`` is one column's values in row order."""
-    rows = len(fields[0])
-    return separator.join([template] * rows) % tuple(
-        itertools.chain.from_iterable(zip(*fields)))
+def _format_rows(template: str, separator: str, fields, rows: int):
+    """``template`` filled once per row and joined by ``separator``, yielded
+    in pieces of at most _BLOCK_ROWS rows; each of ``fields`` gives one
+    column's values in a block (a slice) of rows, in row order."""
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = zip(*[field(block) for field in fields])
+        yield (separator if start else "") + separator.join(
+            [template] * min(_BLOCK_ROWS, rows - start)) % tuple(
+            itertools.chain.from_iterable(cells))
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -422,37 +440,41 @@ def _json_cell(value) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _json_field(values) -> tuple[str, list]:
-    """A column's field in the JSON row template and the values it takes.
+def _json_field(values) -> tuple[str, Callable]:
+    """A column's field in the JSON row template, and the function from a
+    block of rows (a slice) to the values the field takes there.
     float.__repr__ (%r) and int.__repr__ (%d) are json.dumps's spellings of
     finite floats and of ints; a Factored column's values are spelled once."""
     if isinstance(values, Factored):
-        spec, stored = _json_field(values.values)
-        return "%s", _gather([spec % (value,) for value in stored], values)
+        return _gather(values, *_json_field(values.values))
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
-        return "%d", values.tolist()
+        return "%d", lambda rows: values[rows].tolist()
     if kind == "f":
         if np.isfinite(values).all():
-            return "%r", values.tolist()
-        cells = map(float.__repr__, values.tolist())
-        return "%s", [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
-    return "%s", list(map(_json_cell, values.tolist() if kind else values))
+            return "%r", lambda rows: values[rows].tolist()
+        return "%s", lambda rows: [_JSON_NON_FINITE.get(cell, cell) for cell in
+                                   map(float.__repr__, values[rows].tolist())]
+    return "%s", lambda rows: list(map(
+        _json_cell, values[rows].tolist() if kind else values[rows]))
 
 
-def _render_json(command: str, table: dict, extra=None) -> str:
+def _render_json(command: str, table: dict, extra=None):
     """Byte for byte what json.dumps(doc, indent=2) prints for the report
-    document with one object per row."""
+    document with one object per row, in pieces."""
     doc = {"command": command, "columns": list(table), **(extra or {}), "rows": []}
     head = json.dumps(doc, indent=2)
+    rows = len(next(iter(table.values())))
+    if not rows:
+        yield head + "\n"
+        return
     specs, fields = zip(*map(_json_field, table.values()))
-    if not fields[0]:
-        return head + "\n"
     row = "    {\n" + ",\n".join(
         "      " + encode_basestring_ascii(name).replace("%", "%%") + ": " + spec
         for name, spec in zip(table, specs)) + "\n    }"
-    body = _format_rows(row, ",\n", fields)
-    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    yield head[:-len("[]\n}")] + "[\n"
+    yield from _format_rows(row, ",\n", fields, rows)
+    yield "\n  ]\n}\n"
 
 
 def _csv_cell(value) -> str:
@@ -463,41 +485,66 @@ def _csv_cell(value) -> str:
     return "%.17g" % value
 
 
-def _csv_field(name: str, values) -> tuple[str, list]:
-    """A column's field in the CSV row template and the values it takes; a
-    Factored column's values are spelled once."""
+def _csv_field(name: str, values) -> tuple[str, Callable]:
+    """A column's field in the CSV row template, and the function from a
+    block of rows (a slice) to the values the field takes there; a Factored
+    column's values are spelled once."""
     if isinstance(values, Factored):
-        spec, stored = _csv_field(name, values.values)
-        return "%s", _gather([spec % (value,) for value in stored], values)
+        return _gather(values, *_csv_field(name, values.values))
     if name == "error":
-        return "%s", ['"%s"' % value.replace('"', '""') if value else ""
-                      for value in values]
+        return "%s", lambda rows: ['"%s"' % value.replace('"', '""') if value else ""
+                                   for value in values[rows]]
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
-        return "%d", values.tolist()
+        return "%d", lambda rows: values[rows].tolist()
     if kind == "f":
-        return "%.17g", values.tolist()
-    return "%s", list(map(_csv_cell, values.tolist() if kind else values))
+        return "%.17g", lambda rows: values[rows].tolist()
+    return "%s", lambda rows: list(map(
+        _csv_cell, values[rows].tolist() if kind else values[rows]))
 
 
-def _render_csv(table: dict) -> str:
+def _render_csv(table: dict):
+    """The CSV report, in pieces: the header line, then blocks of rows."""
     specs, fields = zip(*map(_csv_field, table, table.values()))
-    return ",".join(table) + "\n" + _format_rows(",".join(specs) + "\n", "", fields)
+    yield ",".join(table) + "\n"
+    yield from _format_rows(",".join(specs) + "\n", "", fields,
+                            len(next(iter(table.values()))))
 
 
-def _deliver(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    else:
-        sys.stdout.write(text)
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    exit does not fail again on what a failed write left in its buffer."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _deliver(pieces, out: Optional[str]) -> None:
+    """Write each piece of a report to ``out``, or to stdout, as it is made.
+    A stdout closed by its reader raises BrokenPipeError; any other failed
+    open or write is an OutputError."""
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as stream:
+                stream.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            if isinstance(exc, BrokenPipeError):
+                raise
+            _discard_stdout()
+        raise OutputError(f"cannot write the report to {out or 'stdout'}:"
+                          f" {exc.strerror or exc}") from None
 
 
 def _emit(command: str, table: dict, cfg, extra=None) -> None:
     if cfg.format == "csv":
-        text = _render_csv(table)
+        pieces = _render_csv(table)
     else:
-        text = _render_json(command, table, extra)
-    _deliver(text, cfg.out)
+        pieces = _render_json(command, table, extra)
+    _deliver(pieces, cfg.out)
 
 
 def _point_index(axes) -> np.ndarray:
@@ -768,15 +815,16 @@ def cmd_validate(args) -> int:
         print("no checks matched the --only filter", file=sys.stderr)
         return 2
     width = max(len(r.name) for r in results)
-    failures = 0
+    lines = []
     for r in results:
         line = f"{'PASS' if r.ok else 'FAIL'} {r.name:<{width}}" \
                f"  max_dev={r.max_dev:.3e}  tol={r.tol:.1e}"
         if r.detail:
             line += f"  ({r.detail})"
-        print(line)
-        failures += 0 if r.ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+        lines.append(line + "\n")
+    failures = sum(not r.ok for r in results)
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed\n")
+    _deliver(lines, None)
     return 0 if failures == 0 else 1
 
 
@@ -836,7 +884,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except BrokenPipeError:   # stdout's reader has gone: end quietly
+        _discard_stdout()
+        return 141
+    except (ConfigError, InvalidParameterError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UndefinedPhaseError as exc:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: invalid parameters (representations
-included) and bad configs exit 2, mathematically undefined phases exit 3,
-numerical non-convergence exits 4.
+included), bad configs and reports that cannot be written exit 2,
+mathematically undefined phases exit 3, numerical non-convergence exits 4.
 """
 
 
@@ -16,6 +16,10 @@ class InvalidRepresentationError(InvalidParameterError):
 
 class ConfigError(ValueError):
     """A run configuration could not be parsed or is internally inconsistent."""
+
+
+class OutputError(Exception):
+    """A report could not be written to its destination."""
 
 
 class UndefinedPhaseError(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -277,6 +278,11 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0, err
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "0", "-0", "-0"]
+        # a -0.0 start is the axis's first value, sign included
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "beta:-0.0:1:3", "--C", "-2",
+                                 "--format", "csv")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-0", "0.5", "1"]
 
     def test_failing_point_in_a_factored_grid_keeps_one_row(self, capsys):
         # C = 0 fails at both beta values, between points of two n each
@@ -732,3 +738,61 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# 5,100 formula-only rows: far more text than a pipe buffers
+_LONG_SWEEP = ["sweep", "--sweep", "C:-6:-0.2:20", "--sweep", "beta:-1.3:1.3:15",
+               "--sweep", "n:0:64:17"]
+
+
+# a fresh process with a block-buffered stdout, as a shell gives a pipe or file
+_BUFFERED = {name: value for name, value in os.environ.items()
+             if name != "PYTHONUNBUFFERED"}
+
+
+def _fresh(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "shoberry", *argv], env=_BUFFERED,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def _one_error_line(stderr: str, target: str) -> None:
+    assert re.fullmatch(f"error: cannot write the report to {re.escape(target)}: .+\n",
+                        stderr), stderr
+
+
+def test_out_that_cannot_be_opened_exits_2(tmp_path):
+    out = str(tmp_path / "missing" / "x.json")
+    proc = _fresh(["berry", "--C", "2", "--out", out], stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    _one_error_line(proc.stderr, out)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_write_exits_2():
+    proc = _fresh([*_LONG_SWEEP, "--out", "/dev/full"], stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    _one_error_line(proc.stderr, "/dev/full")
+    short = (["berry", "--C", "2"], ["validate", "--only", "representation/wronskian"])
+    for argv in (_LONG_SWEEP, *short):   # a failed write, or a failed flush
+        with open("/dev/full", "w") as full:
+            proc = _fresh(argv, stdout=full)
+        assert proc.returncode == 2
+        _one_error_line(proc.stderr, "stdout")
+
+
+def test_stdout_closed_by_its_reader_ends_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "shoberry", *_LONG_SWEEP], env=_BUFFERED,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert [proc.stdout.readline() for _ in range(2)] == ["{\n", '  "command": "sweep",\n']
+    proc.stdout.close()
+    assert proc.wait() == 141
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+    # a reader gone before the first write: a short report fails at its flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh(["berry", "--C", "2"], stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")

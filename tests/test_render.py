@@ -6,17 +6,24 @@ the document with one object per row; CSV reports follow the README's rules:
 when nonempty. Tables mix float, int, None and string columns, as numpy
 arrays, lists or Factored columns (distinct values gathered by a row index),
 with signed zeros, NaN and infinities, awkward text and zero or one rows.
+Reports come in pieces of at most ``cli._BLOCK_ROWS`` rows; the properties
+also run with blocks of 1, 2 and 3 rows, so rows meet at every seam, and the
+text a render holds at once must not grow with its row count.
 """
 
+import collections
 import csv
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from shoberry.cli import Factored, _render_csv, _render_json
+from shoberry import cli
+from shoberry.cli import Factored
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
@@ -89,13 +96,27 @@ def _rows(table) -> list[dict]:
     return [dict(zip(table, row)) for row in zip(*cells)]
 
 
+# rows per block: the renderers' own, and sizes that put seams between few rows
+BLOCKS = st.sampled_from([cli._BLOCK_ROWS, 1, 2, 3])
+
+
+def _render_json(command, table, extra, block):
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        return "".join(cli._render_json(command, table, extra))
+
+
+def _render_csv(table, block):
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        return "".join(cli._render_csv(table))
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables(text=True), st.sampled_from(["sweep", "berry", "é"]),
-       st.one_of(st.none(), st.fixed_dictionaries({"duration": FLOATS})))
-def test_json_is_json_dumps_byte_for_byte(table, command, extra):
+       st.one_of(st.none(), st.fixed_dictionaries({"duration": FLOATS})), BLOCKS)
+def test_json_is_json_dumps_byte_for_byte(table, command, extra, block):
     doc = {"command": command, "columns": list(table), **(extra or {}),
            "rows": _rows(table)}
-    assert _render_json(command, table, extra) == json.dumps(doc, indent=2) + "\n"
+    assert _render_json(command, table, extra, block) == json.dumps(doc, indent=2) + "\n"
 
 
 def _csv_cell(name, value) -> str:
@@ -109,9 +130,9 @@ def _csv_cell(name, value) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables(text=False))
-def test_csv_follows_the_readme_rules(table):
-    text = _render_csv(table)
+@given(tables(text=False), BLOCKS)
+def test_csv_follows_the_readme_rules(table, block):
+    text = _render_csv(table, block)
     rows = _rows(table)
     assert text == "\n".join([",".join(table)] + [
         ",".join(_csv_cell(name, value) for name, value in row.items())
@@ -119,3 +140,39 @@ def test_csv_follows_the_readme_rules(table):
     if "error" in table:   # a quoted message reads back whole, newlines and all
         parsed = list(csv.DictReader(io.StringIO(text, newline="")))
         assert [row["error"] for row in parsed] == [e or "" for e in _cells(table["error"])]
+
+
+def _sweep_like(rows: int) -> dict:
+    """A table shaped like a sweep's: factored axis, n and error columns, an
+    all-null oracle column, float columns with and without NaN."""
+    rng = np.random.default_rng(rows)
+    gamma = rng.normal(size=rows)
+    delta = gamma.copy()
+    delta[::7] = math.nan
+    return {"C": Factored(np.linspace(-6.0, -0.2, 20), np.arange(rows) % 20),
+            "n": Factored(np.arange(17), np.arange(rows) % 17),
+            "delta": delta, "gamma": gamma,
+            "oracle_gamma": Factored([None], np.zeros(rows, dtype=int)),
+            "error": Factored([None, 'a "quoted" message'], np.arange(rows) % 5 // 4)}
+
+
+def _render_peak(render, table) -> int:
+    """The tracemalloc peak, in bytes, of rendering ``table`` into a sink
+    that discards every piece."""
+    tracemalloc.start()
+    try:
+        collections.deque(render(table), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_memory_does_not_grow_with_rows():
+    rows = 2 * cli._BLOCK_ROWS
+    renders = {"json": lambda table: cli._render_json("sweep", table),
+               "csv": cli._render_csv}
+    for name, render in renders.items():
+        small, large = _sweep_like(rows), _sweep_like(8 * rows)
+        block_text = max(len(piece) for piece in render(small))
+        growth = _render_peak(render, large) - _render_peak(render, small)
+        assert growth < block_text, name

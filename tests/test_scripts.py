@@ -39,8 +39,10 @@ def test_oracle_timing(tmp_path, capsys):
 def test_report_timing(tmp_path, capsys):
     report = _run("report_timing", tmp_path, capsys)
     assert list(report) == ["request", "rows", "repeats", "layer_s",
-                            "layer_s_per_1k_rows", "sweep_end_to_end_s", "env"]
+                            "layer_s_per_1k_rows", "sweep_end_to_end_s",
+                            "json_render_peak_mb", "env"]
     assert report["rows"] == 5100
+    assert report["json_render_peak_mb"] > 0
     layers = ["grid", "json_render", "csv_render", "trajectory_csv_render"]
     assert list(report["layer_s"]) == list(report["layer_s_per_1k_rows"]) == layers
 
