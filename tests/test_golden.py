@@ -2,7 +2,8 @@
 
 Each file under ``tests/data`` holds the output of one CLI call, as written
 before the reports became column tables; the call must still write exactly
-those bytes. Together they cover error rows (C = 0, cos beta ~ 0, a resonant
+those bytes. ``validate.txt`` is the ``validate`` report, pinned before its
+checks became functions shared with the acceptance suite. Together they cover error rows (C = 0, cos beta ~ 0, a resonant
 drive), several quantum numbers per point, n above the oracle's cap in a
 formula-only cell, mixed full/formula-only cells, the driven special
 representation and both output formats.
@@ -50,3 +51,8 @@ def test_report_matches_pinned_bytes(name, tmp_path):
     out = tmp_path / name
     assert main([*GOLDEN[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_validate_report_matches_pinned_bytes(capsys):
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "validate.txt").read_bytes()
