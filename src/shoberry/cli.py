@@ -38,7 +38,7 @@ from .driven import (DrivingForce, berry_phases_driven, check_amplitude,
 from .errors import (POINT_ERRORS, ConfigError, ConvergenceError, IncommensurateError,
                      InvalidParameterError, OutputError, UndefinedPhaseError)
 from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
-from .representation import PhysicalConfig, Representation, kinematics, validate
+from .representation import PhysicalConfig, Representation, kinematics
 from .wavefunction import check_quantum_number
 
 _FORMATS = ("csv", "json")
@@ -622,8 +622,7 @@ def _berry_grid(cfg, axes):
             continue
         k = int(slot[p, np.argmax(slot_bad[p])])
         errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
-    full = np.array([not bad and validate(c, "full").ok
-                     for c, bad in zip(cells, cell_bad)])
+    full = np.array([not bad and c.omega > 0 for c, bad in zip(cells, cell_bad)])
     oracle = np.zeros(chi.shape)
     has_oracle = np.zeros(points, dtype=bool)
     groups = {}   # the full-mode points of each tuple of quantum numbers
@@ -728,10 +727,13 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     are Factored: each axis value and each message is stored once."""
     points, per_point = next(iter(columns.values())).shape
     failed = np.array([e is not None for e in errors], dtype=bool)
-    keep = np.ones((points, per_point), dtype=bool)
-    keep[failed, 1:] = False
-    keep = keep.ravel()
-    point_of_row = np.repeat(np.arange(points), per_point)[keep]
+    keep = slice(None)   # every row: the columns are sliced as views, not copied
+    if per_point > 1 and failed.any():
+        keep = np.ones((points, per_point), dtype=bool)
+        keep[failed, 1:] = False
+        keep = keep.ravel()
+    point_of_row = slice(None) if per_point == 1 else \
+        np.repeat(np.arange(points), per_point)[keep]
     table = {}
     for ax, index in zip(axes, _point_index(axes)):
         table[ax.parameter] = Factored(np.array(ax.values()), index[point_of_row])
