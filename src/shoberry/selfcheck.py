@@ -2,12 +2,21 @@
 
 Each check exercises one documented invariant on a small fixed grid and
 reports its worst deviation against the pinned tolerance. Each check is
-registered with its printed name and tolerance; CHECKS keeps them in report
-order. The battery is deterministic.
+registered with its printed name, tolerance and grid; CHECKS keeps them in
+report order. The battery is deterministic.
+
+An invariant that the acceptance suite (tests/test_acceptance.py) also
+checks is written once, as a public function of its grid whose docstring
+names the criterion: validate calls it on the small grid registered with it,
+the criterion on its own grid at the same tolerance, and some unit tests on
+further inputs. Each looks up the library's functions through their modules
+when called, so a patched function is what both callers run. ``drives`` are
+(force, commensurability, D) triples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -31,14 +40,16 @@ class CheckResult:
     detail: str = ""
 
 
-# (printed name, tolerance, check) in report order. A check returns its worst
-# deviation, or (deviation, detail) when its report line carries a detail.
+# (printed name, tolerance, check) in report order. A check takes no argument
+# and returns its worst deviation, or (deviation, detail) when its report line
+# carries a detail.
 CHECKS: list[tuple[str, float, Callable]] = []
 
 
-def _check(name: str, tol: float):
+def _check(name: str, tol: float, *grid):
+    """Register the decorated function, called on ``grid``, as check ``name``."""
     def register(func):
-        CHECKS.append((name, tol, func))
+        CHECKS.append((name, tol, functools.partial(func, *grid)))
         return func
     return register
 
@@ -52,6 +63,8 @@ _REPS = (
     Representation(3.0, 2.0, 4.0, math.pi / 3),
     Representation(0.5, 0.7, 1.5, -math.pi / 6),
 )
+_FORCE = drv.DrivingForce(omega_f=2.0 / 3.0, coefficients={1: 0.35, -1: 0.35})
+_COMM = drv.Commensurability(p=2, N=3)
 
 
 @_check("representation/wronskian-constant", 1e-10)
@@ -144,15 +157,20 @@ def _schrodinger_residual():
     return rel, "4th-order differences in t and x"
 
 
-@_check("wavefunction/quasiperiodicity", 1e-9)
-def _quasiperiodicity():
+@_check("wavefunction/quasiperiodicity", 1e-9, [
+    (wf.QuantumState(rep, n), t) for rep, n, t in (
+        (_REPS[1], 0, 0.4), (_REPS[2], 3, 1.1), (_REPS[3], 1, 0.23), (_REPS[4], 4, 2.0))],
+    601)
+def quasiperiodicity(cases, points):
+    """Worst |psi(x, t + tau0/2) - exp(-i (n + 1/2) pi) psi(x, t)| at ``points``
+    x across the grid half-width, over the (state, t) pairs of ``cases``.
+    Criterion 05."""
     worst = 0.0
-    for rep, n, t in ((_REPS[1], 0, 0.4), (_REPS[2], 3, 1.1),
-                      (_REPS[3], 1, 0.23), (_REPS[4], 4, 2.0)):
-        state = wf.QuantumState(rep, n)
-        xs = np.linspace(-wf.grid_halfwidth(state), wf.grid_halfwidth(state), 601)
-        lhs = wf.psi(state, xs, t + 0.5 * rep.tau0)
-        rhs = np.exp(-1j * (n + 0.5) * math.pi) * wf.psi(state, xs, t)
+    for state, t in cases:
+        half = wf.grid_halfwidth(state)
+        xs = np.linspace(-half, half, points)
+        lhs = wf.psi(state, xs, t + 0.5 * state.rep.tau0)
+        rhs = np.exp(-1j * (state.n + 0.5) * math.pi) * wf.psi(state, xs, t)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -183,55 +201,67 @@ def _dynamical_oracle():
     return worst
 
 
-@_check("phase/closed-vs-oracle", 1e-7)
-def _closed_vs_oracle():
+def half_period_oracle(state) -> float:
+    """gamma of ``state`` over half a period from the oracle pipeline."""
+    return phase.berry_phase_oracle(state, 0.5 * state.rep.tau0)
+
+
+@_check("phase/closed-vs-oracle", 1e-7,
+        [wf.QuantumState(rep, n) for rep in _REPS for n in (0, 3)])
+def closed_vs_oracle(states, oracle=half_period_oracle):
+    """Worst |closed - oracle| gamma over half a period, over ``states``;
+    ``oracle`` gives a state's oracle gamma. Criterion 02."""
     worst = 0.0
-    for rep in _REPS:
-        for n in (0, 3):
-            state = wf.QuantumState(rep, n)
-            tau = 0.5 * rep.tau0
-            chi, _ = phase.overall_phase_oracle(state, tau)
-            delta = phase.dynamical_phase_oracle(state, tau)
-            gamma = phase.berry_phase(rep, n, "half").gamma
-            worst = max(worst, abs(gamma - (chi - delta)))
+    for state in states:
+        oracle_gamma = oracle(state)
+        gamma = phase.berry_phase(state.rep, state.n, "half").gamma
+        worst = max(worst, abs(gamma - oracle_gamma))
     return worst
 
 
-@_check("phase/parameter-independence", 1e-7)
-def _parameter_independence():
+@_check("phase/parameter-independence", 1e-7, [
+    wf.QuantumState(Representation(M, w, C, beta), n, PhysicalConfig(hbar))
+    for C, beta, n in ((2.0, 0.0, 1), (0.5, math.pi / 6, 0))
+    for M in (0.5, 3.0) for w in (1.0, 2.0) for hbar in (0.5, 1.0)])
+def parameter_independence(states, oracle=half_period_oracle):
+    """Worst spread of the oracle gamma over half a period among the
+    ``states`` that share C, beta and n: it depends on none of M, w and hbar.
+    ``oracle`` gives a state's oracle gamma. Criterion 03."""
+    groups = {}
+    for state in states:
+        key = (state.rep.C, state.rep.beta, state.n)
+        groups.setdefault(key, []).append(oracle(state))
     worst = 0.0
-    for C, beta, n in ((2.0, 0.0, 1), (0.5, math.pi / 6, 0)):
-        values = []
-        for M in (0.5, 3.0):
-            for w in (1.0, 2.0):
-                for hbar in (0.5, 1.0):
-                    rep = Representation(M, w, C, beta)
-                    state = wf.QuantumState(rep, n, PhysicalConfig(hbar))
-                    values.append(phase.berry_phase_oracle(state, 0.5 * rep.tau0))
+    for values in groups.values():
         worst = max(worst, max(values) - min(values))
     return worst
 
 
-@_check("phase/doubling", 1e-7)
-def _doubling():
+@_check("phase/doubling", 1e-7,
+        [wf.QuantumState(rep, n) for rep in _REPS[1:3] for n in (0, 2)])
+def doubling(states):
+    """Worst |gamma(tau0) - 2 gamma(tau0 / 2)| of the oracle over ``states``,
+    once the closed form has doubled exactly for each (else deviation 1).
+    Criterion 04."""
     worst_oracle = 0.0
-    for rep in (_REPS[1], _REPS[2]):
-        for n in (0, 2):
-            half = phase.berry_phase(rep, n, "half").gamma
-            full = phase.berry_phase(rep, n, "full").gamma
-            if full != 2.0 * half:
-                return 1.0, "closed form failed to double exactly"
-            state = wf.QuantumState(rep, n)
-            g_half = phase.berry_phase_oracle(state, 0.5 * rep.tau0)
-            g_full = phase.berry_phase_oracle(state, rep.tau0)
-            worst_oracle = max(worst_oracle, abs(g_full - 2.0 * g_half))
+    for state in states:
+        rep, n = state.rep, state.n
+        half = phase.berry_phase(rep, n, "half").gamma
+        full = phase.berry_phase(rep, n, "full").gamma
+        if full != 2.0 * half:
+            return 1.0, "closed form failed to double exactly"
+        g_half = phase.berry_phase_oracle(state, 0.5 * rep.tau0)
+        g_full = phase.berry_phase_oracle(state, rep.tau0)
+        worst_oracle = max(worst_oracle, abs(g_full - 2.0 * g_half))
     return worst_oracle, "closed form doubles exactly; oracle within 1e-7"
 
 
-@_check("phase/ge-child", 1e-8)
-def _ge_child():
+@_check("phase/ge-child", 1e-8, _REPS[:4])
+def ge_child(reps):
+    """Worst |Gaussian-parameter cycle integral - full-period ground-state
+    gamma| over ``reps``. Criterion 06."""
     worst = 0.0
-    for rep in (_REPS[0], _REPS[1], _REPS[2], _REPS[3]):
+    for rep in reps:
         gc = phase.ge_child_integral(rep)
         ref = phase.berry_phase(rep, 0, "full").gamma
         worst = max(worst, abs(gc - ref))
@@ -251,66 +281,70 @@ def _positivity():
     return abs(stationary), "gamma = 0 only at C=1, beta=0"
 
 
-def _demo_drive():
-    force = drv.DrivingForce(omega_f=2.0 / 3.0, coefficients={1: 0.35, -1: 0.35})
-    comm = drv.Commensurability(p=2, N=3)
-    return force, comm
-
-
-@_check("driven/ode-residual", 1e-9)
-def _ode_residual():
-    rep = _REPS[1]
-    force, comm = _demo_drive()
-    xp = drv.particular_solution(force, rep, comm, D=0.2 + 0.1j)
-    ts = np.linspace(0.0, comm.N * rep.tau0, 800)
-    resid = xp.xddot(ts) + rep.w ** 2 * xp.x(ts) - force(ts) / rep.M
-    scale = max(float(np.max(np.abs(force(ts) / rep.M))),
-                rep.w ** 2 * float(np.max(np.abs(xp.x(ts)))))
-    return float(np.max(np.abs(resid))) / scale
-
-
-@_check("driven/xp-periodicity", 1e-10)
-def _xp_periodicity():
-    rep = _REPS[1]
-    force, comm = _demo_drive()
-    xp = drv.particular_solution(force, rep, comm, D=0.2 + 0.1j)
-    ts = np.linspace(0.0, comm.N * rep.tau0, 257)
-    dev = np.max(np.abs(xp.x(ts + comm.N * rep.tau0) - xp.x(ts)))
-    return float(dev)
-
-
-@_check("driven/closed-vs-quadrature", 1e-8)
-def _drive_closed_vs_quadrature():
-    rep = _REPS[1]
-    force, comm = _demo_drive()
+@_check("driven/ode-residual", 1e-9, _REPS[1], [(_FORCE, _COMM, 0.2 + 0.1j)], 800)
+def ode_residual(rep, drives, samples):
+    """Worst relative residual of x_p'' + w^2 x_p - F/M at ``samples`` times
+    over the joint cycle N tau0, for the particular solution of each drive.
+    Criterion 12."""
     worst = 0.0
-    for D in (0j, 0.3 + 0.1j):
+    for force, comm, D in drives:
         xp = drv.particular_solution(force, rep, comm, D=D)
-        closed = drv.drive_phase_closed(force, comm, rep.M, rep.w, 1.0, D)
-        quad = drv.drive_phase_quadrature(xp, rep.M, 1.0, comm.N * rep.tau0)
+        ts = np.linspace(0.0, comm.N * rep.tau0, samples)
+        resid = xp.xddot(ts) + rep.w ** 2 * xp.x(ts) - force(ts) / rep.M
+        scale = max(float(np.max(np.abs(force(ts) / rep.M))),
+                    rep.w ** 2 * float(np.max(np.abs(xp.x(ts)))))
+        worst = max(worst, float(np.max(np.abs(resid))) / scale)
+    return worst
+
+
+@_check("driven/xp-periodicity", 1e-10, _REPS[1], [(_FORCE, _COMM, 0.2 + 0.1j)], 257)
+def xp_periodicity(rep, drives, samples):
+    """Worst |x_p(t + N tau0) - x_p(t)| at ``samples`` times over the joint
+    cycle, for the particular solution of each drive."""
+    worst = 0.0
+    for force, comm, D in drives:
+        xp = drv.particular_solution(force, rep, comm, D=D)
+        span = comm.N * rep.tau0
+        ts = np.linspace(0.0, span, samples)
+        worst = max(worst, float(np.max(np.abs(xp.x(ts + span) - xp.x(ts)))))
+    return worst
+
+
+@_check("driven/closed-vs-quadrature", 1e-8,
+        _REPS[1], [(_FORCE, _COMM, D) for D in (0j, 0.3 + 0.1j)])
+def drive_closed_vs_quadrature(rep, drives, config=PhysicalConfig()):
+    """Worst relative gap between the closed drive term over N tau0 and the
+    blind quadrature of its particular solution, over the drives. Criterion 09."""
+    worst = 0.0
+    for force, comm, D in drives:
+        xp = drv.particular_solution(force, rep, comm, D=D)
+        closed = drv.drive_phase_closed(force, comm, rep.M, rep.w, config.hbar, D)
+        quad = drv.drive_phase_quadrature(xp, rep.M, config.hbar, comm.N * rep.tau0)
         worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-30))
     return worst
 
 
-@_check("driven/decomposition-independence", 1e-8)
-def _drive_decomposition():
-    force, comm = _demo_drive()
-    reference = None
+@_check("driven/decomposition-independence", 1e-8,
+        _REPS[1:3], (0, 2), [(_FORCE, _COMM, 0.25 - 0.4j)])
+def drive_decomposition(reps, ns, drives, config=PhysicalConfig()):
+    """Worst spread, per drive, of the drive part gamma_total - N gamma_full
+    over ``reps`` and ``ns`` together with its blind quadratures: the drive
+    term depends on neither the representation nor n. Criterion 09."""
     worst = 0.0
-    for rep in (_REPS[1], Representation(1.0, 1.0, 0.5, math.pi / 6)):
-        for n in (0, 2):
-            res = drv.berry_phase_driven(rep, n, force, 0.25 - 0.4j, comm)
-            drive_part = res.gamma_total - comm.N * phase.berry_phase(rep, n, "full").gamma
-            if reference is None:
-                reference = drive_part
-            worst = max(worst, abs(drive_part - reference),
-                        abs(res.drive_quadrature - reference))
+    for force, comm, D in drives:
+        values = []
+        for rep in reps:
+            for n in ns:
+                res = drv.berry_phase_driven(rep, n, force, D, comm, config)
+                undriven = comm.N * phase.berry_phase(rep, n, "full").gamma
+                values += [res.gamma_total - undriven, res.drive_quadrature]
+        worst = max(worst, max(values) - min(values))
     return worst
 
 
 @_check("driven/special-rep-scaling", 1e-10)
 def _special_rep_scaling():
-    force, comm = _demo_drive()
+    force, comm = _FORCE, _COMM
     w = comm.N * force.omega_f / comm.p
     full = drv.drive_phase_closed(force, comm, M=1.3, w=w, hbar=0.7, D=0j)
     special = drv.berry_phase_special_rep(force, M=1.3, w=w, hbar=0.7)
@@ -321,7 +355,7 @@ def _special_rep_scaling():
 @_check("driven/phase-scaling", 1e-12)
 def _drive_phase_scaling():
     # fixed x_p shape means f_n scales with M and D stays put
-    force, comm = _demo_drive()
+    force, comm = _FORCE, _COMM
     w = comm.N * force.omega_f / comm.p
     base = drv.drive_phase_closed(force, comm, M=1.0, w=w, hbar=1.0, D=0.2j)
     half_hbar = drv.drive_phase_closed(force, comm, M=1.0, w=w, hbar=0.5, D=0.2j)
@@ -374,30 +408,37 @@ def _quadrature_battery():
     return worst, f"{len(QUADRATURE_CASES)} analytic integrals"
 
 
-def _analytic_grid_state(state, half, points, t):
+def propagations(state, steps, points=1024):
+    """(initial, exact, finals): the analytic state at 0 and at tau0 on
+    ``points`` grid points over 1.1 grid half-widths, and the split-operator
+    propagations of the first over tau0 in each number of ``steps``."""
+    rep = state.rep
+    half = wf.grid_halfwidth(state) * 1.1
     xs = np.linspace(-half, half, points, endpoint=False)
-    return GridState(-half, half, points, wf.psi(state, xs, t), t)
+    initial, exact = (GridState(-half, half, points, wf.psi(state, xs, t), t)
+                      for t in (0.0, rep.tau0))
+    return initial, exact, [propagate_schrodinger(initial, rep.M, rep.w, rep.tau0, count)
+                            for count in steps]
+
+
+def propagator_order(runs):
+    """Deviation 0 when the propagator converges at second order, else 1:
+    each halving of the step divides |<exact|final> - 1| by 3.5 to 4.5, and
+    the norm drifts below 1e-10. ``runs`` are propagations() over step counts
+    that double. Criterion 08."""
+    ratios, norm_dev = [], 0.0
+    for _, exact, finals in runs:
+        errors = [abs(exact.overlap(final) - 1.0) for final in finals]
+        ratios += [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        norm_dev = max(norm_dev, *(abs(final.norm() - 1.0) for final in finals))
+    dev = 0.0 if all(3.5 <= r <= 4.5 for r in ratios) and norm_dev < 1e-10 else 1.0
+    return dev, (f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)};"
+                 f" norm drift {norm_dev:.1e}")
 
 
 @_check("numerics/propagator-order", 0.5)
 def _propagator_order():
-    rep = _REPS[1]
-    state = wf.QuantumState(rep, 0)
-    half = wf.grid_halfwidth(state) * 1.1
-    points = 1024
-    initial = _analytic_grid_state(state, half, points, 0.0)
-    exact = _analytic_grid_state(state, half, points, rep.tau0)
-    errors = []
-    norm_dev = 0.0
-    for steps in (128, 256, 512):
-        final = propagate_schrodinger(initial, rep.M, rep.w, rep.tau0, steps)
-        errors.append(abs(exact.overlap(final) - 1.0))
-        norm_dev = max(norm_dev, abs(final.norm() - 1.0))
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    ok_ratio = all(3.5 <= r <= 4.5 for r in ratios)
-    dev = 0.0 if (ok_ratio and norm_dev < 1e-10) else 1.0
-    return dev, (f"halving ratios {ratios[0]:.2f}, {ratios[1]:.2f};"
-                 f" norm drift {norm_dev:.1e}")
+    return propagator_order([propagations(wf.QuantumState(_REPS[1], 0), (128, 256, 512))])
 
 
 @_check("numerics/rationalize", 0.5)

@@ -567,6 +567,21 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL phase/dynamical-oracle-agreement" in out
 
+    def test_shared_check_canary_fails_validate_and_criterion(self, capsys, monkeypatch):
+        # validate and acceptance criterion 02 run one closed_vs_oracle: a
+        # relative error of 1e-6 in the closed-form gamma must fail both
+        from types import SimpleNamespace
+        from shoberry import phase, selfcheck
+        from shoberry.wavefunction import QuantumState
+        closed = phase.berry_phase
+        monkeypatch.setattr(phase, "berry_phase", lambda *a: SimpleNamespace(
+            gamma=(1.0 + 1e-6) * closed(*a).gamma))
+        code, out, _ = run_cli(capsys, "validate", "--only", "phase/closed-vs-oracle")
+        assert code == 1
+        assert "FAIL phase/closed-vs-oracle" in out
+        state = QuantumState(Representation(1.0, 1.0, 2.0, 0.0), 1)  # a criterion 02 cell
+        assert selfcheck.closed_vs_oracle([state]) > 1e-7
+
     def test_only_matches_printed_name_prefix(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--only", "numerics")
         assert code == 0

@@ -16,7 +16,7 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              fourier_decompose,
                              particular_solution, psi_driven,
                              velocity_squared_integral)
-from shoberry import cli, driven
+from shoberry import cli, driven, selfcheck
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
                              ResonanceError)
@@ -154,16 +154,9 @@ class TestParticularSolution:
             particular_solution(force, STRETCHED, None)
 
     def test_ode_residual_and_periodicity(self):
-        force = square_wave_force(0.4, 0.75)
-        comm = Commensurability(3, 4)
-        xp = particular_solution(force, STRETCHED, comm, D=0.15 + 0.2j)
-        span = comm.N * STRETCHED.tau0
-        ts = np.linspace(0.0, span, 900)
-        residual = xp.xddot(ts) + STRETCHED.w ** 2 * xp.x(ts) - force(ts)
-        scale = max(np.max(np.abs(force(ts))),
-                    STRETCHED.w ** 2 * np.max(np.abs(xp.x(ts))))
-        assert np.max(np.abs(residual)) < 1e-9 * scale
-        assert np.max(np.abs(xp.x(ts + span) - xp.x(ts))) < 1e-10
+        drives = [(square_wave_force(0.4, 0.75), Commensurability(3, 4), 0.15 + 0.2j)]
+        assert selfcheck.ode_residual(STRETCHED, drives, 900) < 1e-9
+        assert selfcheck.xp_periodicity(STRETCHED, drives, 900) < 1e-10
 
 
 class TestActionPhase:
@@ -373,16 +366,11 @@ class TestBerryPhaseDriven:
         assert res.drive_quadrature == pytest.approx(expected, rel=1e-8)
 
     def test_drive_part_independent_of_n_and_representation(self):
-        force = DrivingForce(2.0 / 3.0, {1: 0.35, -1: 0.35})
-        comm = Commensurability(2, 3)
-        drives = []
-        for rep in (STRETCHED, Representation(1.0, 1.0, 0.5, math.pi / 6)):
-            for n in (0, 2, 5):
-                res = berry_phase_driven(rep, n, force, 0.25 - 0.4j, comm)
-                drives.append(res.gamma_total
-                              - comm.N * berry_phase(rep, n, "full").gamma)
-                drives.append(res.drive_quadrature)
-        assert max(drives) - min(drives) < 1e-8
+        drive = (DrivingForce(2.0 / 3.0, {1: 0.35, -1: 0.35}), Commensurability(2, 3),
+                 0.25 - 0.4j)
+        assert selfcheck.drive_decomposition(
+            (STRETCHED, Representation(1.0, 1.0, 0.5, math.pi / 6)), (0, 2, 5),
+            [drive]) < 1e-8
 
     def test_scales_inversely_with_hbar(self):
         force = DrivingForce(2.0 / 3.0, {1: 0.35, -1: 0.35})

@@ -244,22 +244,6 @@ class TestPropagator:
                 propagate_schrodinger(_gaussian_state(), 1.0, 1.0, 1.0, 16,
                                       force=force)
 
-    def test_second_order_convergence(self):
-        from shoberry.representation import Representation
-        from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
-
-        rep = Representation(1.0, 1.0, 2.0, 0.0)
-        qs = QuantumState(rep, 0)
-        half = grid_halfwidth(qs) * 1.1
-        xs = np.linspace(-half, half, 1024, endpoint=False)
-        initial = GridState(-half, half, 1024, psi(qs, xs, 0.0), 0.0)
-        exact = GridState(-half, half, 1024, psi(qs, xs, rep.tau0), rep.tau0)
-        errors = [abs(exact.overlap(
-            propagate_schrodinger(initial, 1.0, 1.0, rep.tau0, steps)) - 1.0)
-            for steps in (128, 256, 512)]
-        for coarse, fine in zip(errors, errors[1:]):
-            assert 3.5 <= coarse / fine <= 4.5
-
 
 def _reference_propagate(initial, M, w, t_final, steps, force=None, hbar=1.0):
     """The Strang step with the potential kick exponentiated on the whole

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shoberry import phase
+from shoberry import phase, selfcheck
 from shoberry.errors import (ConvergenceError, InvalidParameterError,
                              InvalidRepresentationError, NotCyclicError)
 from shoberry.numerics import integrate_1d
@@ -192,30 +192,23 @@ class TestOracles:
         assert abs(full - 2.0 * half) < 1e-9
 
     def test_gamma_pipeline_agrees_with_closed_form(self):
-        for rep in (STRETCHED, Representation(2.0, 1.5, 0.5, -math.pi / 6),
-                    Representation(1.0, 1.0, 4.0, math.pi / 3)):
-            for n in (0, 2, 4):
-                state = QuantumState(rep, n)
-                gamma = berry_phase_oracle(state, 0.5 * rep.tau0)
-                assert abs(gamma - berry_phase(rep, n, "half").gamma) < 1e-7
+        assert selfcheck.closed_vs_oracle([
+            QuantumState(rep, n)
+            for rep in (STRETCHED, Representation(2.0, 1.5, 0.5, -math.pi / 6),
+                        Representation(1.0, 1.0, 4.0, math.pi / 3))
+            for n in (0, 2, 4)]) < 1e-7
 
     def test_oracle_branch_with_exact_overlap_zeros(self):
         # the overlap <psi(0)|psi(t)> crosses zero for this state; the branch
         # tracking must survive and agree with the closed form
-        rep = Representation(1.0, 1.0, 0.5, 0.0)
-        state = QuantumState(rep, 4)
-        gamma = berry_phase_oracle(state, 0.5 * rep.tau0)
-        assert abs(gamma - berry_phase(rep, 4, "half").gamma) < 1e-7
+        state = QuantumState(Representation(1.0, 1.0, 0.5, 0.0), 4)
+        assert selfcheck.closed_vs_oracle([state]) < 1e-7
 
     def test_oracle_independent_of_M_w_hbar(self):
-        values = []
-        for M in (0.5, 1.0, 3.0):
-            for w in (0.5, 1.0, 2.0):
-                for hbar in (0.5, 1.0):
-                    rep = Representation(M, w, 2.0, 0.4)
-                    state = QuantumState(rep, 1, PhysicalConfig(hbar))
-                    values.append(berry_phase_oracle(state, 0.5 * rep.tau0))
-        assert max(values) - min(values) < 1e-7
+        assert selfcheck.parameter_independence([
+            QuantumState(Representation(M, w, 2.0, 0.4), 1, PhysicalConfig(hbar))
+            for M in (0.5, 1.0, 3.0) for w in (0.5, 1.0, 2.0)
+            for hbar in (0.5, 1.0)]) < 1e-7
 
 
 class TestPerPointOracle:
@@ -268,10 +261,8 @@ class TestGeChild:
         assert abs(ge_child_integral(STRETCHED) - math.pi / 4.0) < 1e-8
 
     def test_matches_full_period_ground_phase(self):
-        for rep in (Representation(1, 1, 0.5, math.pi / 6),
-                    Representation(2, 1.5, 3.0, -math.pi / 3)):
-            assert abs(ge_child_integral(rep)
-                       - berry_phase(rep, 0, "full").gamma) < 1e-8
+        assert selfcheck.ge_child([Representation(1, 1, 0.5, math.pi / 6),
+                                   Representation(2, 1.5, 3.0, -math.pi / 3)]) < 1e-8
 
     def test_integral_is_real(self):
         rep = Representation(1, 1, 2.0, 0.5)
