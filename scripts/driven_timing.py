@@ -19,6 +19,10 @@ figure is the median over _timing.REPEATS runs of one in-process call:
 - propagation_free: the same propagation without the force, which times
   the propagator's force-free branch on the same grid and steps.
 
+propagation_ns_per_point_step and propagation_free_ns_per_point_step divide
+the two propagation figures by POINTS * STEPS: the propagator's cost per step
+and grid point.
+
 Run on an idle machine; the numbers are only comparable between runs on the
 same one.
 """
@@ -92,6 +96,10 @@ def main(argv=None) -> int:
         "sweep_end_to_end_s": timing.median_seconds(
             timing.cli_call([*ARGV, "--format", "csv"])),
         "layer_s": layers,
+        "propagation_ns_per_point_step":
+            layers["propagation"] / (POINTS * STEPS) * 1e9,
+        "propagation_free_ns_per_point_step":
+            layers["propagation_free"] / (POINTS * STEPS) * 1e9,
     }
     timing.write_report(out, report)
     return 0

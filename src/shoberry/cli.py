@@ -555,13 +555,17 @@ def _point_index(axes) -> np.ndarray:
     return np.indices(steps).reshape(len(steps), math.prod(steps))
 
 
+def _constant(value, rows: int) -> Factored:
+    """A column of ``rows`` rows that all hold ``value``: one stored cell and
+    a zero-stride index, so no array grows with the rows."""
+    return Factored([value], np.broadcast_to(0, (rows,)))
+
+
 def _with_nulls(values, present: np.ndarray):
     """``values``, with None in the rows not ``present``: one more value of
-    a Factored column, one cell when no row is present, else a list."""
+    a Factored column, else a list. Some row must be present."""
     if present.all():
         return values
-    if not present.any():
-        return Factored([None], np.zeros(len(present), dtype=int))
     if isinstance(values, Factored):
         cells = values.values
         cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
@@ -623,12 +627,13 @@ def _berry_grid(cfg, axes):
         k = int(slot[p, np.argmax(slot_bad[p])])
         errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
     full = np.array([not bad and c.omega > 0 for c, bad in zip(cells, cell_bad)])
-    oracle = np.zeros(chi.shape)
     has_oracle = np.zeros(points, dtype=bool)
     groups = {}   # the full-mode points of each tuple of quantum numbers
     for p in np.flatnonzero(full[cell]).tolist():
         if errors[p] is None:
             groups.setdefault(tuple(ns[k] for k in slot[p].tolist()), []).append(p)
+    # without an oracle row both oracle columns are null: no array is made
+    oracle = np.zeros(chi.shape) if groups else np.broadcast_to(0.0, chi.shape)
     for group_ns, group in groups.items():
         reps = [cells[cell[p]] for p in group]
         gammas, oracle_errors = _oracle_batch(
@@ -643,7 +648,8 @@ def _berry_grid(cfg, axes):
     columns = {"n": Factored(np.array(ns), slot), "chi": Factored(chi_of_slot, slot),
                "delta": delta,
                "gamma": gamma, "gamma_canonical": canonical,
-               "oracle_gamma": oracle, "abs_diff": np.abs(gamma - oracle)}
+               "oracle_gamma": oracle,
+               "abs_diff": np.abs(gamma - oracle) if groups else oracle}
     return columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
 
 
@@ -738,14 +744,21 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     for ax, index in zip(axes, _point_index(axes)):
         table[ax.parameter] = Factored(np.array(ax.values()), index[point_of_row])
     for name, values in columns.items():
-        if name not in table:
-            if isinstance(values, Factored):
-                values = Factored(values.values, values.index.ravel()[keep])
-            else:
-                values = values.ravel()[keep]
-            ok = ~failed & present.get(name, True)
-            table[name] = _with_nulls(values, ok[point_of_row])
+        if name in table:
+            continue
+        ok = (~failed & present.get(name, True))[point_of_row]
+        if not ok.any():
+            table[name] = _constant(None, len(ok))
+            continue
+        if isinstance(values, Factored):
+            values = Factored(values.values, values.index.ravel()[keep])
+        else:
+            values = values.ravel()[keep]
+        table[name] = _with_nulls(values, ok)
     failures = np.flatnonzero(failed)
+    if not failures.size:
+        table["error"] = _constant(None, points * per_point)
+        return table
     message = np.zeros(points, dtype=int)
     message[failures] = np.arange(1, len(failures) + 1)
     table["error"] = Factored([None, *(str(errors[p]) for p in failures.tolist())],

@@ -18,6 +18,7 @@ time quadrature. Disagreement between the two is a bug, not a branch.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -229,6 +230,19 @@ class ParticularSolution:
         object.__setattr__(self, "_nu", nu)
         object.__setattr__(self, "_amp", amp)
 
+    def _with_amplitude(self, D: complex) -> "ParticularSolution":
+        """This D = 0 solution with the homogeneous amplitude D: its modes and
+        their arrays are reused, not sorted and built again."""
+        xp = copy.copy(self)
+        object.__setattr__(xp, "D", D)
+        if D != 0:
+            nu = np.concatenate((self._nu, (self.w, -self.w)))
+            amp = np.concatenate((self._amp, (D, D.conjugate())))
+            nu.flags.writeable = amp.flags.writeable = False
+            object.__setattr__(xp, "_nu", nu)
+            object.__setattr__(xp, "_amp", amp)
+        return xp
+
     def x(self, t):
         return _mode_sum(t, self._nu, self._amp)
 
@@ -254,9 +268,18 @@ def particular_solution(force: DrivingForce, rep: Representation,
 
     For p = 1 the mode n = N would resonate with the oscillator, so its
     coefficient must vanish; near-resonant denominators are refused outright
-    rather than returned with huge amplification.
+    rather than returned with huge amplification. A non-finite D is refused
+    first.
     """
     D = check_amplitude(D)
+    return ParticularSolution(force.omega_f, _forced_modes(force, rep, comm), D, rep.w)
+
+
+def _forced_modes(force: DrivingForce, rep: Representation,
+                  comm: Optional[Commensurability]) -> dict[int, complex]:
+    """The particular solution's mode amplitudes f_n / (M (w^2 - n^2 omega_f^2)),
+    after the resonance and conditioning checks: the part of
+    particular_solution that D leaves alone."""
     w, mass = rep.w, rep.M
     omega_f = force.omega_f
     norm = force.norm()
@@ -274,7 +297,7 @@ def particular_solution(force: DrivingForce, rep: Representation,
                 f"mode {n} is within {RESONANCE_DENOM_EPS:g}*w^2 of resonance;"
                 " the amplified solution would not be trustworthy")
         modes[n] = force.coefficients[n] / (mass * denom)
-    return ParticularSolution(omega_f=omega_f, modes=modes, D=D, w=w)
+    return modes
 
 
 def _exp_integral(mu, t0, t1):
@@ -316,6 +339,13 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
     frequencies +/-w contribute their mean-square velocity over the joint
     period; cross terms integrate to zero there.
     """
+    return _with_homogeneous(_forced_drive(force, comm, M, w, hbar), M, comm.N, w,
+                             hbar, D)
+
+
+def _forced_drive(force: DrivingForce, comm: Commensurability, M: float,
+                  w: float, hbar: float) -> float:
+    """The force's part of drive_phase_closed, the same for every D."""
     p, N = comm.p, comm.N
     total = 0.0
     norm = force.norm()
@@ -329,9 +359,13 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
             raise ResonanceError(
                 f"mode {n} coincides with the oscillator frequency (p*n = N)")
         total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
-    drive = 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total
-    drive += 4.0 * math.pi * M * N * w * abs(complex(D)) ** 2 / hbar
-    return drive
+    return 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total
+
+
+def _with_homogeneous(drive: float, M: float, N: int, w: float, hbar: float,
+                      D: complex) -> float:
+    """The force's drive term plus the homogeneous pair's 4 pi M N w |D|^2/hbar."""
+    return drive + 4.0 * math.pi * M * N * w * abs(complex(D)) ** 2 / hbar
 
 
 def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
@@ -418,7 +452,10 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
     The undriven phase of each n and the particular solution and closed drive
     term of each D are computed once, and so is the quadrature, which does
     not depend on n: one drive_phase_quadratures row per D, one call per
-    frequency vector (D = 0 or not). With comm None the entries are the
+    frequency vector (D = 0 or not). The work that does not depend on D, the
+    particular solution's modes with their checks and the force's part of the
+    closed drive term, is done once for all of them; each D adds its
+    homogeneous pair. With comm None the entries are the
     phases over one force period of the C = 1, beta = 0 representation at
     D = 0, where the undriven phase vanishes for any periodic drive: p = N =
     0, and the order is n, berry_phase_special_rep, particular solution,
@@ -434,14 +471,22 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
         # the undriven phase vanishes; each n is still checked
         undriven = [_attempt(lambda: 0.0 * check_quantum_number(n)) for n in ns]
         closed = [_attempt(lambda: berry_phase_special_rep(force, M, w, hbar))] * len(Ds)
-        xps = [_attempt(lambda: particular_solution(force, rep, None, D)) for D in Ds]
     else:
         p, N = comm.p, comm.N
         duration = N * rep.tau0
-        xps = [_attempt(lambda: particular_solution(force, rep, comm, D)) for D in Ds]
         undriven = [_attempt(lambda: N * berry_phase(rep, n, "full").gamma) for n in ns]
-        closed = [_attempt(lambda: drive_phase_closed(force, comm, M, w, hbar, D))
+        base_drive = _attempt(lambda: _forced_drive(force, comm, M, w, hbar))
+        closed = [base_drive if isinstance(base_drive, Exception) else
+                  _attempt(lambda: _with_homogeneous(base_drive, M, N, w, hbar, D))
                   for D in Ds]
+    # each D's particular solution, or its refusal: a non-finite D's own
+    # first, then that of the part every D shares
+    base = _attempt(lambda: ParticularSolution(
+        force.omega_f, _forced_modes(force, rep, comm), 0j, w))
+    amplitudes = [_attempt(lambda: check_amplitude(D)) for D in Ds]
+    xps = [D if isinstance(D, Exception) else
+           base if isinstance(base, Exception) else base._with_amplitude(D)
+           for D in amplitudes]
     groups = {}   # frequency vector -> the D rows that reach the quadrature
     for i, (xp, drive) in enumerate(zip(xps, closed)):
         if not isinstance(xp, Exception) and not isinstance(drive, Exception):

@@ -239,6 +239,11 @@ def _check_resolution(state: GridState):
         raise ValueError("grid too coarse: fewer than 8 points per state width")
 
 
+# Steps whose merged force kicks are built at once: a block holds
+# KICK_BLOCK * points complex values, 256 KiB at 1024 points.
+KICK_BLOCK = 16
+
+
 def propagate_schrodinger(initial: GridState, M: float, w: float,
                           t_final: float, steps: int,
                           force: Optional[Callable] = None,
@@ -249,7 +254,9 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     potential kick, second order in the time step and norm-preserving. A
     time-dependent force enters the potential evaluated at the midpoint of
     each step: the force callable must be vectorized over time arrays, and it
-    is called once, on the array of all step midpoints.
+    is called once, on the array of all step midpoints. With a force, the
+    closing half kick of one step and the opening half kick of the next are
+    applied as one merged kick, built for KICK_BLOCK steps at a time.
     """
     steps = _integer(steps, "steps")
     if steps < 1:
@@ -266,22 +273,44 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     k = 2.0 * math.pi * np.fft.fftfreq(initial.points, d=initial.dx)
     kinetic = np.exp(-0.5j * hbar * k * k * dt / M)
     quad_kick = np.exp(-0.5j * (0.5 * M * w * w * xs * xs) * dt / hbar)
-    if force is None:
-        kicks = [quad_kick] * steps
-    else:
-        midpoints = initial.t + (np.arange(steps) + 0.5) * dt
-        f_mid = sample_vectorized(force, midpoints)
-        if not np.all(np.isfinite(f_mid)):
-            raise InvalidParameterError("force samples must be finite")
-        # the force's half kick exp(i a x_j) is rank 1 in the split j = b q + r
-        # of the grid index: 2 sqrt(points) exponentials a step, not points
-        b = 2 ** (initial.points.bit_length() // 2)
-        coarse, fine = 1j * xs[::b], 1j * initial.dx * np.arange(b)
-        kicks = (quad_kick * np.multiply.outer(np.exp(a * coarse), np.exp(a * fine)).ravel()
-                 for a in (0.5 * dt / hbar) * f_mid)
     psi = initial.values.astype(complex, copy=True)
-    for kick in kicks:
-        psi *= kick
+
+    def drift():
         np.fft.ifft(np.multiply(kinetic, np.fft.fft(psi, out=psi), out=psi), out=psi)
-        psi *= kick
+
+    if force is None:
+        for _ in range(steps):
+            psi *= quad_kick
+            drift()
+            psi *= quad_kick
+        return GridState(initial.x_min, initial.x_max, initial.points, psi, t_final)
+    midpoints = initial.t + (np.arange(steps) + 0.5) * dt
+    f_mid = sample_vectorized(force, midpoints)
+    if not np.all(np.isfinite(f_mid)):
+        raise InvalidParameterError("force samples must be finite")
+    # the force's kick exp(i a x_j) is rank 1 in the split j = b r + s of the
+    # grid index: a coarse factor over r times a fine factor over s, so a kick
+    # takes 2 sqrt(points) exponentials, not points
+    b = 2 ** (initial.points.bit_length() // 2)
+    coarse, fine = 1j * xs[::b, None], 1j * initial.dx * np.arange(b)
+    block = np.empty((KICK_BLOCK, initial.points // b, b), dtype=complex)
+
+    def kicks(quad, a):
+        """quad * exp(i a_k x) for each a_k of the 1-d array a, one per row,
+        in ``block``, which the next call overwrites."""
+        out = block[:len(a)]
+        np.multiply(quad.reshape(-1, b), np.exp(a[:, None, None] * coarse), out=out)
+        out *= np.exp(a[:, None, None] * fine)
+        return out.reshape(len(a), -1)
+
+    half = (0.5 * dt / hbar) * f_mid
+    merged = half[:-1] + half[1:]
+    quad_step = quad_kick * quad_kick
+    psi *= kicks(quad_kick, half[:1])[0]
+    for start in range(0, steps - 1, KICK_BLOCK):
+        for kick in kicks(quad_step, merged[start:start + KICK_BLOCK]):
+            drift()
+            psi *= kick
+    drift()
+    psi *= kicks(quad_kick, half[-1:])[0]
     return GridState(initial.x_min, initial.x_max, initial.points, psi, t_final)

@@ -547,6 +547,63 @@ class TestDrivenSweep:
                     particular_solution(force, STRETCHED, comm, D), 1.0, 0.7,
                     comm.N * STRETCHED.tau0)
 
+    def test_shared_work_is_bit_identical_to_one_point_calls(self, monkeypatch):
+        # a 4 x 4 grid of D plus D = 0, two frequency vectors, at p/N = 2/3
+        # and M, w, hbar away from 1: each entry and each particular solution
+        # the batch integrates is its one-point call, bit for bit
+        rep = Representation(1.3, 0.9, 2.0, 0.3)
+        force = DrivingForce(0.6, {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j})
+        comm = commensurability(rep.tau0, force.tau_f)
+        assert (comm.p, comm.N) == (2, 3)
+        config = PhysicalConfig(hbar=0.7)
+        axis = np.linspace(-0.3, 0.3, 4).tolist()
+        Ds = [complex(re, im) for re in axis for im in axis] + [0j]
+        integrated = {}
+        batched = driven.drive_phase_quadratures
+
+        def spy(xps, *args):
+            integrated.update((xp.D, xp) for xp in xps)
+            return batched(xps, *args)
+
+        monkeypatch.setattr(driven, "drive_phase_quadratures", spy)
+        table = berry_phases_driven(rep, [1], force, Ds, comm, config)
+        assert len({xp._nu.tobytes() for xp in integrated.values()}) == 2
+        duration = comm.N * rep.tau0
+        for D, (entry,) in zip(Ds, table):
+            alone = particular_solution(force, rep, comm, D)
+            xp = integrated[D]
+            assert (xp.omega_f, xp.modes, xp.D, xp.w) == \
+                (alone.omega_f, alone.modes, alone.D, alone.w)
+            assert xp._nu.tobytes() == alone._nu.tobytes()
+            assert xp._amp.tobytes() == alone._amp.tobytes()
+            assert entry.drive_closed.hex() == \
+                drive_phase_closed(force, comm, rep.M, rep.w, 0.7, D).hex()
+            assert entry.drive_quadrature.hex() == \
+                drive_phase_quadrature(alone, rep.M, 0.7, duration).hex()
+            assert entry == berry_phase_driven(rep, 1, force, D, comm, config)
+
+    @pytest.mark.parametrize("resonant", [0.0, 0.1])
+    def test_refusals_are_those_of_one_point_calls(self, resonant):
+        # p/N = 1/2: a force with mode N = 2 makes the shared part of the
+        # particular solution raise; a non-finite D is refused before that
+        force = DrivingForce(0.5, {1: 0.3, -1: 0.3, 2: resonant, -2: resonant})
+        comm = commensurability(STRETCHED.tau0, force.tau_f)
+        assert (comm.p, comm.N) == (1, 2)
+        Ds = [0.1j, complex(math.nan, 0.2), 0j, complex(0.1, math.inf)]
+        table = berry_phases_driven(STRETCHED, [0, 2], force, Ds, comm)
+        for D, row in zip(Ds, table):
+            for n, entry in zip([0, 2], row):
+                if resonant or not cmath.isfinite(D):
+                    with pytest.raises((InvalidParameterError, ResonanceError)) as alone:
+                        berry_phase_driven(STRETCHED, n, force, D, comm)
+                    assert type(entry) is type(alone.value)
+                    assert str(entry) == str(alone.value)
+                else:
+                    assert entry == berry_phase_driven(STRETCHED, n, force, D, comm)
+        kinds = {type(entry) for row in table for entry in row}
+        assert InvalidParameterError in kinds
+        assert (ResonanceError in kinds) == bool(resonant)
+
     def test_shared_error_fails_every_entry(self):
         # mode 2 at omega_f = 0.5 resonates: the particular solution's error
         # comes before the refused n's

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shoberry.errors import ConvergenceError, InvalidParameterError
-from shoberry.numerics import (DEFAULT_QUADRATURE, GridState, QuadratureSpec,
-                               integrate_1d, propagate_schrodinger, rationalize)
+from shoberry.numerics import (DEFAULT_QUADRATURE, KICK_BLOCK, GridState,
+                               QuadratureSpec, integrate_1d, propagate_schrodinger,
+                               rationalize)
 from shoberry.selfcheck import QUADRATURE_CASES
 
 from _ode import rk_integrate
@@ -264,15 +265,14 @@ def _reference_propagate(initial, M, w, t_final, steps, force=None, hbar=1.0):
     return psi
 
 
-@pytest.mark.parametrize("points", [64, 128, 1024, 2048])
-def test_kicks_match_direct_exponentials(points):
-    # a flat-topped state on an off-centre grid resolves at 64 points; the
-    # force's half-kick phase F dt x / 2 hbar reaches about a radian
+def _check_kicks(points, steps):
+    # a flat-topped state on an off-centre grid resolves at 64 points; at 24
+    # steps the force's half-kick phase F dt x / 2 hbar reaches about a radian
     x_min, x_max = -7.0, 13.0
     xs = x_min + (x_max - x_min) * np.arange(points) / points
     values = np.exp(-((xs - 3.0) / 6.0) ** 8 + 0.7j * xs)
     initial = GridState(x_min, x_max, points, values, 0.2)
-    M, w, hbar, t_final, steps = 1.3, 0.4, 0.8, 1.7, 24
+    M, w, hbar, t_final = 1.3, 0.4, 0.8, 1.7
 
     def force(t):
         return 2.0 * np.cos(3.0 * t) + 0.5
@@ -283,6 +283,20 @@ def test_kicks_match_direct_exponentials(points):
     free = propagate_schrodinger(initial, M, w, t_final, steps, hbar=hbar)
     assert np.array_equal(
         free.values, _reference_propagate(initial, M, w, t_final, steps, hbar=hbar))
+
+
+@pytest.mark.parametrize("points", [64, 128, 1024, 2048])
+def test_kicks_match_direct_exponentials(points):
+    _check_kicks(points, 24)
+
+
+@pytest.mark.parametrize("points", [64, 2048])
+@pytest.mark.parametrize("steps", [1, 2, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1,
+                                   3 * KICK_BLOCK + 5])
+def test_kick_block_edges(points, steps):
+    # merged kicks are built KICK_BLOCK steps at a time: one step (no merged
+    # kick), and step counts that end inside, at and just past a block
+    _check_kicks(points, steps)
 
 
 def test_integrate_rows_converge_on_their_own():

@@ -50,7 +50,9 @@ def test_report_timing(tmp_path, capsys):
 def test_driven_timing(tmp_path, capsys):
     report = _run("driven_timing", tmp_path, capsys)
     assert list(report) == ["request", "points", "modes", "repeats",
-                            "sweep_end_to_end_s", "layer_s", "env"]
+                            "sweep_end_to_end_s", "layer_s",
+                            "propagation_ns_per_point_step",
+                            "propagation_free_ns_per_point_step", "env"]
     assert (report["points"], report["modes"]) == (16, 36)
     assert list(report["layer_s"]) == [
         "drive_quadrature_per_point", "drive_quadrature_batched",
