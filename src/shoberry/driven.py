@@ -18,7 +18,6 @@ time quadrature. Disagreement between the two is a bug, not a branch.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -229,19 +228,6 @@ class ParticularSolution:
         nu, amp = _mode_arrays(self.modes, self.omega_f, homogeneous)
         object.__setattr__(self, "_nu", nu)
         object.__setattr__(self, "_amp", amp)
-
-    def _with_amplitude(self, D: complex) -> "ParticularSolution":
-        """This D = 0 solution with the homogeneous amplitude D: its modes and
-        their arrays are reused, not sorted and built again."""
-        xp = copy.copy(self)
-        object.__setattr__(xp, "D", D)
-        if D != 0:
-            nu = np.concatenate((self._nu, (self.w, -self.w)))
-            amp = np.concatenate((self._amp, (D, D.conjugate())))
-            nu.flags.writeable = amp.flags.writeable = False
-            object.__setattr__(xp, "_nu", nu)
-            object.__setattr__(xp, "_amp", amp)
-        return xp
 
     def x(self, t):
         return _mode_sum(t, self._nu, self._amp)
@@ -480,12 +466,12 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
                   _attempt(lambda: _with_homogeneous(base_drive, M, N, w, hbar, D))
                   for D in Ds]
     # each D's particular solution, or its refusal: a non-finite D's own
-    # first, then that of the part every D shares
-    base = _attempt(lambda: ParticularSolution(
-        force.omega_f, _forced_modes(force, rep, comm), 0j, w))
+    # first, then that of the modes every D shares
+    modes = _attempt(lambda: _forced_modes(force, rep, comm))
     amplitudes = [_attempt(lambda: check_amplitude(D)) for D in Ds]
     xps = [D if isinstance(D, Exception) else
-           base if isinstance(base, Exception) else base._with_amplitude(D)
+           modes if isinstance(modes, Exception) else
+           ParticularSolution(force.omega_f, modes, D, w)
            for D in amplitudes]
     groups = {}   # frequency vector -> the D rows that reach the quadrature
     for i, (xp, drive) in enumerate(zip(xps, closed)):

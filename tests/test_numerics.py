@@ -265,7 +265,15 @@ def _reference_propagate(initial, M, w, t_final, steps, force=None, hbar=1.0):
     return psi
 
 
-def _check_kicks(points, steps):
+# 24 steps at four sizes; then, since merged kicks are built KICK_BLOCK steps
+# at a time, one step (no merged kick) and step counts that end inside, at and
+# just past a block
+@pytest.mark.parametrize("points, steps", [
+    *(pytest.param(points, 24, id=str(points)) for points in (64, 128, 1024, 2048)),
+    *((points, steps) for points in (64, 2048)
+      for steps in (1, 2, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1,
+                    3 * KICK_BLOCK + 5))])
+def test_kicks_match_direct_exponentials(points, steps):
     # a flat-topped state on an off-centre grid resolves at 64 points; at 24
     # steps the force's half-kick phase F dt x / 2 hbar reaches about a radian
     x_min, x_max = -7.0, 13.0
@@ -283,20 +291,6 @@ def _check_kicks(points, steps):
     free = propagate_schrodinger(initial, M, w, t_final, steps, hbar=hbar)
     assert np.array_equal(
         free.values, _reference_propagate(initial, M, w, t_final, steps, hbar=hbar))
-
-
-@pytest.mark.parametrize("points", [64, 128, 1024, 2048])
-def test_kicks_match_direct_exponentials(points):
-    _check_kicks(points, 24)
-
-
-@pytest.mark.parametrize("points", [64, 2048])
-@pytest.mark.parametrize("steps", [1, 2, KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1,
-                                   3 * KICK_BLOCK + 5])
-def test_kick_block_edges(points, steps):
-    # merged kicks are built KICK_BLOCK steps at a time: one step (no merged
-    # kick), and step counts that end inside, at and just past a block
-    _check_kicks(points, steps)
 
 
 def test_integrate_rows_converge_on_their_own():
