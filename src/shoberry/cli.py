@@ -576,7 +576,8 @@ def _with_nulls(values, present: np.ndarray):
 
 def _berry_grid(cfg, axes):
     """Berry columns at every point of the product of ``axes`` (C, beta and
-    n; none for the berry command), as (columns, present, errors).
+    n; none for the berry command), as (point index, columns, present,
+    errors), the point index being _point_index(axes).
 
     A point has one row per quantum number: its own when n is an axis, else
     every n of cfg.n, fastest. ``columns`` maps each berry column to a
@@ -592,7 +593,8 @@ def _berry_grid(cfg, axes):
     """
     values = {ax.parameter: ax.values() for ax in axes}
     points = math.prod(ax.steps for ax in axes)
-    index = dict(zip(values, _point_index(axes)))
+    point_index = _point_index(axes)
+    index = dict(zip(values, point_index))
     C_at, beta_at = (index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta"))
     Cs, betas = values.get("C", [cfg.rep.C]), values.get("beta", [cfg.rep.beta])
     cells = []
@@ -650,7 +652,7 @@ def _berry_grid(cfg, axes):
                "gamma": gamma, "gamma_canonical": canonical,
                "oracle_gamma": oracle,
                "abs_diff": np.abs(gamma - oracle) if groups else oracle}
-    return columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
+    return point_index, columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
 
 
 def _driven_grid(cfg, axes):
@@ -668,7 +670,8 @@ def _driven_grid(cfg, axes):
     """
     values = {ax.parameter: ax.values() for ax in axes}
     points = math.prod(ax.steps for ax in axes)
-    index = dict(zip(values, _point_index(axes)))
+    point_index = _point_index(axes)
+    index = dict(zip(values, point_index))
 
     def at(name, default) -> list:
         """The value of parameter ``name`` at every point."""
@@ -723,12 +726,14 @@ def _driven_grid(cfg, axes):
         columns[name] = np.array([[getattr(r, field) for r in row] if error is None
                                   else [0] * slots.shape[1]
                                   for row, error in zip(results, errors)])
-    return columns, {}, errors
+    return point_index, columns, {}, errors
 
 
-def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
-    """The report of a grid: each axis's value, each column of ``columns``
-    that no axis provides, then ``error``. A point with an error keeps one
+def _sweep_table(axes, point_index: np.ndarray, columns: dict, present: dict,
+                 errors: list) -> dict:
+    """The report of a grid: each axis's value at each point of
+    ``point_index``, each column of ``columns`` that no axis provides, then
+    ``error``. A point with an error keeps one
     row, with null columns and its message. Axis columns and the error column
     are Factored: each axis value and each message is stored once."""
     points, per_point = next(iter(columns.values())).shape
@@ -741,7 +746,7 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
     point_of_row = slice(None) if per_point == 1 else \
         np.repeat(np.arange(points), per_point)[keep]
     table = {}
-    for ax, index in zip(axes, _point_index(axes)):
+    for ax, index in zip(axes, point_index):
         table[ax.parameter] = Factored(np.array(ax.values()), index[point_of_row])
     for name, values in columns.items():
         if name in table:
@@ -769,10 +774,10 @@ def _sweep_table(axes, columns: dict, present: dict, errors: list) -> dict:
 def _point_table(cfg, grid) -> dict:
     """The report of the one point a berry or driven command asks for; its
     error, if it has one, is raised."""
-    columns, present, errors = grid(cfg, ())
+    point_index, columns, present, errors = grid(cfg, ())
     if errors[0] is not None:
         raise errors[0]
-    table = _sweep_table((), columns, present, errors)
+    table = _sweep_table((), point_index, columns, present, errors)
     del table["error"]
     return table
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (POINT_ERRORS, ConditioningError, ConvergenceError,
                      IncommensurateError, InvalidParameterError, ResonanceError)
-from .numerics import (DEFAULT_QUADRATURE, integrate_rows, rationalize,
+from .numerics import (MAX_DENOMINATOR, integrate_rows, rationalize,
                        sample_vectorized)
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
@@ -191,8 +191,8 @@ def fourier_decompose(force: Callable, omega_f: float, n_max: int, *,
     return DrivingForce(omega_f=omega_f, coefficients=coeffs), tail
 
 
-def commensurability(tau0: float, tau_f: float, tolerance: float = 1e-13,
-                     max_den: int = 10 ** 6) -> Commensurability:
+def commensurability(tau0: float, tau_f: float,
+                     tolerance: float = 1e-13) -> Commensurability:
     """Coprime (p, N) with |tau0/tau_f - p/N| < tolerance * (p/N).
 
     The default tolerance sits just above double-precision rounding: period
@@ -202,14 +202,14 @@ def commensurability(tau0: float, tau_f: float, tolerance: float = 1e-13,
     if not (tau0 > 0 and tau_f > 0):
         raise ValueError("periods must be positive")
     ratio = tau0 / tau_f
-    found = rationalize(ratio, tol=max(tolerance, 1e-15), max_den=max_den)
+    found = rationalize(ratio, tol=max(tolerance, 1e-15))
     if found is not None:
         p, n = found
         if abs(ratio - p / n) < tolerance * (p / n):
             return Commensurability(p=p, N=n)
     raise IncommensurateError(
         f"tau0/tau_f = {ratio!r} has no rational approximation p/N with"
-        f" N <= {max_den} within relative tolerance {tolerance:g};"
+        f" N <= {MAX_DENOMINATOR} within relative tolerance {tolerance:g};"
         " Berry phase undefined in this representation")
 
 
@@ -372,8 +372,7 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     def rows(active, nodes):
         return _blocked_rows(nodes, lambda ts: np.exp(1j * nu * ts), coeffs[active]) ** 2
 
-    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps),
-                                          DEFAULT_QUADRATURE)
+    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps))
     return M * values / hbar, failures
 
 

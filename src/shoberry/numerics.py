@@ -41,22 +41,15 @@ def composite_gauss_nodes(a: float, b: float, panels: int, order: int = 16):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and refinement cap for adaptive quadrature."""
+# Adaptive quadrature: a result has converged when two successive levels
+# agree within max(ABS_TOL, REL_TOL * |value|), and a result still refining
+# after MAX_REFINEMENTS doublings is refused.
+ABS_TOL = 1e-11
+REL_TOL = 1e-10
+MAX_REFINEMENTS = 14
 
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-    max_refinements: int = 14
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Denominator cap of the best rational approximations of rationalize.
+MAX_DENOMINATOR = 10 ** 6
 
 
 # Array elements one call of a batched evaluation may hold per temporary:
@@ -72,19 +65,18 @@ def chunks(index: np.ndarray, width: int) -> list[np.ndarray]:
     return np.array_split(index, -(-len(index) * width // CHUNK_ELEMENTS))
 
 
-def integrate_rows(f, a: float, b: float, rows: int,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def integrate_rows(f, a: float, b: float, rows: int):
     """Integrate ``rows`` integrands over [a, b] at once.
 
     f(active, nodes) gives the values of the rows ``active`` (an index array)
     at the abscissas ``nodes``, shape (len(active), len(nodes)), real or
     complex. Composite 16-point Gauss-Legendre panels, four at first; each
     row's panel count doubles until two successive results of that row agree
-    within the spec tolerances, and a row that has converged drops out of the
+    within ABS_TOL or REL_TOL, and a row that has converged drops out of the
     next level.
     Returns (values, errors, failures): each row's value, its last
-    refinement difference, and the ConvergenceError of a row that hit the
-    refinement cap, else None.
+    refinement difference, and the ConvergenceError of a row still refining
+    after MAX_REFINEMENTS doublings, else None.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -92,7 +84,7 @@ def integrate_rows(f, a: float, b: float, rows: int,
         return np.zeros(rows), np.zeros(rows), [None] * rows
     values = errors = prev = None
     active = np.arange(rows)
-    for level in range(spec.max_refinements + 1):
+    for level in range(MAX_REFINEMENTS + 1):
         nodes, weights = composite_gauss_nodes(a, b, 4 * 2 ** level)
         cur = np.concatenate([np.sum(weights * f(part, nodes), axis=-1)
                               for part in chunks(active, len(nodes))])
@@ -100,7 +92,7 @@ def integrate_rows(f, a: float, b: float, rows: int,
             values, errors = np.zeros(rows, dtype=cur.dtype), np.zeros(rows)
         if prev is not None:
             change = np.abs(cur - prev)
-            done = change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))
+            done = change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur))
             values[active[done]] = cur[done]
             errors[active] = change
             active, cur = active[~done], cur[~done]
@@ -111,11 +103,11 @@ def integrate_rows(f, a: float, b: float, rows: int,
     for row in active.tolist():
         failures[row] = ConvergenceError(
             f"quadrature on [{a:g}, {b:g}] did not meet tol within "
-            f"{spec.max_refinements} refinements (last change {errors[row]:.3e})")
+            f"{MAX_REFINEMENTS} refinements (last change {errors[row]:.3e})")
     return values, errors, failures
 
 
-def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def integrate_1d(f, a: float, b: float):
     """Integrate a vectorized callable over [a, b]: integrate_rows for one row.
 
     Returns (value, error_estimate) where the estimate is the last refinement
@@ -130,7 +122,7 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
             raise ValueError("integrand must be vectorized over its input array")
         return vals[None]
 
-    values, errors, (failure,) = integrate_rows(row, a, b, 1, spec)
+    values, errors, (failure,) = integrate_rows(row, a, b, 1)
     if failure is not None:
         raise failure
     value = complex(values[0]) if np.iscomplexobj(values) else float(values[0])
@@ -150,8 +142,8 @@ def sample_vectorized(f: Callable, ts: np.ndarray) -> np.ndarray:
     return values
 
 
-def rationalize(x: float, tol: float, max_den: int = 10 ** 6) -> Optional[tuple[int, int]]:
-    """Best rational p/N with N <= max_den approximating x > 0.
+def rationalize(x: float, tol: float) -> Optional[tuple[int, int]]:
+    """Best rational p/N with N <= MAX_DENOMINATOR approximating x > 0.
 
     Continued-fraction best approximant (via Fraction.limit_denominator), so
     p and N are coprime by construction. Returns None when no fraction within
@@ -161,7 +153,7 @@ def rationalize(x: float, tol: float, max_den: int = 10 ** 6) -> Optional[tuple[
         raise ValueError("x must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    best = Fraction(x).limit_denominator(max_den)
+    best = Fraction(x).limit_denominator(MAX_DENOMINATOR)
     p, n = best.numerator, best.denominator
     if p <= 0:
         return None
@@ -230,7 +222,7 @@ def _check_resolution(state: GridState):
     if edge > 1e-10 * peak:
         raise ValueError(
             "domain too small: boundary amplitude exceeds 1e-10 of the peak")
-    prob = amp ** 2
+    prob = (amp / peak) ** 2   # a peak below 1e-154 would square to zero
     total = float(np.sum(prob))
     xs = state.x
     mean = float(np.sum(prob * xs)) / total

@@ -24,8 +24,8 @@ from .errors import (ConvergenceError, InvalidParameterError,
 from .numerics import integrate_1d, integrate_rows
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              RepresentationArrays, _winding, require_valid)
-from .wavefunction import (QuantumState, _energy_per_quantum, _family_overlaps,
-                           _live, _one_point, _refusals, check_quantum_number)
+from .wavefunction import (QuantumState, _family_overlaps, _live, _one_point,
+                           _refusals, check_quantum_number, energy_per_quantum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,7 +200,7 @@ def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
                 " the representation is too close to degenerate")
     live = _live(errors)
     columns = arrays.at((live, None))
-    theta = _winding(columns, np.array([0.0, tau_prime]), columns.theta0)[0]
+    theta = _winding(columns, np.array([0.0, tau_prime]))[0]
     half = np.array(ns, dtype=float) + 0.5   # n + 1/2
     windings[live] = half * (theta[:, 1] - theta[:, 0])[:, None]
     return windings
@@ -255,8 +255,7 @@ def _dynamical_phases(arrays: RepresentationArrays, ns, tau_prime: float,
         return deltas
 
     def energy(rows, ts):
-        columns = arrays.at((live[rows], None))
-        return _energy_per_quantum(columns, ts, columns.stiffness)
+        return energy_per_quantum(arrays.at((live[rows], None)), ts)
 
     values, _, failures = integrate_rows(energy, 0.0, tau_prime, len(live))
     deltas[live] = -(np.array(ns, dtype=float) + 0.5) * values[:, None]
@@ -342,19 +341,18 @@ def berry_phase_oracle(state: QuantumState, tau_prime: float) -> float:
     return berry_phase_oracles(state.rep, (state.n,), tau_prime, state.config)[0]
 
 
-def ge_child_integral(rep: Representation,
-                      config: PhysicalConfig = PhysicalConfig()) -> float:
+def ge_child_integral(rep: Representation) -> float:
     """Cycle integral -(i/2) * int_0^tau0 alpha' / (alpha + alpha*) dt.
 
     alpha is the Gaussian exponent parameter; its derivative is analytic. The
     result is real for the closed cycle and equals the full-period Berry phase
-    of the ground state.
+    of the ground state. The ratio alpha'/(2 Re alpha) does not depend on hbar.
     """
-    require_valid(rep, "full")
+    require_valid(rep)
     from .wavefunction import alpha, alpha_dot  # local import avoids a cycle
 
     def integrand(ts):
-        return alpha_dot(rep, ts, config) / (2.0 * np.real(alpha(rep, ts, config)))
+        return alpha_dot(rep, ts) / (2.0 * np.real(alpha(rep, ts)))
 
     value, _ = integrate_1d(integrand, 0.0, rep.tau0)
     result = -0.5j * complex(value)

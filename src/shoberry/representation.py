@@ -9,8 +9,9 @@ the conserved Wronskian M(u v' - v u'), and the closed (u, v) trajectory.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,10 +43,11 @@ class PhysicalConfig:
 class Representation:
     """Classical-solution pair (cos wt, C sin(wt + beta)).
 
-    Construction refuses non-finite fields, M or w <= 0, C = 0 and
-    |cos beta| <= COS_BETA_EPS, and stores the Wronskian omega = M C w cos(beta).
-    A negative omega is admitted: the phase formulas tolerate it, while
-    wavefunctions need require_valid(rep, "full").
+    Construction refuses non-finite fields, M or w <= 0, a stiffness M w^2
+    beyond double precision, C = 0 and |cos beta| <= COS_BETA_EPS. It stores
+    the Wronskian omega = M C w cos(beta), the stiffness M w^2 and theta0,
+    the principal argument of u - i v at t = 0. A negative omega is admitted:
+    the phase formulas tolerate it, while wavefunctions need require_valid.
     """
 
     M: float
@@ -53,6 +55,8 @@ class Representation:
     C: float
     beta: float
     omega: float = field(init=False, repr=False, compare=False)
+    stiffness: float = field(init=False, repr=False, compare=False)
+    theta0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M", "w", "C", "beta"):
@@ -63,6 +67,14 @@ class Representation:
             raise InvalidRepresentationError("mass M must be positive")
         if not self.w > 0:
             raise InvalidRepresentationError("angular frequency w must be positive")
+        try:
+            stiffness = self.M * self.w ** 2
+        except OverflowError:   # float ** raises where * gives inf
+            stiffness = math.inf
+        if not math.isfinite(stiffness):
+            raise InvalidRepresentationError(
+                f"the stiffness M w^2 overflows double precision at M={self.M!r},"
+                f" w={self.w!r}")
         failures = []
         if self.C == 0:
             failures.append("C must be nonzero")
@@ -74,6 +86,8 @@ class Representation:
         if failures:
             raise InvalidRepresentationError("; ".join(failures))
         object.__setattr__(self, "omega", self.M * self.C * self.w * cos_beta)
+        object.__setattr__(self, "stiffness", stiffness)
+        object.__setattr__(self, "theta0", math.atan2(-self.C * math.sin(self.beta), 1.0))
 
     @property
     def tau0(self) -> float:
@@ -84,44 +98,35 @@ class Representation:
 STATIONARY = Representation(M=1.0, w=1.0, C=1.0, beta=0.0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    mode: str
-    failures: tuple[str, ...] = ()
+def validate(rep: Representation) -> Optional[str]:
+    """Why the wavefunctions of ``rep`` are not normalizable, or None.
 
-
-def validate(rep: Representation, mode: str = "full") -> ValidationReport:
-    """Check representation constraints without raising.
-
-    Every built representation passes "formula-only": its phase formulas are
-    finite. "full" additionally requires a positive Wronskian omega, i.e.
-    C cos(beta) > 0, which normalizable wavefunctions need.
+    Construction has refused every representation whose phase formulas are
+    not finite; wavefunctions further need a positive Wronskian omega, i.e.
+    C cos(beta) > 0.
     """
-    if mode not in ("formula-only", "full"):
-        raise ValueError(f"unknown validation mode {mode!r}")
-    if mode == "full" and not rep.omega > 0:
-        return ValidationReport(ok=False, mode=mode, failures=(
-            "C*cos(beta) must be positive for normalizable wavefunctions"
-            " (the Wronskian M*C*w*cos(beta) is not positive)",))
-    return ValidationReport(ok=True, mode=mode)
+    if not rep.omega > 0:
+        return ("C*cos(beta) must be positive for normalizable wavefunctions"
+                " (the Wronskian M*C*w*cos(beta) is not positive)")
+    return None
 
 
-def require_valid(rep: Representation, mode: str = "full") -> None:
-    report = validate(rep, mode)
-    if not report.ok:
-        raise InvalidRepresentationError("; ".join(report.failures))
+def require_valid(rep: Representation) -> None:
+    """Raise InvalidRepresentationError with validate's reason, if any."""
+    failure = validate(rep)
+    if failure is not None:
+        raise InvalidRepresentationError(failure)
 
 
 class RepresentationArrays(NamedTuple):
     """The fields of several representations as arrays, one entry each.
 
-    classical_pair, kinematics and the cores of winding_phase and
-    energy_per_quantum read only these names, so they take this in place of
-    a Representation and broadcast the fields against the times: fields
-    shaped as columns evaluate every representation on a row of times. Each
-    field is taken from its Representation with the scalar arithmetic the
-    one-representation code uses, so every entry matches it bit for bit.
+    classical_pair, kinematics, energy_per_quantum and the core of
+    winding_phase read only these names, so they take this in place of a
+    Representation and broadcast the fields against the times: fields shaped
+    as columns evaluate every representation on a row of times. Each field
+    is read by name from its Representation, which computed it when it was
+    built, so every entry matches the one-representation code bit for bit.
     """
 
     M: np.ndarray
@@ -130,13 +135,13 @@ class RepresentationArrays(NamedTuple):
     beta: np.ndarray
     omega: np.ndarray
     tau0: np.ndarray
-    theta0: np.ndarray     # winding_phase at t = 0
-    stiffness: np.ndarray  # M w^2
+    theta0: np.ndarray
+    stiffness: np.ndarray
 
     @classmethod
     def of(cls, reps) -> "RepresentationArrays":
-        fields = np.array([(r.M, r.w, r.C, r.beta, r.omega, r.tau0, _initial_winding(r),
-                            r.M * r.w ** 2) for r in reps]).reshape(-1, len(cls._fields))
+        get = operator.attrgetter(*cls._fields)
+        fields = np.array([get(r) for r in reps]).reshape(-1, len(cls._fields))
         return cls(*np.ascontiguousarray(fields.T))
 
     def at(self, index) -> "RepresentationArrays":
@@ -196,28 +201,23 @@ def winding_phase(rep: Representation, t):
     lets the value be computed in closed form: reduce t into [0, tau0/2), take
     atan2 there, and shift by -pi per elapsed half period.
     """
-    require_valid(rep, "full")
+    require_valid(rep)
     arr, scalar = _as_time(t)
-    out = _winding(rep, arr, _initial_winding(rep))[0]
+    out = _winding(rep, arr)[0]
     return float(out) if scalar else out
 
 
-def _initial_winding(rep: Representation) -> float:
-    """The principal argument of u - i v at t = 0."""
-    return math.atan2(-rep.C * math.sin(rep.beta), 1.0)
-
-
-def _winding(rep, arr, theta0):
-    """winding_phase at the times arr, given its value theta0 at t = 0, for
-    a Representation or RepresentationArrays; also u and v at the times
-    reduced into [0, tau0/2), which the argument is taken of."""
+def _winding(rep, arr):
+    """winding_phase at the times arr, for a Representation or
+    RepresentationArrays; also u and v at the times reduced into
+    [0, tau0/2), which the argument is taken of."""
     half = 0.5 * rep.tau0
     m = np.floor(arr / half)
     wt = rep.w * (arr - m * half)
     u, v = np.cos(wt), rep.C * np.sin(wt + rep.beta)
     raw = np.arctan2(np.negative(v), u)
     # unique representative of raw (mod 2pi) inside (theta0 - pi, theta0]
-    center = theta0 - 0.5 * math.pi
+    center = rep.theta0 - 0.5 * math.pi
     theta_local = raw + 2.0 * math.pi * np.round((center - raw) / (2.0 * math.pi))
     return theta_local - math.pi * m, u, v
 

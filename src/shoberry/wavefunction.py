@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from .numerics import DEFAULT_QUADRATURE, chunks
+from . import numerics
+from .numerics import chunks
 from .representation import (PhysicalConfig, Representation, RepresentationArrays,
                              _winding, classical_pair, kinematics, require_valid,
                              rho_ddot)
@@ -105,7 +106,7 @@ class QuantumState:
 
     def __post_init__(self):
         _check_degree(self.n)
-        require_valid(self.rep, "full")
+        require_valid(self.rep)
 
 
 def _prefactor(n: int, om: float, hbar: float) -> float:
@@ -158,7 +159,7 @@ def psi_dx(state: QuantumState, x, t):
 
 def alpha(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
     """Gaussian exponent parameter (Omega/rho^2 - i M rho'/rho) / (2 hbar)."""
-    require_valid(rep, "full")
+    require_valid(rep)
     _, _, _, _, r, rdot = kinematics(rep, t)
     om = rep.omega
     return (om / (r * r) - 1j * rep.M * rdot / r) / (2.0 * config.hbar)
@@ -166,7 +167,7 @@ def alpha(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
 
 def alpha_dot(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
     """Exact time derivative of alpha."""
-    require_valid(rep, "full")
+    require_valid(rep)
     _, _, _, _, r, rdot = kinematics(rep, t)
     rddot = rho_ddot(rep, t)
     om = rep.omega
@@ -178,21 +179,16 @@ def energy_per_quantum(rep: Representation, t):
     """<psi_n|H|psi_n> / ((n + 1/2) hbar) at time t, the same for every n:
 
     (1/2) [Omega/(M rho^2) + M rho'^2/Omega + M w^2 rho^2/Omega], which is w
-    in the stationary representation.
+    in the stationary representation. rep is a Representation or
+    RepresentationArrays.
     """
-    return _energy_per_quantum(rep, t, rep.M * rep.w ** 2)
-
-
-def _energy_per_quantum(rep, t, stiffness):
-    """energy_per_quantum given M w^2, for a Representation or
-    RepresentationArrays."""
     u, v, du, dv = classical_pair(rep, t)
     r2 = u * u + v * v
     if np.any(np.asarray(r2) == 0.0):
         raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
     rd2 = (u * du + v * dv) ** 2 / r2
     om = rep.omega
-    return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + stiffness * r2 / om)
+    return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + rep.stiffness * r2 / om)
 
 
 def energy_expectation(state: QuantumState, t):
@@ -278,7 +274,7 @@ class _Snapshot:
         om = self.reps.omega
         t = np.full(om.shape, float(t))
         _, _, _, _, self.r, rdot = kinematics(self.reps, t)
-        self.theta = _winding(self.reps, t, self.reps.theta0)[0]
+        self.theta = _winding(self.reps, t)[0]
         # (-Omega/rho^2 + i M rho'/rho) / (2 hbar) from its real and imaginary
         # parts, each divided by rho in real arithmetic and multiplied by the
         # reciprocal of 2 hbar: numpy's complex array division would take
@@ -340,18 +336,17 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
     integrands takes an index array of points and their abscissas, shaped
     (len(active), 1, nodes), and returns (len(active), rows, nodes). A
     point's node count doubles from m until each of its rows agrees with the
-    previous level within DEFAULT_QUADRATURE; a point that has converged
+    previous level within numerics.ABS_TOL or REL_TOL; a point that has converged
     drops out of the next level. Returns the values (points, rows) and each
     point's node count; a point that does not converge within the refinement
     cap or MAX_SPATIAL_NODES gets its ConvergenceError in ``errors``.
     """
-    spec = DEFAULT_QUADRATURE
     points = len(s)
     values, prev = None, None
     nodes = np.zeros(points, dtype=int)
     err = np.full(points, math.inf)
     active = _live(errors)
-    for _ in range(spec.max_refinements + 1):
+    for _ in range(numerics.MAX_REFINEMENTS + 1):
         if m > MAX_SPATIAL_NODES or not active.size:
             break
         y, weights = hermite_rule(m)
@@ -362,8 +357,8 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
             values = np.zeros((points,) + cur.shape[1:], dtype=cur.dtype)
         if prev is not None:
             change = np.abs(cur - prev)
-            done = np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur)),
-                          axis=1)
+            done = np.all(change <= np.maximum(numerics.ABS_TOL,
+                                               numerics.REL_TOL * np.abs(cur)), axis=1)
             values[active[done]] = cur[done]
             nodes[active[done]] = m
             err[active] = np.max(change, axis=1)
@@ -428,7 +423,7 @@ def _refusals(reps, ns) -> list:
     errors = [None] * len(reps)
     for p, rep in enumerate(reps):
         try:
-            require_valid(rep, "full")
+            require_valid(rep)
         except InvalidParameterError as exc:
             errors[p] = exc
     try:

@@ -23,8 +23,7 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              berry_phase_special_rep, drive_phase_quadrature,
                              particular_solution)
 from shoberry.errors import ResonanceError
-from shoberry.phase import (berry_phase, dynamical_phase_oracle,
-                            equivalence_class_C, overall_phase_oracle)
+from shoberry.phase import berry_phase, equivalence_class_C
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState
 
@@ -64,10 +63,7 @@ def test_criterion_01_stationary_zero_phase():
     for n in range(6):
         for duration in ("half", "full"):
             assert berry_phase(rep, n, duration).gamma == 0.0
-        state = QuantumState(rep, n)
-        chi, _ = overall_phase_oracle(state, 0.5 * rep.tau0)
-        gamma = chi - dynamical_phase_oracle(state, 0.5 * rep.tau0)
-        worst = max(worst, abs(gamma))
+        worst = max(worst, abs(selfcheck.half_period_oracle(QuantumState(rep, n))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-7
     assert elapsed < 5.0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -650,6 +651,30 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys):
     assert code == 2, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_FORCE = ("--omega-f", "0.5", "--force-coeff", "1:0.5:0")
+
+
+@pytest.mark.parametrize("stiffness", [("--w", "1e160"), ("--M", "1e300", "--w", "1e10")],
+                         ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    ("berry", "--C", "2", "--beta", "0.3"),          # full mode
+    ("berry", "--C", "-2", "--beta", "0.3"),         # formula-only
+    ("sweep", "--sweep", "C:1:2:2", "--beta", "0.3"),
+    ("sweep", "--sweep", "C:-2:-1:2", "--beta", "0.3"),
+    ("driven", "--C", "2", *_FORCE),
+    ("trajectory", "--C", "2", "--beta", "0.3"),
+], ids=" ".join)
+def test_stiffness_beyond_double_precision_exits_2(argv, stiffness, capsys):
+    # M w^2 overflows: ** raises OverflowError for the first, * gives inf
+    # for the second; either is one typed refusal, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, *stiffness)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "M w^2" in lines[0]
 
 
 def test_quantum_number_beyond_double_precision_is_refused(capsys):

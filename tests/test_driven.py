@@ -16,12 +16,11 @@ from shoberry.driven import (Commensurability, DrivingForce,
                              fourier_decompose,
                              particular_solution, psi_driven,
                              velocity_squared_integral)
-from shoberry import cli, driven, selfcheck
+from shoberry import cli, driven, numerics, selfcheck
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
                              ResonanceError)
-from shoberry.numerics import (GridState, QuadratureSpec, integrate_1d,
-                               propagate_schrodinger)
+from shoberry.numerics import GridState, integrate_1d, propagate_schrodinger
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
@@ -514,14 +513,13 @@ class TestDrivenSweep:
     def test_quadrature_at_the_cap_fails_alone(self, monkeypatch):
         # three solutions with one frequency vector; only the middle one
         # carries the fast mode, which two levels cannot resolve
-        spec = QuadratureSpec(max_refinements=1)
-        monkeypatch.setattr(driven, "DEFAULT_QUADRATURE", spec)
+        monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
         xps = [ParticularSolution(0.5, {1: 0.3, -1: 0.3, 31: f, -31: f}, D, 1.0)
                for f, D in ((0j, 0.1j), (0.2 + 0j, 0.1j), (0j, 0.3 + 0j))]
         duration = 2 * STRETCHED.tau0
         values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration)
         with pytest.raises(ConvergenceError) as alone:
-            integrate_1d(lambda ts: xps[1].xdot(ts) ** 2, 0.0, duration, spec)
+            integrate_1d(lambda ts: xps[1].xdot(ts) ** 2, 0.0, duration)
         assert str(failures[1]) == str(alone.value) and "refinements" in str(alone.value)
         assert failures[0] is None and failures[2] is None
         neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shoberry import numerics
 from shoberry.errors import ConvergenceError, InvalidParameterError
-from shoberry.numerics import (DEFAULT_QUADRATURE, KICK_BLOCK, GridState,
-                               QuadratureSpec, integrate_1d, propagate_schrodinger,
-                               rationalize)
+from shoberry.numerics import (KICK_BLOCK, GridState, integrate_1d,
+                               propagate_schrodinger, rationalize)
 from shoberry.selfcheck import QUADRATURE_CASES
 
 from _ode import rk_integrate
@@ -35,29 +35,24 @@ class TestIntegrate1d:
         assert integrate_1d(np.exp, 2.0, 2.0) == (0.0, 0.0)
 
     def test_error_estimate_bounds_true_error(self):
-        spec = DEFAULT_QUADRATURE
         for f, a, b, exact in QUADRATURE_CASES:
-            value, estimate = integrate_1d(f, a, b, spec)
-            allowance = max(estimate, spec.abs_tol, spec.rel_tol * abs(exact))
+            value, estimate = integrate_1d(f, a, b)
+            allowance = max(estimate, numerics.ABS_TOL, numerics.REL_TOL * abs(exact))
             assert abs(value - exact) <= allowance, f"case [{a}, {b}]"
 
     def test_battery_is_large_enough(self):
         assert len(QUADRATURE_CASES) >= 20
 
-    def test_refinement_cap(self):
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_refinements=2)
+    def test_refinement_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ABS_TOL", 1e-300)
+        monkeypatch.setattr(numerics, "REL_TOL", 1e-300)
+        monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 2)
         with pytest.raises(ConvergenceError):
-            integrate_1d(lambda t: np.sin(57.3 * t) ** 2, 0.0, 10.0, spec)
+            integrate_1d(lambda t: np.sin(57.3 * t) ** 2, 0.0, 10.0)
 
     def test_non_vectorized_integrand_rejected(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda t: 1.0, 0.0, 1.0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_refinements=0)
 
 
 class TestRationalize:
@@ -68,7 +63,7 @@ class TestRationalize:
         assert rationalize(0.5 + 1e-14, 1e-10) == (1, 2)
 
     def test_sqrt2_has_no_convergent_under_cap(self):
-        assert rationalize(math.sqrt(2.0), 1e-12, 10 ** 6) is None
+        assert rationalize(math.sqrt(2.0), 1e-12) is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -78,7 +73,7 @@ class TestRationalize:
     @given(st.integers(1, 400), st.integers(1, 400))
     def test_recovers_exact_fractions(self, a, b):
         g = math.gcd(a, b)
-        found = rationalize(a / b, 1e-9, max_den=1000)
+        found = rationalize(a / b, 1e-9)
         assert found == (a // g, b // g)
 
 
@@ -201,6 +196,33 @@ class TestPropagator:
             propagate_schrodinger(state, 1.0, 1.0, 1.0, 16)
 
     @pytest.mark.parametrize("force", [None, lambda t: 0.1 * np.cos(t)])
+    def test_tiny_state_propagates_as_scaled(self, force):
+        # amplitudes near 1e-165 square below the smallest double, so the
+        # resolution check must not weigh the grid by their squares as given
+        state = _gaussian_state(points=1024)
+        tiny = GridState(state.x_min, state.x_max, state.points, 1e-165 * state.values)
+        final = propagate_schrodinger(tiny, 1.0, 1.0, 1.0, 64, force=force)
+        reference = 1e-165 * propagate_schrodinger(state, 1.0, 1.0, 1.0, 64,
+                                                   force=force).values
+        assert np.max(np.abs(final.values - reference)) \
+            <= 1e-12 * np.max(np.abs(reference))
+
+    def test_empty_state_refused(self):
+        state = GridState(-12.0, 12.0, 1024, np.zeros(1024), 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            propagate_schrodinger(state, 1.0, 1.0, 1.0, 16)
+
+    @pytest.mark.parametrize("x_half, points, rate, message", [
+        (40.0, 64, 0.5, "coarse"), (2.0, 256, 0.125, "domain")])
+    def test_tiny_unresolved_states_refused(self, x_half, points, rate, message):
+        # the refusals of test_rejects_coarse_grid and
+        # test_rejects_leaky_domain, for the same states scaled to 1e-165
+        xs = np.linspace(-x_half, x_half, points, endpoint=False)
+        state = GridState(-x_half, x_half, points, 1e-165 * np.exp(-rate * xs ** 2), 0.0)
+        with pytest.raises(ValueError, match=message):
+            propagate_schrodinger(state, 1.0, 1.0, 1.0, 16)
+
+    @pytest.mark.parametrize("force", [None, lambda t: 0.1 * np.cos(t)])
     @pytest.mark.parametrize("steps", [2.5, 16.0, True, np.float64(16)])
     def test_non_integer_steps_refused(self, steps, force):
         with pytest.raises(InvalidParameterError, match="integer"):
@@ -306,14 +328,14 @@ def test_integrate_rows_converge_on_their_own():
         assert value == pytest.approx(5.0 - math.sin(20.0 * k) / (4.0 * k), abs=1e-9)
 
 
-def test_integrate_rows_reports_a_row_at_the_cap():
+def test_integrate_rows_reports_a_row_at_the_cap(monkeypatch):
     from shoberry.numerics import integrate_rows
-    spec = QuadratureSpec(max_refinements=2)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 2)
     ks = np.array([0.1, 57.3])
     values, _, failures = integrate_rows(
-        lambda rows, t: np.sin(ks[rows, None] * t) ** 2, 0.0, 10.0, 2, spec)
+        lambda rows, t: np.sin(ks[rows, None] * t) ** 2, 0.0, 10.0, 2)
     assert failures[0] is None and isinstance(failures[1], ConvergenceError)
-    assert values[0] == integrate_1d(lambda t: np.sin(0.1 * t) ** 2, 0.0, 10.0, spec)[0]
+    assert values[0] == integrate_1d(lambda t: np.sin(0.1 * t) ** 2, 0.0, 10.0)[0]
     with pytest.raises(ConvergenceError) as alone:
-        integrate_1d(lambda t: np.sin(57.3 * t) ** 2, 0.0, 10.0, spec)
+        integrate_1d(lambda t: np.sin(57.3 * t) ** 2, 0.0, 10.0)
     assert str(alone.value) == str(failures[1])

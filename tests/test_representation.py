@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shoberry.errors import InvalidRepresentationError
-from shoberry.representation import (PhysicalConfig, Representation,
-                                     _initial_winding, _winding, classical_pair,
-                                     omega_invariant, require_valid, rho, rho_ddot,
-                                     rho_dot, trajectory, validate, winding_phase)
+from shoberry.representation import (PhysicalConfig, Representation, _winding,
+                                     classical_pair, omega_invariant, require_valid,
+                                     rho, rho_ddot, rho_dot, trajectory, validate,
+                                     winding_phase)
 
 reps_formula = st.builds(
     Representation,
@@ -46,37 +46,45 @@ def test_construction_rejects_bad_mass_and_frequency():
                 Representation(**{**good, name: value})
 
 
+@pytest.mark.parametrize("M, w", [(1.0, 1e160), (1e300, 1e10)])
+def test_stiffness_beyond_double_precision_refused(M, w):
+    # w ** 2 raises OverflowError at w = 1e160; M * w**2 is inf at the second
+    with pytest.raises(InvalidRepresentationError, match=r"M w\^2"):
+        Representation(M=M, w=w, C=2.0, beta=0.3)
+
+
+def test_large_finite_stiffness_builds():
+    rep = Representation(M=1.0, w=1e150, C=2.0, beta=0.3)
+    assert math.isfinite(rep.stiffness) and rep.stiffness == 1.0 * 1e150 ** 2
+
+
 def test_tau0_derived_from_w():
     assert Representation(1.0, 2.0, 1.0, 0.0).tau0 == math.pi
 
 
 class TestValidate:
     def test_stationary_full_pass(self):
-        report = validate(Representation(1, 1, 1, 0), "full")
-        assert report.ok and report.failures == ()
+        assert validate(Representation(1, 1, 1, 0)) is None
 
     def test_cos_beta_zero_fails_any_mode(self):
         with pytest.raises(InvalidRepresentationError, match="cos"):
             Representation(1, 1, 1, math.pi / 2)
 
     def test_negative_wronskian_formula_only_vs_full(self):
+        # construction admits it (its phase formulas are finite); its
+        # wavefunctions are not normalizable
         rep = Representation(1, 1, -0.382, math.pi / 3)
-        assert validate(rep, "formula-only").ok
-        full = validate(rep, "full")
-        assert not full.ok
-        assert any("Wronskian" in f for f in full.failures)
+        assert "Wronskian" in validate(rep)
+        with pytest.raises(InvalidRepresentationError, match="Wronskian"):
+            require_valid(rep)
 
     def test_zero_C_fails(self):
         with pytest.raises(InvalidRepresentationError, match="nonzero"):
             Representation(1, 1, 0.0, 0.0)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            validate(Representation(1, 1, 1, 0), "strict")
-
     def test_require_valid_raises_with_reason(self):
         with pytest.raises(InvalidRepresentationError, match="cos"):
-            require_valid(Representation(1, 1, 1, math.pi / 2), "formula-only")
+            require_valid(Representation(1, 1, 1, math.pi / 2))
 
 
 class TestClassicalPair:
@@ -202,9 +210,8 @@ class TestWindingPhase:
             C, beta = -C, beta + math.pi
         rep = Representation(1.0, w, C, beta)
         ts = np.linspace(0.0, 2.0 * rep.tau0, 4097)
-        theta0 = _initial_winding(rep)
-        theta = _winding(rep, ts, theta0)[0]
-        shifted = _winding(rep, ts + 0.5 * rep.tau0, theta0)[0]
+        theta = _winding(rep, ts)[0]
+        shifted = _winding(rep, ts + 0.5 * rep.tau0)[0]
         # theta moves at up to w (1 + C^2)/(C cos beta), so rounding the
         # times, here and in the half-period reduction, moves it by that
         # rate times a few ulp of the latest time
