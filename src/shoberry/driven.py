@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -37,6 +38,10 @@ from .wavefunction import (QuantumState, _parts, _scalar_time,
 # conditioning floor on resonance denominators |w^2 - n^2 omega_f^2|.
 COEFF_EPS = 1e-12
 RESONANCE_DENOM_EPS = 1e-9
+
+# The largest integer a float holds: a larger int raises OverflowError when
+# it is converted.
+_LARGEST_FLOAT = int(sys.float_info.max)
 
 
 # Values in one block of a blocked sum: a block of time points times the
@@ -62,29 +67,19 @@ def _mode_arrays(coefficients: Mapping[int, complex], omega_f: float,
     return nu, amp
 
 
-def _blocked_rows(t, basis, coeffs):
-    """Re sum_k coeffs[r, k] basis(t)_k for every row r of ``coeffs`` and every
-    time of the 1-d array t, as a (rows, t.size) array.
-
-    ``basis`` maps a column of B times to a (B, coeffs.shape[1]) matrix. Times
-    go through it in blocks, so temporaries stay bounded for any number of
-    times; each block's basis is evaluated once and shared by the rows.
-    """
-    out = np.empty((len(coeffs), t.size))
-    block = max(1, _BLOCK // max(coeffs.shape[1], 1))
-    for start in range(0, t.size, block):
-        values = basis(t[start:start + block, None])
-        for row, coeff in zip(out, coeffs):
-            row[start:start + block] = np.sum(values * coeff, axis=1).real
-        del values   # not alive while the next block's basis is made
-    return out
-
-
 def _blocked_sum(t, basis, coeff):
-    """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a
-    float. _blocked_rows for one row."""
+    """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a float.
+
+    ``basis`` maps a column of B times to a (B, coeff.size) matrix. Times go
+    through it in blocks, so temporaries stay bounded for any number of times.
+    """
     arr = np.asarray(t, dtype=float)
-    out = _blocked_rows(arr.reshape(-1), basis, coeff[None])[0]
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    block = max(1, _BLOCK // max(coeff.size, 1))
+    for start in range(0, flat.size, block):
+        out[start:start + block] = np.sum(
+            basis(flat[start:start + block, None]) * coeff, axis=1).real
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -107,9 +102,17 @@ class DrivingForce:
         coeffs = {int(n): complex(f) for n, f in self.coefficients.items()
                   if f != 0}
         for n, f in coeffs.items():
+            if n * n > _LARGEST_FLOAT:
+                raise InvalidParameterError(
+                    f"force mode number of {n.bit_length()} bits has n^2 beyond"
+                    " the float range")
             if not cmath.isfinite(f):
                 raise InvalidParameterError(
                     f"force coefficient of mode {n} must be finite, got {f!r}")
+            if not math.isfinite(f.real * f.real + f.imag * f.imag):
+                raise InvalidParameterError(
+                    f"force coefficient of mode {n} must have |f|^2 within the"
+                    f" float range, got {f!r}")
         scale = max((abs(f) for f in coeffs.values()), default=0.0)
         for n, f in coeffs.items():
             mate = coeffs.get(-n, 0j)
@@ -127,7 +130,7 @@ class DrivingForce:
         return 2.0 * math.pi / self.omega_f
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(f) ** 2 for f in self.coefficients.values()))
+        return math.hypot(*(abs(f) for f in self.coefficients.values()))
 
     def __call__(self, t):
         return _mode_sum(t, self._nu, self._amp)
@@ -331,14 +334,22 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
 
 def _forced_drive(force: DrivingForce, comm: Commensurability, M: float,
                   w: float, hbar: float) -> float:
-    """The force's part of drive_phase_closed, the same for every D."""
+    """The force's part of drive_phase_closed, the same for every D.
+
+    Its integers N^3 p^2 and (p^2 n^2 - N^2)^2 are checked against the float
+    range before any is converted: a huge period ratio is refused, not
+    overflowed.
+    """
     p, N = comm.p, comm.N
+    denoms = {n: p * p * n * n - N * N
+              for n in _ordered_modes(force.coefficients) if n != 0}
+    if max([N ** 3 * p * p, *(d * d for d in denoms.values())]) > _LARGEST_FLOAT:
+        raise InvalidParameterError(
+            f"omega_f = {force.omega_f!r} gives tau0/tau_f = p/N = {p / N:.6g}:"
+            " the drive term's N^3 p^2 or (p^2 n^2 - N^2)^2 exceeds the float range")
     total = 0.0
     norm = force.norm()
-    for n in _ordered_modes(force.coefficients):
-        if n == 0:
-            continue
-        denom = p * p * n * n - N * N
+    for n, denom in denoms.items():
         if denom == 0:
             if abs(force.coefficients[n]) < COEFF_EPS * max(norm, 1e-300):
                 continue
@@ -356,21 +367,34 @@ def _with_homogeneous(drive: float, M: float, N: int, w: float, hbar: float,
 
 def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     """(1/hbar) int_0^duration M xdot_p^2 dt by blind time quadrature, for
-    particular solutions ``xps`` that share their frequencies.
+    particular solutions ``xps`` that share omega_f, w and their forced modes,
+    and may differ in D.
 
-    One integrate_rows call with a row per solution: each block of nodes
-    evaluates the basis exp(i nu t) once, and each row's value is bit for bit
-    what drive_phase_quadrature gives for that solution alone. Returns
-    (values, failures): a float array, and per row the ConvergenceError of a
-    row that hit the refinement cap, else None.
+    One integrate_rows call with a row per solution. The forced velocity
+    Re sum_n i nu_n a_n exp(i nu_n t) does not depend on D: it is evaluated
+    once per node, in blocks that share the basis exp(i nu t), and each row
+    adds its own homogeneous pair 2 Re(i w D exp(i w t)). Each row's value is
+    bit for bit what drive_phase_quadrature gives for that solution alone.
+    Returns (values, failures): a float array, and per row the
+    ConvergenceError of a row that hit the refinement cap, else None.
     """
-    nu = xps[0]._nu
-    if any(not np.array_equal(xp._nu, nu) for xp in xps):
-        raise ValueError("particular solutions must share their frequencies")
-    coeffs = np.array([1j * nu * xp._amp for xp in xps])
+    first = xps[0]
+    if any((xp.omega_f, xp.w, xp.modes) != (first.omega_f, first.w, first.modes)
+           for xp in xps):
+        raise ValueError("particular solutions must share omega_f, w and"
+                         " their forced modes")
+    forced = len(first.modes)   # the modes come first in _nu and _amp
+    nu, w = first._nu[:forced], first.w
+    velocity = 1j * nu * first._amp[:forced]
+    pair = np.array([2j * w * complex(xp.D) for xp in xps])
+    level = [None, None, None]   # nodes, their forced velocity, exp(i w nodes)
 
     def rows(active, nodes):
-        return _blocked_rows(nodes, lambda ts: np.exp(1j * nu * ts), coeffs[active]) ** 2
+        if level[0] is not nodes:   # a new level: every chunk of rows shares it
+            level[:] = (nodes, _blocked_sum(nodes, lambda ts: np.exp(1j * nu * ts),
+                                            velocity), np.exp(1j * w * nodes))
+        _, forced_velocity, turn = level
+        return (forced_velocity + (pair[active, None] * turn).real) ** 2
 
     values, _, failures = integrate_rows(rows, 0.0, duration, len(xps))
     return M * values / hbar, failures
@@ -436,15 +460,14 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
 
     The undriven phase of each n and the particular solution and closed drive
     term of each D are computed once, and so is the quadrature, which does
-    not depend on n: one drive_phase_quadratures row per D, one call per
-    frequency vector (D = 0 or not). The work that does not depend on D, the
-    particular solution's modes with their checks and the force's part of the
-    closed drive term, is done once for all of them; each D adds its
-    homogeneous pair. With comm None the entries are the
-    phases over one force period of the C = 1, beta = 0 representation at
-    D = 0, where the undriven phase vanishes for any periodic drive: p = N =
-    0, and the order is n, berry_phase_special_rep, particular solution,
-    quadrature.
+    not depend on n: one drive_phase_quadratures call, with a row per D that
+    reaches it. The work that does not depend on D, the particular solution's
+    modes with their checks and the force's part of the closed drive term, is
+    done once for all of them; each D adds its homogeneous pair. With comm
+    None the entries are the phases over one force period of the C = 1,
+    beta = 0 representation at D = 0, where the undriven phase vanishes for
+    any periodic drive: p = N = 0, and the order is n,
+    berry_phase_special_rep, particular solution, quadrature.
     """
     M, w, hbar = rep.M, rep.w, config.hbar
     if comm is None:
@@ -472,12 +495,10 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
            modes if isinstance(modes, Exception) else
            ParticularSolution(force.omega_f, modes, D, w)
            for D in amplitudes]
-    groups = {}   # frequency vector -> the D rows that reach the quadrature
-    for i, (xp, drive) in enumerate(zip(xps, closed)):
-        if not isinstance(xp, Exception) and not isinstance(drive, Exception):
-            groups.setdefault(xp._nu.tobytes(), []).append(i)
+    rows = [i for i, (xp, drive) in enumerate(zip(xps, closed))
+            if not isinstance(xp, Exception) and not isinstance(drive, Exception)]
     quadrature = [None] * len(Ds)
-    for rows in groups.values():
+    if rows:
         values, failures = drive_phase_quadratures([xps[i] for i in rows], M, hbar,
                                                    duration)
         for i, value, failure in zip(rows, values.tolist(), failures):

@@ -246,9 +246,10 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
     potential kick, second order in the time step and norm-preserving. A
     time-dependent force enters the potential evaluated at the midpoint of
     each step: the force callable must be vectorized over time arrays, and it
-    is called once, on the array of all step midpoints. With a force, the
-    closing half kick of one step and the opening half kick of the next are
-    applied as one merged kick, built for KICK_BLOCK steps at a time.
+    is called once, on the array of all step midpoints. The closing half kick
+    of one step and the opening half kick of the next are applied as one
+    merged kick; with a force, the merged kicks are built for KICK_BLOCK steps
+    at a time.
     """
     steps = _integer(steps, "steps")
     if steps < 1:
@@ -273,11 +274,14 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
         np.fft.ifft(np.multiply(kinetic, np.fft.fft(psi, out=psi), out=psi),
                     norm="forward", out=psi)
 
+    quad_step = quad_kick * quad_kick
     if force is None:
-        for _ in range(steps):
-            psi *= quad_kick
+        psi *= quad_kick
+        for _ in range(steps - 1):
             drift()
-            psi *= quad_kick
+            psi *= quad_step
+        drift()
+        psi *= quad_kick
         return GridState(initial.x_min, initial.x_max, initial.points, psi, t_final)
     midpoints = initial.t + (np.arange(steps) + 0.5) * dt
     f_mid = sample_vectorized(force, midpoints)
@@ -300,7 +304,6 @@ def propagate_schrodinger(initial: GridState, M: float, w: float,
 
     half = (0.5 * dt / hbar) * f_mid
     merged = half[:-1] + half[1:]
-    quad_step = quad_kick * quad_kick
     psi *= kicks(quad_kick, half[:1])[0]
     for start in range(0, steps - 1, KICK_BLOCK):
         for kick in kicks(quad_step, merged[start:start + KICK_BLOCK]):

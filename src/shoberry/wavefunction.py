@@ -157,22 +157,23 @@ def psi_dx(state: QuantumState, x, t):
     return complex(out) if arr.ndim == 0 else out
 
 
-def alpha(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
-    """Gaussian exponent parameter (Omega/rho^2 - i M rho'/rho) / (2 hbar)."""
+def alpha(rep: Representation, t):
+    """Gaussian exponent parameter (Omega/rho^2 - i M rho'/rho) / (2 hbar)
+    at hbar = 1."""
     require_valid(rep)
     _, _, _, _, r, rdot = kinematics(rep, t)
     om = rep.omega
-    return (om / (r * r) - 1j * rep.M * rdot / r) / (2.0 * config.hbar)
+    return (om / (r * r) - 1j * rep.M * rdot / r) / 2.0
 
 
-def alpha_dot(rep: Representation, t, config: PhysicalConfig = PhysicalConfig()):
-    """Exact time derivative of alpha."""
+def alpha_dot(rep: Representation, t):
+    """Exact time derivative of alpha, at hbar = 1."""
     require_valid(rep)
     _, _, _, _, r, rdot = kinematics(rep, t)
     rddot = rho_ddot(rep, t)
     om = rep.omega
     return (-2.0 * om * rdot / r ** 3
-            - 1j * rep.M * (rddot / r - (rdot / r) ** 2)) / (2.0 * config.hbar)
+            - 1j * rep.M * (rddot / r - (rdot / r) ** 2)) / 2.0
 
 
 def energy_per_quantum(rep: Representation, t):

@@ -645,6 +645,11 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     ("berry", "--C", "1e200"),
     ("berry", "--C", "5e-324"),
     ("driven", "--C", "1e200", "--omega-f", "0.5", "--force-coeff", "1:0.5:0"),
+    # p = 1e300 outgrows the closed drive term's floats; |f|^2 = 1e600 and
+    # the square of mode 10^200 overflow
+    ("driven", "--omega-f", "1e300", "--force-coeff", "1:0.5:0"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:1e300:0"),
+    ("driven", "--omega-f", "0.5", "--force-coeff", f"{10 ** 200}:0.5:0"),
 ], ids=" ".join)
 def test_invalid_input_exits_2_without_traceback(argv, capsys):
     code, _, err = run_cli(capsys, *argv)   # an uncaught exception fails here
@@ -675,6 +680,21 @@ def test_stiffness_beyond_double_precision_exits_2(argv, stiffness, capsys):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "M w^2" in lines[0]
+
+
+def test_sweep_reports_an_overflowing_period_ratio_in_its_row(capsys):
+    # the one-point refusal names omega_f; a sweep reports it in its row
+    code, _, err = run_cli(capsys, "driven", "--omega-f", "1e300",
+                           "--force-coeff", "1:0.5:0")
+    message = err[len("error: "):-1]
+    assert code == 2 and message.startswith("omega_f = 1e+300 ")
+    code, out, err = run_cli(capsys, "sweep", "--omega-f", "0.5",
+                             "--force-coeff", "1:0.5:0",
+                             "--sweep", "omega_f:0.5:1e300:2", "--format", "csv")
+    assert code == 0, err
+    computed, refused = out.splitlines()[1:]
+    assert computed.startswith("0.5,0,") and computed.endswith(",1,2,")
+    assert refused == f'1.0000000000000001e+300,,,,,,,,"{message}"'
 
 
 def test_quantum_number_beyond_double_precision_is_refused(capsys):

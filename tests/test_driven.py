@@ -20,7 +20,7 @@ from shoberry import cli, driven, numerics, selfcheck
 from shoberry.errors import (ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
                              ResonanceError)
-from shoberry.numerics import GridState, integrate_1d, propagate_schrodinger
+from shoberry.numerics import GridState, propagate_schrodinger
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
 from shoberry.wavefunction import QuantumState, grid_halfwidth, psi
@@ -43,6 +43,18 @@ class TestDrivingForce:
             DrivingForce(1.0, {1: 1.0 + 0.5j, -1: 1.0 + 0.5j})
         with pytest.raises(ValueError, match="finite"):
             DrivingForce(1.0, {1: complex(math.nan, 0.0), -1: complex(math.nan, 0.0)})
+
+    def test_coefficient_whose_square_overflows_refused(self):
+        # |f| = 1e154 squares to 1e308, within range, and the norm over the
+        # pair stays finite; 1e155, a modulus past the float range and a mode
+        # number whose square is past it are refused
+        assert DrivingForce(1.0, {1: 1e154, -1: 1e154}).norm() == \
+            pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+        for f in (1e155, complex(1.5e308, 1.5e308)):
+            with pytest.raises(InvalidParameterError, match="mode 1 must have"):
+                DrivingForce(1.0, {1: f, -1: f.conjugate()})
+        with pytest.raises(InvalidParameterError, match="665 bits has n.2 beyond"):
+            DrivingForce(1.0, {10 ** 200: 0.5, -10 ** 200: 0.5})
 
     def test_zero_modes_dropped(self):
         force = DrivingForce(1.0, {1: 0.5, -1: 0.5, 3: 0.0, -3: 0.0})
@@ -446,8 +458,8 @@ def one_point_quadrature(row, C, beta, hbar):
 
 
 class TestDrivenSweep:
-    """The driven sweep integrates each point once, in batches of points that
-    share frequencies and duration; every row is bit for bit the one-point
+    """The driven sweep integrates each point once, in one batch per
+    (C, beta, omega_f) cell; every row is bit for bit the one-point
     quadrature."""
 
     @pytest.mark.parametrize("n_flags", [("--n", "0,2,5"), ("--sweep", "n:0:4:3")],
@@ -490,7 +502,25 @@ class TestDrivenSweep:
                            "--n", "0,1,2", "--sweep", "D_re:-0.2:0.2:3",
                            "--sweep", "D_im:0:0.1:2")
         assert len(rows) == 3 * 6
-        assert sorted(batches) == [1, 5]    # D = 0, then the other five points
+        assert batches == [6]    # D = 0 with the other five points
+
+    def test_force_without_modes(self, capsys):
+        # --force-coeff 1:0:0 leaves no mode, so the drive term is the
+        # homogeneous pair's 4 pi M N w |D|^2 / hbar alone (N = 2 at
+        # omega_f = 0.5); in a sweep, D = 0 shares the empty forced block
+        force = ["--omega-f", "0.5", "--force-coeff", "1:0:0"]
+        (alone,) = driven_rows(capsys, "driven", *force, "--D", "0.1:0.05")
+        closed = 4.0 * math.pi * 2 * abs(0.1 + 0.05j) ** 2
+        assert alone["drive_part_closed"] == pytest.approx(closed, rel=1e-15)
+        assert abs(alone["drive_part_quadrature"] - closed) <= 1e-8 * closed
+        rows = driven_rows(capsys, "sweep", *force, "--sweep", "D_re:0:0.1:2",
+                           "--sweep", "D_im:0:0.05:2")
+        assert len(rows) == 4 and rows[0]["drive_part_quadrature"] == 0.0
+        for row in rows:
+            closed = row["drive_part_closed"]
+            assert abs(row["drive_part_quadrature"] - closed) <= 1e-8 * closed
+        assert {**rows[-1], "D_re": None, "D_im": None, "error": None} == \
+            {**alone, "D_re": None, "D_im": None, "error": None}
 
     def test_failing_points_fail_alone(self, capsys):
         # omega_f = -0.5 and 0 are refused, omega_f = 1 = w resonates with
@@ -511,15 +541,16 @@ class TestDrivenSweep:
         assert [{"omega_f": 0.5, **row, "error": None} for row in alone] == at[0.5]
 
     def test_quadrature_at_the_cap_fails_alone(self, monkeypatch):
-        # three solutions with one frequency vector; only the middle one
-        # carries the fast mode, which two levels cannot resolve
+        # three solutions with one set of forced modes, whose fast mode two
+        # levels cannot resolve to ABS_TOL; only the middle one, with the
+        # small D, is not large enough for the relative tolerance to cover it
         monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
-        xps = [ParticularSolution(0.5, {1: 0.3, -1: 0.3, 31: f, -31: f}, D, 1.0)
-               for f, D in ((0j, 0.1j), (0.2 + 0j, 0.1j), (0j, 0.3 + 0j))]
+        modes = {1: 0.3, -1: 0.3, 19: 1e-3, -19: 1e-3}
+        xps = [ParticularSolution(0.5, modes, D, 1.0) for D in (10j, 0.1j, 3 - 4j)]
         duration = 2 * STRETCHED.tau0
         values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration)
         with pytest.raises(ConvergenceError) as alone:
-            integrate_1d(lambda ts: xps[1].xdot(ts) ** 2, 0.0, duration)
+            drive_phase_quadrature(xps[1], 1.0, 0.7, duration)
         assert str(failures[1]) == str(alone.value) and "refinements" in str(alone.value)
         assert failures[0] is None and failures[2] is None
         neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration)
@@ -627,10 +658,21 @@ class TestDrivenSweep:
                 berry_phases_driven(other, [0], force, [D], None)
 
     def test_solutions_must_share_frequencies(self):
+        # a batch may mix D = 0 and D != 0, each row its one-point call; it
+        # may not mix forced modes, omega_f or w
         xps = [particular_solution(DrivingForce(0.5, {1: 0.3, -1: 0.3}), STRETCHED,
                                    D=D) for D in (0j, 0.1j)]
-        with pytest.raises(ValueError, match="share"):
-            drive_phase_quadratures(xps, 1.0, 1.0, TWO_PI)
+        values, failures = drive_phase_quadratures(xps, 1.0, 1.0, TWO_PI)
+        assert failures == [None, None]
+        assert values.tolist() == [drive_phase_quadrature(xp, 1.0, 1.0, TWO_PI)
+                                   for xp in xps]
+        modes, w = xps[0].modes, STRETCHED.w
+        for other in (ParticularSolution(0.5, {n: 2 * f for n, f in modes.items()}, 0j, w),
+                      ParticularSolution(0.5, {**modes, 2: 0.1, -2: 0.1}, 0j, w),
+                      ParticularSolution(0.25, modes, 0j, w),
+                      ParticularSolution(0.5, modes, 0j, 2 * w)):
+            with pytest.raises(ValueError, match="share omega_f, w and their forced modes"):
+                drive_phase_quadratures([xps[1], other], 1.0, 1.0, TWO_PI)
 
 
 class TestPsiDriven:

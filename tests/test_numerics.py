@@ -311,8 +311,8 @@ def test_kicks_match_direct_exponentials(points, steps):
     reference = _reference_propagate(initial, M, w, t_final, steps, force, hbar)
     assert np.max(np.abs(forced.values - reference)) <= 1e-13
     free = propagate_schrodinger(initial, M, w, t_final, steps, hbar=hbar)
-    assert np.array_equal(
-        free.values, _reference_propagate(initial, M, w, t_final, steps, hbar=hbar))
+    reference = _reference_propagate(initial, M, w, t_final, steps, hbar=hbar)
+    assert np.max(np.abs(free.values - reference)) <= 1e-13
 
 
 def test_integrate_rows_converge_on_their_own():
