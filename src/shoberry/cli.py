@@ -33,9 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .driven import (DrivingForce, berry_phases_driven, check_amplitude,
-                     commensurability)
-from .errors import (POINT_ERRORS, ConfigError, ConvergenceError, IncommensurateError,
+from .driven import DrivingForce, berry_phases_driven
+from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
                      InvalidParameterError, OutputError, UndefinedPhaseError)
 from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
 from .representation import PhysicalConfig, Representation, kinematics
@@ -214,8 +213,8 @@ _RUN_COMMANDS = ("berry", "driven", "sweep", "trajectory")
 @dataclass(frozen=True)
 class Parameter:
     """One run parameter. ``name`` is the argparse dest; the flag is --name
-    with ``_`` as ``-``, and there is none when ``help`` is None. ``key`` is
-    the dotted config key, ``default`` a config-form value (None: unset), and
+    with ``_`` as ``-``, described by ``help``. ``key`` is the dotted config
+    key, ``default`` a config-form value (None: unset), and
     ``convert(value, what)`` turns a config-form value into the run value.
     ``split`` turns a flag's text into config form (default: the text). A
     ``repeats`` flag adds items to the config's list; a ``required`` key must
@@ -227,7 +226,7 @@ class Parameter:
     default: object
     convert: Callable
     schema: dict
-    help: Optional[str] = None
+    help: str
     split: Optional[Callable] = None
     repeats: bool = False
     required: bool = False
@@ -295,8 +294,6 @@ PARAMETERS = (
               "output format, csv or json"),
     Parameter("samples", "samples", 256, _samples, {"type": "integer", "minimum": 2},
               "trajectory sample count", commands=("trajectory",)),
-    Parameter("comm_tol", "commensurability_tolerance", 1e-13, _positive, _POSITIVE,
-              commands=_FORCE_COMMANDS),
 )
 
 SWEEPABLE = tuple(axis for p in PARAMETERS for axis in p.axes)
@@ -547,12 +544,20 @@ def _emit(command: str, table: dict, cfg, extra=None) -> None:
     _deliver(pieces, cfg.out)
 
 
-def _point_index(axes) -> np.ndarray:
-    """Row i: the index of axis i's value at every point of the product of
-    ``axes``, the last axis fastest. This is the one point order of a grid
-    and of its report."""
+def _point_frame(cfg, axes):
+    """The points of the product of ``axes``, the last axis fastest (the one
+    point order of a grid and of its report), as (values, points, point_index,
+    index, ns, slots): each axis's values; the point count; the index of axis
+    i's value at every point, as row i of point_index and by axis in index;
+    the quantum numbers; per point, the indices into ns of its rows."""
+    values = {ax.parameter: ax.values() for ax in axes}
     steps = [ax.steps for ax in axes]
-    return np.indices(steps).reshape(len(steps), math.prod(steps))
+    points = math.prod(steps)
+    point_index = np.indices(steps).reshape(len(steps), points)
+    index = dict(zip(values, point_index))
+    ns = values.get("n", cfg.n)
+    slots = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
+    return values, points, point_index, index, ns, slots
 
 
 def _constant(value, rows: int) -> Factored:
@@ -577,7 +582,7 @@ def _with_nulls(values, present: np.ndarray):
 def _berry_grid(cfg, axes):
     """Berry columns at every point of the product of ``axes`` (C, beta and
     n; none for the berry command), as (point index, columns, present,
-    errors), the point index being _point_index(axes).
+    errors), the point index being _point_frame's.
 
     A point has one row per quantum number: its own when n is an axis, else
     every n of cfg.n, fastest. ``columns`` maps each berry column to a
@@ -591,10 +596,7 @@ def _berry_grid(cfg, axes):
     quantum numbers' in order (refused, or closed forms that overflow), then
     the oracle's, which is the message a one-point call raises.
     """
-    values = {ax.parameter: ax.values() for ax in axes}
-    points = math.prod(ax.steps for ax in axes)
-    point_index = _point_index(axes)
-    index = dict(zip(values, point_index))
+    values, points, point_index, index, ns, slot = _point_frame(cfg, axes)
     C_at, beta_at = (index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta"))
     Cs, betas = values.get("C", [cfg.rep.C]), values.get("beta", [cfg.rep.beta])
     cells = []
@@ -605,8 +607,6 @@ def _berry_grid(cfg, axes):
             except InvalidParameterError as exc:
                 cells.append(exc)
     cell = C_at * len(betas) + beta_at
-    ns = values.get("n", cfg.n)
-    slot = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
     n_errors, n_values = [], np.zeros(len(ns))
     for i, n in enumerate(ns):
         try:
@@ -660,18 +660,13 @@ def _driven_grid(cfg, axes):
     omega_f, D_re and D_im; none for the driven command), as _berry_grid
     gives berry columns.
 
-    The points of one (C, beta, omega_f) share a representation, a force and
-    its periods, and make one driven.berry_phases_driven call over their D
-    values and quantum numbers, which integrates each D once. A point's first
-    error wins: its cell's, its force's, its D's, its periods', then those of
-    its quantum numbers in order, each as berry_phases_driven gives it. An
-    incommensurate point of the special representation (C = 1, beta = 0,
-    D = 0) gets the phase over one force period instead, with p = N = 0.
+    The points of one (C, beta, omega_f) share a representation and a force,
+    and make one driven.berry_phases_driven call over their D values and
+    quantum numbers, which integrates each D once. A point's first error
+    wins: its cell's, its force's, then those of its quantum numbers in
+    order, each as berry_phases_driven gives it.
     """
-    values = {ax.parameter: ax.values() for ax in axes}
-    points = math.prod(ax.steps for ax in axes)
-    point_index = _point_index(axes)
-    index = dict(zip(values, point_index))
+    values, points, point_index, index, ns, slots = _point_frame(cfg, axes)
 
     def at(name, default) -> list:
         """The value of parameter ``name`` at every point."""
@@ -679,8 +674,6 @@ def _driven_grid(cfg, axes):
             return [default] * points
         return [values[name][i] for i in index[name].tolist()]
 
-    ns = values.get("n", cfg.n)
-    slots = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
     force0 = cfg.force
     groups = {}   # (C, beta, omega_f) -> {D: its points}
     for p, (C, beta, omega_f, D_re, D_im) in enumerate(zip(
@@ -689,35 +682,16 @@ def _driven_grid(cfg, axes):
         groups.setdefault((C, beta, omega_f), {}).setdefault(
             complex(D_re, D_im), []).append(p)
     errors, results = [None] * points, [None] * points
-
-    def fail(group, exc):
-        for p in group:
-            errors[p] = exc
-
     for (C, beta, omega_f), by_D in groups.items():
         try:
             rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=C, beta=beta)
             force = force0 if omega_f == force0.omega_f else \
                 DrivingForce(omega_f, force0.coefficients)
         except POINT_ERRORS as exc:
-            fail([p for group in by_D.values() for p in group], exc)
-            continue
-        Ds = {}
-        for D, group in by_D.items():
-            try:
-                Ds[check_amplitude(D)] = group
-            except InvalidParameterError as exc:
-                fail(group, exc)
-        try:
-            comm = commensurability(rep.tau0, force.tau_f, cfg.comm_tol)
-        except IncommensurateError as exc:
-            comm = None
-            for D in [D for D in Ds if D != 0 or not (rep.C == 1.0 and rep.beta == 0.0)]:
-                fail(Ds.pop(D), exc)
-        if not Ds:
-            continue
-        table = berry_phases_driven(rep, ns, force, list(Ds), comm, cfg.physical)
-        for entries, group in zip(table, Ds.values()):
+            table = [[exc] * len(ns)] * len(by_D)
+        else:
+            table = berry_phases_driven(rep, ns, force, list(by_D), cfg.physical)
+        for entries, group in zip(table, by_D.values()):
             for p in group:
                 results[p] = [entries[k] for k in slots[p].tolist()]
                 errors[p] = next((e for e in results[p] if isinstance(e, Exception)), None)
@@ -866,7 +840,7 @@ def _build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", metavar="PATH", help="JSON run configuration")
         for p in PARAMETERS:
-            if p.help and name in p.commands:
+            if name in p.commands:
                 command.add_argument(p.flag, dest=p.name, help=p.help,
                                      action="append" if p.repeats else "store")
         command.set_defaults(func=func)

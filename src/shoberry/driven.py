@@ -194,25 +194,23 @@ def fourier_decompose(force: Callable, omega_f: float, n_max: int, *,
     return DrivingForce(omega_f=omega_f, coefficients=coeffs), tail
 
 
-def commensurability(tau0: float, tau_f: float,
-                     tolerance: float = 1e-13) -> Commensurability:
-    """Coprime (p, N) with |tau0/tau_f - p/N| < tolerance * (p/N).
+# Just above double-precision rounding: period ratios constructed as actual
+# fractions pass, while irrational ratios have no convergent under the
+# denominator cap that comes this close.
+COMMENSURABILITY_TOL = 1e-13
 
-    The default tolerance sits just above double-precision rounding: period
-    ratios constructed as actual fractions pass, while irrational ratios have
-    no convergent under the denominator cap that comes this close.
-    """
+
+def commensurability(tau0: float, tau_f: float) -> Commensurability:
+    """Coprime (p, N) with |tau0/tau_f - p/N| < COMMENSURABILITY_TOL * tau0/tau_f."""
     if not (tau0 > 0 and tau_f > 0):
         raise ValueError("periods must be positive")
     ratio = tau0 / tau_f
-    found = rationalize(ratio, tol=max(tolerance, 1e-15))
+    found = rationalize(ratio, tol=COMMENSURABILITY_TOL)
     if found is not None:
-        p, n = found
-        if abs(ratio - p / n) < tolerance * (p / n):
-            return Commensurability(p=p, N=n)
+        return Commensurability(*found)
     raise IncommensurateError(
         f"tau0/tau_f = {ratio!r} has no rational approximation p/N with"
-        f" N <= {MAX_DENOMINATOR} within relative tolerance {tolerance:g};"
+        f" N <= {MAX_DENOMINATOR} within relative tolerance {COMMENSURABILITY_TOL:g};"
         " Berry phase undefined in this representation")
 
 
@@ -242,11 +240,12 @@ class ParticularSolution:
         return _mode_sum(t, self._nu, -self._nu * self._nu * self._amp)
 
 
-def check_amplitude(D) -> complex:
-    """The free homogeneous amplitude D as a complex; a non-finite D is refused."""
+def check_amplitude(D, w: float) -> complex:
+    """The free homogeneous amplitude D as a complex; refused unless its
+    velocity bound (2 w |D|)^2, which the drive quadrature squares, is finite."""
     D = complex(D)
-    if not cmath.isfinite(D):
-        raise InvalidParameterError(f"D must be finite, got {D!r}")
+    _finite(lambda: (2.0 * w * math.hypot(D.real, D.imag)) ** 2,
+            "the velocity bound (2 w |D|)^2 at D = {!r}", D)
     return D
 
 
@@ -257,10 +256,9 @@ def particular_solution(force: DrivingForce, rep: Representation,
 
     For p = 1 the mode n = N would resonate with the oscillator, so its
     coefficient must vanish; near-resonant denominators are refused outright
-    rather than returned with huge amplification. A non-finite D is refused
-    first.
+    rather than returned with huge amplification. D is checked first.
     """
-    D = check_amplitude(D)
+    D = check_amplitude(D, rep.w)
     return ParticularSolution(force.omega_f, _forced_modes(force, rep, comm), D, rep.w)
 
 
@@ -268,7 +266,8 @@ def _forced_modes(force: DrivingForce, rep: Representation,
                   comm: Optional[Commensurability]) -> dict[int, complex]:
     """The particular solution's mode amplitudes f_n / (M (w^2 - n^2 omega_f^2)),
     after the resonance and conditioning checks: the part of
-    particular_solution that D leaves alone."""
+    particular_solution that D leaves alone, refused unless their velocity
+    bound (sum |n omega_f a_n|)^2 is finite."""
     w, mass = rep.w, rep.M
     omega_f = force.omega_f
     norm = force.norm()
@@ -286,6 +285,9 @@ def _forced_modes(force: DrivingForce, rep: Representation,
                 f"mode {n} is within {RESONANCE_DENOM_EPS:g}*w^2 of resonance;"
                 " the amplified solution would not be trustworthy")
         modes[n] = force.coefficients[n] / (mass * denom)
+    _finite(lambda: sum(math.hypot(a.real, a.imag) * abs(n) * omega_f
+                        for n, a in modes.items()) ** 2,
+            "the velocity bound (sum |n omega_f a_n|)^2 at omega_f = {!r}", omega_f)
     return modes
 
 
@@ -334,19 +336,21 @@ def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
 
 def _forced_drive(force: DrivingForce, comm: Commensurability, M: float,
                   w: float, hbar: float) -> float:
-    """The force's part of drive_phase_closed, the same for every D.
-
-    Its integers N^3 p^2 and (p^2 n^2 - N^2)^2 are checked against the float
-    range before any is converted: a huge period ratio is refused, not
-    overflowed.
-    """
+    """The force's part of drive_phase_closed, the same for every D. Its
+    integers N^3 p^2 and (p^2 n^2 - N^2)^2 are checked against the float range
+    before any is converted; a refusal names omega_f, or the mode."""
     p, N = comm.p, comm.N
-    denoms = {n: p * p * n * n - N * N
-              for n in _ordered_modes(force.coefficients) if n != 0}
-    if max([N ** 3 * p * p, *(d * d for d in denoms.values())]) > _LARGEST_FLOAT:
+    if N ** 3 * p * p > _LARGEST_FLOAT:
         raise InvalidParameterError(
             f"omega_f = {force.omega_f!r} gives tau0/tau_f = p/N = {p / N:.6g}:"
-            " the drive term's N^3 p^2 or (p^2 n^2 - N^2)^2 exceeds the float range")
+            " the drive term's N^3 p^2 exceeds the float range")
+    denoms = {n: p * p * n * n - N * N
+              for n in _ordered_modes(force.coefficients) if n != 0}
+    for n, denom in denoms.items():
+        if denom * denom > _LARGEST_FLOAT:
+            raise InvalidParameterError(
+                f"force mode |n| = {abs(n)} at tau0/tau_f = p/N = {p / N:.6g}: the"
+                " drive term's (p^2 n^2 - N^2)^2 exceeds the float range")
     total = 0.0
     norm = force.norm()
     for n, denom in denoms.items():
@@ -356,13 +360,26 @@ def _forced_drive(force: DrivingForce, comm: Commensurability, M: float,
             raise ResonanceError(
                 f"mode {n} coincides with the oscillator frequency (p*n = N)")
         total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
-    return 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total
+    return _finite(lambda: 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total,
+                   "the closed drive term at omega_f = {!r}", force.omega_f)
 
 
 def _with_homogeneous(drive: float, M: float, N: int, w: float, hbar: float,
                       D: complex) -> float:
     """The force's drive term plus the homogeneous pair's 4 pi M N w |D|^2/hbar."""
-    return drive + 4.0 * math.pi * M * N * w * abs(complex(D)) ** 2 / hbar
+    return _finite(lambda: drive + 4.0 * math.pi * M * N * w * abs(D) ** 2 / hbar,
+                   "the closed drive term at D = {!r}", complex(D))
+
+
+def _finite(compute: Callable[[], float], what: str, *args) -> float:
+    """compute(), refused unless finite; what.format(*args) names it."""
+    try:
+        value = compute()
+    except OverflowError:   # float ** raises where * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameterError(what.format(*args) + " is not a finite float")
+    return value
 
 
 def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
@@ -428,7 +445,7 @@ class DrivenPhaseResult:
 
 
 def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
-                       D: complex, comm: Optional[Commensurability],
+                       D: complex,
                        config: PhysicalConfig = PhysicalConfig()) -> DrivenPhaseResult:
     """Berry phase over N tau0: N times the undriven phase plus the drive term.
 
@@ -436,7 +453,7 @@ def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
     mean-square velocity; both are returned so callers can confront them.
     berry_phases_driven for one D and one n.
     """
-    ((result,),) = berry_phases_driven(rep, [n], force, [D], comm, config)
+    ((result,),) = berry_phases_driven(rep, [n], force, [D], config)
     if isinstance(result, Exception):
         raise result
     return result
@@ -451,29 +468,32 @@ def _attempt(compute):
 
 
 def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
-                        comm: Optional[Commensurability],
                         config: PhysicalConfig = PhysicalConfig()) -> list[list]:
     """berry_phase_driven at every D of ``Ds`` and n of ``ns``: entry [i][k]
     is the DrivenPhaseResult of Ds[i] at ns[k], or the point error its
-    one-point call raises, the first in the order particular solution,
-    undriven phase, closed drive term, quadrature.
+    one-point call raises.
 
-    The undriven phase of each n and the particular solution and closed drive
-    term of each D are computed once, and so is the quadrature, which does
-    not depend on n: one drive_phase_quadratures call, with a row per D that
-    reaches it. The work that does not depend on D, the particular solution's
-    modes with their checks and the force's part of the closed drive term, is
-    done once for all of them; each D adds its homogeneous pair. With comm
-    None the entries are the phases over one force period of the C = 1,
-    beta = 0 representation at D = 0, where the undriven phase vanishes for
-    any periodic drive: p = N = 0, and the order is n,
-    berry_phase_special_rep, particular solution, quadrature.
+    The phases are over the joint period N tau0, tau0/tau_f = p/N. With
+    incommensurate periods only D = 0 in the C = 1, beta = 0 representation
+    has a phase, over one force period, as the undriven phase vanishes there
+    for any periodic drive (p = N = 0); every other D gets the
+    IncommensurateError. An entry's first error wins: its D's own (not
+    finite, then incommensurate), then over N tau0 the particular solution's,
+    n's, the closed drive term's and the quadrature's; over one force period
+    n's, berry_phase_special_rep's, the particular solution's and the
+    quadrature's. Each n's undriven phase and each D's particular solution
+    and closed drive term are computed once, their part that D leaves alone
+    once for every D, and the quadrature, which does not depend on n, in one
+    drive_phase_quadratures call with a row per D that reaches it.
     """
     M, w, hbar = rep.M, rep.w, config.hbar
-    if comm is None:
-        if not (rep.C == 1.0 and rep.beta == 0.0 and all(D == 0 for D in Ds)):
-            raise ValueError("without a commensurability only the C = 1,"
-                             " beta = 0 representation at D = 0 has a phase")
+    amplitudes = [_attempt(lambda: check_amplitude(D, w)) for D in Ds]
+    try:
+        comm = commensurability(rep.tau0, force.tau_f)
+    except IncommensurateError as exc:
+        comm = None
+        amplitudes = [D if isinstance(D, Exception) or (
+            D == 0 and rep.C == 1.0 and rep.beta == 0.0) else exc for D in amplitudes]
         p = N = 0
         duration = force.tau_f
         # the undriven phase vanishes; each n is still checked
@@ -487,10 +507,9 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
         closed = [base_drive if isinstance(base_drive, Exception) else
                   _attempt(lambda: _with_homogeneous(base_drive, M, N, w, hbar, D))
                   for D in Ds]
-    # each D's particular solution, or its refusal: a non-finite D's own
-    # first, then that of the modes every D shares
+    # each D's particular solution, or its refusal: the D's own first, then
+    # that of the modes every D shares
     modes = _attempt(lambda: _forced_modes(force, rep, comm))
-    amplitudes = [_attempt(lambda: check_amplitude(D)) for D in Ds]
     xps = [D if isinstance(D, Exception) else
            modes if isinstance(modes, Exception) else
            ParticularSolution(force.omega_f, modes, D, w)
@@ -503,19 +522,17 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
                                                    duration)
         for i, value, failure in zip(rows, values.tolist(), failures):
             quadrature[i] = value if failure is None else failure
-    table = []
-    for i in range(len(Ds)):
-        row = []
-        for k, n in enumerate(ns):
-            stages = (undriven[k], closed[i], xps[i]) if comm is None else \
-                (xps[i], undriven[k], closed[i])
-            error = next((v for v in (*stages, quadrature[i])
-                          if isinstance(v, Exception)), None)
-            row.append(error or DrivenPhaseResult(
-                n=n, p=p, N=N, duration=duration, gamma_undriven=undriven[k],
-                drive_closed=closed[i], drive_quadrature=quadrature[i]))
-        table.append(row)
-    return table
+
+    def entry(i, k):
+        stages = (amplitudes[i], undriven[k], closed[i], xps[i]) if comm is None \
+            else (xps[i], undriven[k], closed[i])
+        error = next((v for v in (*stages, quadrature[i]) if isinstance(v, Exception)),
+                     None)
+        return error or DrivenPhaseResult(
+            n=ns[k], p=p, N=N, duration=duration, gamma_undriven=undriven[k],
+            drive_closed=closed[i], drive_quadrature=quadrature[i])
+
+    return [[entry(i, k) for k in range(len(ns))] for i in range(len(Ds))]
 
 
 def berry_phase_special_rep(force: DrivingForce, M: float, w: float,

@@ -45,9 +45,10 @@ class Representation:
 
     Construction refuses non-finite fields, M or w <= 0, a stiffness M w^2
     beyond double precision, C = 0 and |cos beta| <= COS_BETA_EPS. It stores
-    the Wronskian omega = M C w cos(beta), the stiffness M w^2 and theta0,
-    the principal argument of u - i v at t = 0. A negative omega is admitted:
-    the phase formulas tolerate it, while wavefunctions need require_valid.
+    the Wronskian omega = M C w cos(beta), the stiffness M w^2, theta0 (the
+    argument of u - i v at t = 0) and rho_scale (2^-e, |C| w < 2^e, e >= 0).
+    A negative omega is admitted: the phase formulas tolerate it, while
+    wavefunctions need require_valid.
     """
 
     M: float
@@ -57,6 +58,7 @@ class Representation:
     omega: float = field(init=False, repr=False, compare=False)
     stiffness: float = field(init=False, repr=False, compare=False)
     theta0: float = field(init=False, repr=False, compare=False)
+    rho_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M", "w", "C", "beta"):
@@ -88,6 +90,8 @@ class Representation:
         object.__setattr__(self, "omega", self.M * self.C * self.w * cos_beta)
         object.__setattr__(self, "stiffness", stiffness)
         object.__setattr__(self, "theta0", math.atan2(-self.C * math.sin(self.beta), 1.0))
+        exponent = math.frexp(self.C)[1] + math.frexp(self.w)[1]
+        object.__setattr__(self, "rho_scale", math.ldexp(1.0, -max(exponent, 0)))
 
     @property
     def tau0(self) -> float:
@@ -137,6 +141,7 @@ class RepresentationArrays(NamedTuple):
     tau0: np.ndarray
     theta0: np.ndarray
     stiffness: np.ndarray
+    rho_scale: np.ndarray
 
     @classmethod
     def of(cls, reps) -> "RepresentationArrays":
@@ -169,7 +174,10 @@ def kinematics(rep: Representation, t):
     r = np.hypot(u, v)
     if np.any(np.asarray(r) == 0.0):
         raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
-    return u, v, du, dv, r, (u * du + v * dv) / r
+    # u', v' and rho scaled by rho_scale: v v' ~ C^2 w stays finite, and a
+    # power of two changes no bit of rho' while the products stay normal
+    s = rep.rho_scale
+    return u, v, du, dv, r, (u * (du * s) + v * (dv * s)) / (r * s)
 
 
 def rho(rep: Representation, t):

@@ -335,7 +335,7 @@ def drive_decomposition(reps, ns, drives, config=PhysicalConfig()):
         values = []
         for rep in reps:
             for n in ns:
-                res = drv.berry_phase_driven(rep, n, force, D, comm, config)
+                res = drv.berry_phase_driven(rep, n, force, D, config)
                 undriven = comm.N * phase.berry_phase(rep, n, "full").gamma
                 values += [res.gamma_total - undriven, res.drive_quadrature]
         worst = max(worst, max(values) - min(values))

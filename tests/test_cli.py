@@ -344,6 +344,16 @@ class TestTrajectoryCommand:
         rhos = [row["rho"] for row in rows]
         assert rhos[:100] == pytest.approx(rhos[100:200], abs=1e-12)
 
+    def test_huge_C_prints_nothing_on_stderr(self, capsys):
+        # rho' overflowed here, in a column the report does not print
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "trajectory", "--C", "1e300",
+                                     "--beta", "0.3", "--samples", "16")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert all(math.isfinite(row[name]) for row in rows for name in row)
+
     def test_csv_is_numeric(self, capsys):
         code, out, _ = run_cli(capsys, "trajectory", "--C", "2",
                                "--format", "csv", "--samples", "16")
@@ -396,9 +406,7 @@ class TestConfigDocument:
         path = tmp_path / "config.json"
         for text in ("{not json", '{"n": true}',
                      '{"representation": {"C": -1.0}, "duration": true}',
-                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}',
-                     '{"commensurability_tolerance": -1, "force":'
-                     ' {"omega_f": 0.5, "coefficients": [[1, 0.5, 0]]}}'):
+                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}'):
             path.write_text(text)
             code, _, _ = run_cli(capsys, "berry", "--config", str(path))
             assert code == 2
@@ -453,7 +461,7 @@ FLAG_AND_CONFIG = {
 
 
 def test_every_flag_has_an_equivalence_case():
-    assert set(FLAG_AND_CONFIG) == {p.name for p in cli.PARAMETERS if p.help}
+    assert set(FLAG_AND_CONFIG) == {p.name for p in cli.PARAMETERS}
 
 
 @pytest.mark.parametrize("name", list(FLAG_AND_CONFIG))
@@ -527,6 +535,16 @@ def test_schema_keys_are_the_parameter_keys():
                 yield prefix + name
     assert sorted(keys(CONFIG_SCHEMA["properties"])) == \
         sorted(p.key for p in cli.PARAMETERS)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert float(printed[0]) == pytest.approx(math.pi / 8, rel=1e-15)
+    p, N, total, closed, quadrature = map(float, printed[-1].split())
+    assert (p, N) == (1, 2) and closed == pytest.approx(quadrature, rel=1e-8)
 
 
 def test_readme_config_example(tmp_path, monkeypatch):
@@ -695,6 +713,47 @@ def test_sweep_reports_an_overflowing_period_ratio_in_its_row(capsys):
     computed, refused = out.splitlines()[1:]
     assert computed.startswith("0.5,0,") and computed.endswith(",1,2,")
     assert refused == f'1.0000000000000001e+300,,,,,,,,"{message}"'
+
+
+@pytest.mark.parametrize("argv,source", [
+    # mode 10^150's (p^2 n^2 - N^2)^2 outgrows a float at p/N = 1/2
+    (("--force-coeff", f"{10 ** 150}:0.5:0"), f"force mode |n| = {10 ** 150} at "),
+    # the forced velocity bound (sum |n omega_f a_n|)^2 overflows
+    (("--force-coeff", "1:1.3e154:0"), "a_n|)^2 at omega_f = 0.5 is not a finite float"),
+    # the closed drive term overflows: through |f|^2, and through w^3
+    (("--force-coeff", "1:1e154:0"), "term at omega_f = 0.5 is not a finite float"),
+    (("--w", "1e103", "--force-coeff", "1:0.5:0", "--omega-f", "5e102"),
+     "term at omega_f = 5e+102 is not a finite float"),
+    # (2 w |D|)^2 overflows; at w = 0.01 it does not, but |D|^2 does
+    (("--force-coeff", "1:0.5:0", "--D", "1e154:0"),
+     "(2 w |D|)^2 at D = (1e+154+0j) is not a finite float"),
+    (("--w", "0.01", "--force-coeff", "1:0.5:0", "--D", "1e155:0", "--omega-f", "0.005"),
+     "term at D = (1e+155+0j) is not a finite float"),
+], ids=["mode-term", "forced-velocity", "closed-f", "closed-w-cubed", "D-velocity",
+        "closed-D"])
+def test_overflowing_drive_is_refused_naming_its_source(argv, source, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "driven", "--omega-f", "0.5", *argv)
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ") and source in lines[0]
+
+
+def test_sweep_reports_an_overflowing_drive_in_its_row(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "driven", "--omega-f", "0.5",
+                                 "--force-coeff", "1:0.5:0", "--D", "1e154:0")
+        message = err[len("error: "):-1]
+        assert code == 2
+        code, out, err = run_cli(capsys, "sweep", "--omega-f", "0.5",
+                                 "--force-coeff", "1:0.5:0",
+                                 "--sweep", "D_re:0:1e154:2", "--format", "csv")
+    assert code == 0, err
+    computed, refused = out.splitlines()[1:]
+    assert computed.startswith("0,0,") and computed.endswith(",1,2,")
+    assert refused == f'1e+154,,,,,,,,"{message}"'
 
 
 def test_quantum_number_beyond_double_precision_is_refused(capsys):

@@ -113,7 +113,7 @@ class TestCommensurability:
 
     def test_sqrt2_incommensurate(self):
         with pytest.raises(IncommensurateError):
-            commensurability(math.sqrt(2.0), 1.0, 1e-12)
+            commensurability(math.sqrt(2.0), 1.0)
 
     def test_coprimality_enforced_in_type(self):
         with pytest.raises(ValueError):
@@ -347,17 +347,16 @@ class TestDrivePhase:
 class TestBerryPhaseDriven:
     def test_zero_force_reduces_to_undriven(self):
         force = DrivingForce(0.5, {})
-        comm = Commensurability(1, 2)
-        res = berry_phase_driven(STRETCHED, 1, force, 0j, comm)
-        assert res.gamma_total == comm.N * berry_phase(STRETCHED, 1, "full").gamma
+        res = berry_phase_driven(STRETCHED, 1, force, 0j)
+        assert (res.p, res.N) == (1, 2)
+        assert res.gamma_total == 2 * berry_phase(STRETCHED, 1, "full").gamma
         assert res.drive_closed == 0.0
         assert abs(res.drive_quadrature) < 1e-12
 
     def test_pure_homogeneous_drive(self):
         force = DrivingForce(1.0, {})
-        comm = Commensurability(1, 1)
         D = 0.3 + 0.1j
-        res = berry_phase_driven(STRETCHED, 0, force, D, comm)
+        res = berry_phase_driven(STRETCHED, 0, force, D)
         expected = berry_phase(STRETCHED, 0, "full").gamma \
             + 4.0 * math.pi * abs(D) ** 2
         assert res.gamma_total == pytest.approx(expected, rel=1e-12)
@@ -370,7 +369,7 @@ class TestBerryPhaseDriven:
         force = DrivingForce(0.5, {1: f / 2, -1: f / 2})
         comm = commensurability(rep.tau0, force.tau_f)
         assert (comm.p, comm.N) == (1, 2)
-        res = berry_phase_driven(rep, 0, force, 0j, comm)
+        res = berry_phase_driven(rep, 0, force, 0j)
         expected = math.pi * 0.5 * f ** 2 / (1.0 * (0.5 ** 2 - 1.0) ** 2)
         assert res.gamma_undriven == 0.0
         assert res.drive_closed == pytest.approx(expected, rel=1e-12)
@@ -385,10 +384,9 @@ class TestBerryPhaseDriven:
 
     def test_scales_inversely_with_hbar(self):
         force = DrivingForce(2.0 / 3.0, {1: 0.35, -1: 0.35})
-        comm = Commensurability(2, 3)
-        full = berry_phase_driven(STRETCHED, 0, force, 0.2j, comm,
+        full = berry_phase_driven(STRETCHED, 0, force, 0.2j,
                                   PhysicalConfig(1.0)).drive_closed
-        half = berry_phase_driven(STRETCHED, 0, force, 0.2j, comm,
+        half = berry_phase_driven(STRETCHED, 0, force, 0.2j,
                                   PhysicalConfig(0.5)).drive_closed
         assert half == pytest.approx(2.0 * full, rel=1e-15)
 
@@ -563,15 +561,15 @@ class TestDrivenSweep:
         force = DrivingForce(0.5, {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j})
         comm = commensurability(STRETCHED.tau0, force.tau_f)
         Ds, ns, config = [0.2 - 0.1j, 0j, 0.1j], [0, -1, 2], PhysicalConfig(hbar=0.7)
-        table = berry_phases_driven(STRETCHED, ns, force, Ds, comm, config)
+        table = berry_phases_driven(STRETCHED, ns, force, Ds, config)
         assert [len(row) for row in table] == [3, 3, 3]
         for D, row in zip(Ds, table):
             assert isinstance(row[1], InvalidParameterError)
             with pytest.raises(InvalidParameterError) as alone:
-                berry_phase_driven(STRETCHED, -1, force, D, comm, config)
+                berry_phase_driven(STRETCHED, -1, force, D, config)
             assert str(row[1]) == str(alone.value)
             for n, entry in zip(ns[::2], row[::2]):
-                assert entry == berry_phase_driven(STRETCHED, n, force, D, comm, config)
+                assert entry == berry_phase_driven(STRETCHED, n, force, D, config)
                 assert entry.drive_quadrature == drive_phase_quadrature(
                     particular_solution(force, STRETCHED, comm, D), 1.0, 0.7,
                     comm.N * STRETCHED.tau0)
@@ -595,7 +593,7 @@ class TestDrivenSweep:
             return batched(xps, *args)
 
         monkeypatch.setattr(driven, "drive_phase_quadratures", spy)
-        table = berry_phases_driven(rep, [1], force, Ds, comm, config)
+        table = berry_phases_driven(rep, [1], force, Ds, config)
         assert len({xp._nu.tobytes() for xp in integrated.values()}) == 2
         duration = comm.N * rep.tau0
         for D, (entry,) in zip(Ds, table):
@@ -609,7 +607,7 @@ class TestDrivenSweep:
                 drive_phase_closed(force, comm, rep.M, rep.w, 0.7, D).hex()
             assert entry.drive_quadrature.hex() == \
                 drive_phase_quadrature(alone, rep.M, 0.7, duration).hex()
-            assert entry == berry_phase_driven(rep, 1, force, D, comm, config)
+            assert entry == berry_phase_driven(rep, 1, force, D, config)
 
     @pytest.mark.parametrize("resonant", [0.0, 0.1])
     def test_refusals_are_those_of_one_point_calls(self, resonant):
@@ -619,16 +617,16 @@ class TestDrivenSweep:
         comm = commensurability(STRETCHED.tau0, force.tau_f)
         assert (comm.p, comm.N) == (1, 2)
         Ds = [0.1j, complex(math.nan, 0.2), 0j, complex(0.1, math.inf)]
-        table = berry_phases_driven(STRETCHED, [0, 2], force, Ds, comm)
+        table = berry_phases_driven(STRETCHED, [0, 2], force, Ds)
         for D, row in zip(Ds, table):
             for n, entry in zip([0, 2], row):
                 if resonant or not cmath.isfinite(D):
                     with pytest.raises((InvalidParameterError, ResonanceError)) as alone:
-                        berry_phase_driven(STRETCHED, n, force, D, comm)
+                        berry_phase_driven(STRETCHED, n, force, D)
                     assert type(entry) is type(alone.value)
                     assert str(entry) == str(alone.value)
                 else:
-                    assert entry == berry_phase_driven(STRETCHED, n, force, D, comm)
+                    assert entry == berry_phase_driven(STRETCHED, n, force, D)
         kinds = {type(entry) for row in table for entry in row}
         assert InvalidParameterError in kinds
         assert (ResonanceError in kinds) == bool(resonant)
@@ -637,25 +635,28 @@ class TestDrivenSweep:
         # mode 2 at omega_f = 0.5 resonates: the particular solution's error
         # comes before the refused n's
         force = DrivingForce(0.5, {2: 0.1, -2: 0.1})
-        comm = commensurability(STRETCHED.tau0, force.tau_f)
-        table = berry_phases_driven(STRETCHED, [0, -1], force, [0j, 0.1j], comm)
+        table = berry_phases_driven(STRETCHED, [0, -1], force, [0j, 0.1j])
         with pytest.raises(ResonanceError) as alone:
-            berry_phase_driven(STRETCHED, -1, force, 0.1j, comm)
+            berry_phase_driven(STRETCHED, -1, force, 0.1j)
         assert {str(entry) for row in table for entry in row} == {str(alone.value)}
 
     def test_special_representation_without_commensurability(self):
         rep = Representation(1, 1, 1, 0)
         force = DrivingForce(float(GOLDEN_RATIO_F), {1: 0.5, -1: 0.5})
-        (row,) = berry_phases_driven(rep, [0, 3], force, [0j], None)
+        (row,) = berry_phases_driven(rep, [0, 3], force, [0j])
         xp = particular_solution(force, rep, None, 0j)
         for n, entry in zip([0, 3], row):
             assert (entry.n, entry.p, entry.N, entry.gamma_undriven) == (n, 0, 0, 0.0)
             assert entry.drive_closed == berry_phase_special_rep(force, 1.0, 1.0, 1.0)
             assert entry.drive_quadrature == drive_phase_quadrature(xp, 1.0, 1.0,
                                                                     force.tau_f)
+        # every other D, or any D in another representation, has no phase
+        with pytest.raises(IncommensurateError) as refused:
+            commensurability(rep.tau0, force.tau_f)
         for other, D in ((STRETCHED, 0j), (rep, 0.1j)):
-            with pytest.raises(ValueError, match="commensurability"):
-                berry_phases_driven(other, [0], force, [D], None)
+            ((entry,),) = berry_phases_driven(other, [0], force, [D])
+            assert type(entry) is IncommensurateError
+            assert str(entry) == str(refused.value)
 
     def test_solutions_must_share_frequencies(self):
         # a batch may mix D = 0 and D != 0, each row its one-point call; it

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shoberry.errors import InvalidRepresentationError
-from shoberry.representation import (PhysicalConfig, Representation, _winding,
-                                     classical_pair, omega_invariant, require_valid,
-                                     rho, rho_ddot, rho_dot, trajectory, validate,
-                                     winding_phase)
+from shoberry.representation import (PhysicalConfig, Representation,
+                                     RepresentationArrays, _winding,
+                                     classical_pair, kinematics, omega_invariant,
+                                     require_valid, rho, rho_ddot, rho_dot,
+                                     trajectory, validate, winding_phase)
 
 reps_formula = st.builds(
     Representation,
@@ -138,6 +139,28 @@ class TestRho:
         h = 1e-6
         fd = (rho(rep, t + h) - rho(rep, t - h)) / (2 * h)
         assert abs(rho_dot(rep, t) - fd) < 5e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(reps_formula, st.floats(0.0, 12.0))
+    def test_rho_dot_is_the_unscaled_formula_bit_for_bit(self, rep, t):
+        ts = t + np.linspace(0.0, rep.tau0, 33)
+        u, v, du, dv = classical_pair(rep, ts)
+        assert np.array_equal(kinematics(rep, ts)[5],
+                              (u * du + v * dv) / np.hypot(u, v))
+        arrays = RepresentationArrays.of([rep, Representation(1.0, 0.5, 3.0, 0.2)])
+        columns = kinematics(arrays.at((slice(None), None)), ts)[5]
+        assert np.array_equal(columns[0], kinematics(rep, ts)[5])
+
+    @pytest.mark.parametrize("C,w", [(1e300, 1.0), (-1e200, 3e50), (1e-300, 1e-100)])
+    def test_rho_dot_stays_finite_where_c_squared_w_overflows(self, C, w):
+        rep = Representation(1.0, w, C, 0.3)
+        ts = np.linspace(0.1, 6.0, 13) * rep.tau0
+        with np.errstate(over="raise", invalid="raise"):
+            rdot = rho_dot(rep, ts)
+        h = 1e-7 * rep.tau0
+        fd = (rho(rep, ts + h) - rho(rep, ts - h)) / (2 * h)
+        assert np.all(np.isfinite(rdot))
+        assert np.max(np.abs(rdot - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_rho_ddot_matches_finite_difference(self):
         rep = Representation(1.3, 1.7, 2.5, 0.4)
