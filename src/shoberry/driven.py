@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (POINT_ERRORS, ConditioningError, ConvergenceError,
                      IncommensurateError, InvalidParameterError, ResonanceError)
-from .numerics import (MAX_DENOMINATOR, integrate_rows, rationalize,
+from .numerics import (MAX_DENOMINATOR, chunks, integrate_rows, rationalize,
                        sample_vectorized)
 from .phase import berry_phase
 from .representation import PhysicalConfig, Representation
@@ -42,12 +42,6 @@ RESONANCE_DENOM_EPS = 1e-9
 # The largest integer a float holds: a larger int raises OverflowError when
 # it is converted.
 _LARGEST_FLOAT = int(sys.float_info.max)
-
-
-# Values in one block of a blocked sum: a block of time points times the
-# modes (or mode pairs) stays at 2^12 complex values, 64 kB, whatever the
-# length of the time array.
-_BLOCK = 1 << 12
 
 
 def _ordered_modes(coefficients: Mapping[int, complex]) -> list[int]:
@@ -71,15 +65,14 @@ def _blocked_sum(t, basis, coeff):
     """Re sum_k coeff_k basis(t)_k for scalar or array t; a 0-d t gives a float.
 
     ``basis`` maps a column of B times to a (B, coeff.size) matrix. Times go
-    through it in blocks, so temporaries stay bounded for any number of times.
+    through it in numerics.chunks, so temporaries stay bounded for any number
+    of times.
     """
     arr = np.asarray(t, dtype=float)
     flat = arr.reshape(-1)
     out = np.empty(flat.size)
-    block = max(1, _BLOCK // max(coeff.size, 1))
-    for start in range(0, flat.size, block):
-        out[start:start + block] = np.sum(
-            basis(flat[start:start + block, None]) * coeff, axis=1).real
+    for part in chunks(np.arange(flat.size), coeff.size):
+        out[part] = np.sum(basis(flat[part, None]) * coeff, axis=1).real
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -41,9 +41,9 @@ def composite_gauss_nodes(a: float, b: float, panels: int, order: int = 16):
     return nodes, weights
 
 
-# Adaptive quadrature: a result has converged when two successive levels
-# agree within max(ABS_TOL, REL_TOL * |value|), and a result still refining
-# after MAX_REFINEMENTS doublings is refused.
+# Adaptive quadrature (refine): a result has converged when two successive
+# levels agree within max(ABS_TOL, REL_TOL * |value|); integrate_rows refuses
+# a result still refining after MAX_REFINEMENTS doublings.
 ABS_TOL = 1e-11
 REL_TOL = 1e-10
 MAX_REFINEMENTS = 14
@@ -65,15 +65,45 @@ def chunks(index: np.ndarray, width: int) -> list[np.ndarray]:
     return np.array_split(index, -(-len(index) * width // CHUNK_ELEMENTS))
 
 
+def refine(evaluate, levels, active: np.ndarray, rows: int):
+    """Refine the rows ``active`` of a batch of ``rows`` over ``levels``.
+
+    evaluate(level, active) gives the rows ``active`` (an index array) at one
+    level, shape (len(active), ...). A row has converged when all its entries
+    agree with the previous level within max(ABS_TOL, REL_TOL |value|), and
+    drops out of the next level. Returns (values, reached, changes, active):
+    each row's value (zero unless it converged), the last level it reached,
+    its last change (the largest over its entries; inf before a second
+    level) and the rows still refining after the last level.
+    """
+    values = prev = None
+    reached = np.zeros(rows, dtype=int)
+    changes = np.full(rows, math.inf)
+    for level in levels:
+        cur = evaluate(level, active)
+        if values is None:
+            values = np.zeros((rows,) + cur.shape[1:], dtype=cur.dtype)
+        reached[active] = level
+        if prev is not None:
+            change, entries = np.abs(cur - prev), tuple(range(1, cur.ndim))
+            done = np.all(change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur)),
+                          axis=entries)
+            values[active[done]] = cur[done]
+            changes[active] = np.max(change, axis=entries)
+            active, cur = active[~done], cur[~done]
+        prev = cur
+        if not active.size:
+            break
+    return values, reached, changes, active
+
+
 def integrate_rows(f, a: float, b: float, rows: int):
     """Integrate ``rows`` integrands over [a, b] at once.
 
     f(active, nodes) gives the values of the rows ``active`` (an index array)
     at the abscissas ``nodes``, shape (len(active), len(nodes)), real or
-    complex. Composite 16-point Gauss-Legendre panels, four at first; each
-    row's panel count doubles until two successive results of that row agree
-    within ABS_TOL or REL_TOL, and a row that has converged drops out of the
-    next level.
+    complex. Composite 16-point Gauss-Legendre panels, four at first, refined
+    row by row: each row's panel count doubles until it converges.
     Returns (values, errors, failures): each row's value, its last
     refinement difference, and the ConvergenceError of a row still refining
     after MAX_REFINEMENTS doublings, else None.
@@ -82,25 +112,16 @@ def integrate_rows(f, a: float, b: float, rows: int):
         raise ValueError("integration bounds must be finite")
     if a == b:
         return np.zeros(rows), np.zeros(rows), [None] * rows
-    values = errors = prev = None
-    active = np.arange(rows)
-    for level in range(MAX_REFINEMENTS + 1):
-        nodes, weights = composite_gauss_nodes(a, b, 4 * 2 ** level)
-        cur = np.concatenate([np.sum(weights * f(part, nodes), axis=-1)
-                              for part in chunks(active, len(nodes))])
-        if values is None:
-            values, errors = np.zeros(rows, dtype=cur.dtype), np.zeros(rows)
-        if prev is not None:
-            change = np.abs(cur - prev)
-            done = change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur))
-            values[active[done]] = cur[done]
-            errors[active] = change
-            active, cur = active[~done], cur[~done]
-            if not active.size:
-                break
-        prev = cur
+
+    def evaluate(panels, active):
+        nodes, weights = composite_gauss_nodes(a, b, panels)
+        return np.concatenate([np.sum(weights * f(part, nodes), axis=-1)
+                               for part in chunks(active, len(nodes))])
+
+    values, _, errors, refining = refine(
+        evaluate, [4 << k for k in range(MAX_REFINEMENTS + 1)], np.arange(rows), rows)
     failures = [None] * rows
-    for row in active.tolist():
+    for row in refining.tolist():
         failures[row] = ConvergenceError(
             f"quadrature on [{a:g}, {b:g}] did not meet tol within "
             f"{MAX_REFINEMENTS} refinements (last change {errors[row]:.3e})")

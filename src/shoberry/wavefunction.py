@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from . import numerics
-from .numerics import chunks
+from .numerics import chunks, refine
 from .representation import (PhysicalConfig, Representation, RepresentationArrays,
                              _winding, classical_pair, kinematics, require_valid,
                              rho_ddot)
@@ -336,40 +335,23 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
 
     integrands takes an index array of points and their abscissas, shaped
     (len(active), 1, nodes), and returns (len(active), rows, nodes). A
-    point's node count doubles from m until each of its rows agrees with the
-    previous level within numerics.ABS_TOL or REL_TOL; a point that has converged
-    drops out of the next level. Returns the values (points, rows) and each
-    point's node count; a point that does not converge within the refinement
-    cap or MAX_SPATIAL_NODES gets its ConvergenceError in ``errors``.
+    point's node count doubles from m up to MAX_SPATIAL_NODES, refined by
+    numerics.refine until all its rows converge. Returns the values (points,
+    rows) and each point's node count; a point that does not converge gets
+    its ConvergenceError in ``errors``.
     """
-    points = len(s)
-    values, prev = None, None
-    nodes = np.zeros(points, dtype=int)
-    err = np.full(points, math.inf)
-    active = _live(errors)
-    for _ in range(numerics.MAX_REFINEMENTS + 1):
-        if m > MAX_SPATIAL_NODES or not active.size:
-            break
+    def evaluate(m, active):
         y, weights = hermite_rule(m)
-        cur = np.concatenate([
+        return np.concatenate([
             np.sum(weights * integrands(part, y / s[part, None, None]), axis=-1)
             / s[part, None] for part in chunks(active, m)])
-        if values is None:
-            values = np.zeros((points,) + cur.shape[1:], dtype=cur.dtype)
-        if prev is not None:
-            change = np.abs(cur - prev)
-            done = np.all(change <= np.maximum(numerics.ABS_TOL,
-                                               numerics.REL_TOL * np.abs(cur)), axis=1)
-            values[active[done]] = cur[done]
-            nodes[active[done]] = m
-            err[active] = np.max(change, axis=1)
-            active, cur = active[~done], cur[~done]
-        prev = cur
-        m *= 2
-    for p in active.tolist():
+
+    levels = [m << k for k in range((MAX_SPATIAL_NODES // m).bit_length())]
+    values, nodes, changes, refining = refine(evaluate, levels, _live(errors), len(s))
+    for p in refining.tolist():
         errors[p] = ConvergenceError(
-            f"spatial quadrature did not meet tol up to {m // 2} Gauss-Hermite"
-            f" nodes (last change {err[p]:.3e})")
+            f"spatial quadrature did not meet tol up to {nodes[p]} Gauss-Hermite"
+            f" nodes (last change {changes[p]:.3e})")
     return values, nodes
 
 

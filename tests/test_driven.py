@@ -279,7 +279,7 @@ class TestModeArrays:
                                  D=0.2 - 0.3j)
         terms = mode_terms(xp)
         w = STRETCHED.w
-        ts = np.linspace(-3.0, 11.0, 13)   # several blocks of time points
+        ts = np.linspace(-3.0, 11.0, 13)   # two chunks of time points
         action = action_phase(STRETCHED, xp, 0.4, ts)
         assert action.shape == ts.shape
         for t, value in zip(ts, action):
@@ -293,6 +293,17 @@ class TestModeArrays:
             expected = pair_loop(terms, lambda a, b: -a * b, 0.4, t1)
             assert velocity_squared_integral(xp, 0.4, t1) \
                 == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+    def test_times_in_several_chunks_match_one_time_calls(self):
+        xp = particular_solution(self.FORCE, STRETCHED, Commensurability(3, 4),
+                                 D=0.2 - 0.3j)
+        ts = np.linspace(-5.0, 40.0, 1001)
+        assert len(numerics.chunks(np.arange(ts.size), self.FORCE._nu.size)) > 2
+        for method in (self.FORCE, xp.x, xp.xdot, xp.xddot,
+                       lambda t: action_phase(STRETCHED, xp, 0.4, t),
+                       lambda t: velocity_squared_integral(xp, 0.4, t)):
+            assert [value.hex() for value in method(ts).tolist()] == \
+                [method(t).hex() for t in ts.tolist()]
 
     def test_long_time_array_memory_is_bounded(self):
         # an unblocked (points x modes) product would need about 690 MB

@@ -315,6 +315,24 @@ def test_kicks_match_direct_exponentials(points, steps):
     assert np.max(np.abs(free.values - reference)) <= 1e-13
 
 
+def test_refine_drops_converged_rows_and_reports_their_levels():
+    # row 0 is constant; row 1's first entry agrees at level 2 but its
+    # second grows up to level 4, so the row converges at 8; row 2 never does
+    seen = []
+
+    def evaluate(level, active):
+        seen.append((level, active.tolist()))
+        return np.array([[5.0, 5.0], [3.0, min(level, 4)], [level, 0.0]])[active]
+
+    values, reached, changes, active = numerics.refine(
+        evaluate, [1, 2, 4, 8], np.arange(3), 3)
+    assert seen == [(1, [0, 1, 2]), (2, [0, 1, 2]), (4, [1, 2]), (8, [1, 2])]
+    assert values.tolist() == [[5.0, 5.0], [3.0, 4.0], [0.0, 0.0]]
+    assert reached.tolist() == [2, 8, 8]
+    assert changes.tolist() == [0.0, 0.0, 4.0]
+    assert active.tolist() == [2]
+
+
 def test_integrate_rows_converge_on_their_own():
     # rows of growing frequency need more panels; each matches integrate_1d
     from shoberry.numerics import integrate_rows
