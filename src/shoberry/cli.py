@@ -174,8 +174,9 @@ def _axis(value, what: str) -> SweepAxis:
         raise ConfigError(f"unknown sweep parameter {parameter!r};"
                           f" choose from {', '.join(SWEEPABLE)}")
     start, stop = _items(bounds, f"{what} range", "a [lo, hi] pair", 2)
-    axis = SweepAxis(parameter, _number(start, f"{what} range"),
-                     _number(stop, f"{what} range"), _integer(steps, f"{what} steps"))
+    number = parse_angle if parameter == "beta" else _number
+    axis = SweepAxis(parameter, number(start, f"{what} range"),
+                     number(stop, f"{what} range"), _integer(steps, f"{what} steps"))
     if axis.steps < 1:
         raise ConfigError("sweep steps must be at least 1")
     return axis
@@ -352,6 +353,19 @@ def _build_force(omega_f: float, entries) -> DrivingForce:
     return DrivingForce(omega_f=omega_f, coefficients=table)
 
 
+def _check_keys(doc: dict) -> None:
+    """Refuse a key, or a key of a section, that no parameter declares."""
+    keys = {p.key for p in PARAMETERS}
+    sections = {key.partition(".")[0] for key in keys}
+    for key, value in doc.items():
+        if key not in sections:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key not in keys and isinstance(value, dict):
+            for name in value:
+                if f"{key}.{name}" not in keys:
+                    raise ConfigError(f"unknown config key {key + '.' + name!r}")
+
+
 def _load_config(args) -> argparse.Namespace:
     """Every parameter of the table by name, plus the objects the commands
     share: ``rep``, ``physical`` and ``force`` (None without one), and
@@ -364,6 +378,7 @@ def _load_config(args) -> argparse.Namespace:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
+    _check_keys(doc)
     cfg = argparse.Namespace(**{p.name: _resolve(p, args, doc) for p in PARAMETERS})
     cfg.given = {p.name for p in PARAMETERS
                  if getattr(args, p.name, None) is not None or _lookup(doc, p) is not _UNSET}

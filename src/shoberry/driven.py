@@ -69,10 +69,8 @@ def _blocked_sum(t, basis, coeff):
     of times.
     """
     arr = np.asarray(t, dtype=float)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.size)
-    for part in chunks(np.arange(flat.size), coeff.size):
-        out[part] = np.sum(basis(flat[part, None]) * coeff, axis=1).real
+    out = np.concatenate([np.sum(basis(part[:, None]) * coeff, axis=1).real
+                          for part in chunks(arr.reshape(-1), coeff.size)])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -380,13 +378,16 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     particular solutions ``xps`` that share omega_f, w and their forced modes,
     and may differ in D.
 
-    One integrate_rows call with a row per solution. The forced velocity
+    A solution is refused first unless the integral's range, duration times
+    the squared velocity bound (sum |nu_n a_n| + 2 w |D|)^2, is finite. One
+    integrate_rows call takes a row per other solution. The forced velocity
     Re sum_n i nu_n a_n exp(i nu_n t) does not depend on D: it is evaluated
-    once per node, in blocks that share the basis exp(i nu t), and each row
+    once per node, in chunks that share the basis exp(i nu t), and each row
     adds its own homogeneous pair 2 Re(i w D exp(i w t)). Each row's value is
     bit for bit what drive_phase_quadrature gives for that solution alone.
-    Returns (values, failures): a float array, and per row the
-    ConvergenceError of a row that hit the refinement cap, else None.
+    Returns (values, failures): a float array, and per solution its
+    InvalidParameterError or the ConvergenceError of a row that hit the
+    refinement cap, else None.
     """
     first = xps[0]
     if any((xp.omega_f, xp.w, xp.modes) != (first.omega_f, first.w, first.modes)
@@ -396,7 +397,14 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     forced = len(first.modes)   # the modes come first in _nu and _amp
     nu, w = first._nu[:forced], first.w
     velocity = 1j * nu * first._amp[:forced]
-    pair = np.array([2j * w * complex(xp.D) for xp in xps])
+    speed = float(np.sum(np.abs(velocity)))
+    ranges = [_attempt(lambda: _finite(
+        lambda: duration * (speed + 2.0 * w * abs(xp.D)) ** 2,
+        "the drive quadrature's range duration (sum |nu_n a_n| + 2 w |D|)^2"
+        " at D = {!r}", complex(xp.D))) for xp in xps]
+    failures = [bound if isinstance(bound, Exception) else None for bound in ranges]
+    live = np.flatnonzero([failure is None for failure in failures])
+    pair = np.array([2j * w * complex(xps[i].D) for i in live.tolist()])
     level = [None, None, None]   # nodes, their forced velocity, exp(i w nodes)
 
     def rows(active, nodes):
@@ -406,7 +414,11 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
         _, forced_velocity, turn = level
         return (forced_velocity + (pair[active, None] * turn).real) ** 2
 
-    values, _, failures = integrate_rows(rows, 0.0, duration, len(xps))
+    values = np.zeros(len(xps))
+    if live.size:
+        values[live], _, found = integrate_rows(rows, 0.0, duration, live.size)
+        for i, failure in zip(live.tolist(), found):
+            failures[i] = failure
     return M * values / hbar, failures
 
 

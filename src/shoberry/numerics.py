@@ -57,12 +57,13 @@ MAX_DENOMINATOR = 10 ** 6
 CHUNK_ELEMENTS = 1 << 13
 
 
-def chunks(index: np.ndarray, width: int) -> list[np.ndarray]:
-    """``index`` split into as few near-equal consecutive parts as keep each
-    part's len(part) * width elements within about CHUNK_ELEMENTS."""
-    if len(index) * width <= CHUNK_ELEMENTS:
-        return [index]
-    return np.array_split(index, -(-len(index) * width // CHUNK_ELEMENTS))
+def chunks(items: np.ndarray, width: int) -> list[np.ndarray]:
+    """The 1-d array ``items`` split into as few near-equal consecutive parts
+    as keep each part's len(part) * width elements within about
+    CHUNK_ELEMENTS."""
+    if len(items) * width <= CHUNK_ELEMENTS:
+        return [items]
+    return np.array_split(items, -(-len(items) * width // CHUNK_ELEMENTS))
 
 
 def refine(evaluate, levels, active: np.ndarray, rows: int):
@@ -85,11 +86,11 @@ def refine(evaluate, levels, active: np.ndarray, rows: int):
             values = np.zeros((rows,) + cur.shape[1:], dtype=cur.dtype)
         reached[active] = level
         if prev is not None:
-            change, entries = np.abs(cur - prev), tuple(range(1, cur.ndim))
-            done = np.all(change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur)),
-                          axis=entries)
+            change = np.abs(cur - prev).reshape(len(active), -1)
+            tol = np.maximum(ABS_TOL, REL_TOL * np.abs(cur)).reshape(change.shape)
+            done = (change <= tol).all(axis=1)
             values[active[done]] = cur[done]
-            changes[active] = np.max(change, axis=entries)
+            changes[active] = change.max(axis=1)
             active, cur = active[~done], cur[~done]
         prev = cur
         if not active.size:

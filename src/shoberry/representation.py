@@ -46,7 +46,8 @@ class Representation:
     Construction refuses non-finite fields, M or w <= 0, a stiffness M w^2
     beyond double precision, C = 0 and |cos beta| <= COS_BETA_EPS. It stores
     the Wronskian omega = M C w cos(beta), the stiffness M w^2, theta0 (the
-    argument of u - i v at t = 0) and rho_scale (2^-e, |C| w < 2^e, e >= 0).
+    argument of u - i v at t = 0) and rho_scale (1 where w (1 + C^2) is
+    finite, else 2^-e with |C| w < 2^e).
     A negative omega is admitted: the phase formulas tolerate it, while
     wavefunctions need require_valid.
     """
@@ -90,8 +91,11 @@ class Representation:
         object.__setattr__(self, "omega", self.M * self.C * self.w * cos_beta)
         object.__setattr__(self, "stiffness", stiffness)
         object.__setattr__(self, "theta0", math.atan2(-self.C * math.sin(self.beta), 1.0))
+        # rho' sums u u' + v v', bounded by w (1 + C^2); scaled only where
+        # that bound overflows, so subnormal products keep every bit elsewhere
         exponent = math.frexp(self.C)[1] + math.frexp(self.w)[1]
-        object.__setattr__(self, "rho_scale", math.ldexp(1.0, -max(exponent, 0)))
+        object.__setattr__(self, "rho_scale", 1.0 if math.isfinite(
+            self.w * (1.0 + self.C * self.C)) else math.ldexp(1.0, -exponent))
 
     @property
     def tau0(self) -> float:
@@ -174,7 +178,7 @@ def kinematics(rep: Representation, t):
     r = np.hypot(u, v)
     if np.any(np.asarray(r) == 0.0):
         raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
-    # u', v' and rho scaled by rho_scale: v v' ~ C^2 w stays finite, and a
+    # u', v' and rho scaled by rho_scale where v v' ~ C^2 w could overflow: a
     # power of two changes no bit of rho' while the products stay normal
     s = rep.rho_scale
     return u, v, du, dv, r, (u * (du * s) + v * (dv * s)) / (r * s)

@@ -346,6 +346,7 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
             np.sum(weights * integrands(part, y / s[part, None, None]), axis=-1)
             / s[part, None] for part in chunks(active, m)])
 
+    # m, 2m, 4m, ... up to MAX_SPATIAL_NODES
     levels = [m << k for k in range((MAX_SPATIAL_NODES // m).bit_length())]
     values, nodes, changes, refining = refine(evaluate, levels, _live(errors), len(s))
     for p in refining.tolist():

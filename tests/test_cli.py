@@ -167,6 +167,14 @@ class TestSweepCommand:
         gammas = [row["gamma"] for row in rows]
         assert gammas == pytest.approx(gammas[::-1], rel=1e-12, abs=1e-15)
 
+    def test_beta_axis_takes_angle_forms(self, capsys):
+        # the range is read as --beta reads its value
+        numeric = run_cli(capsys, "sweep", "--sweep",
+                          "beta:-1.0471975511965976:1.0471975511965976:3", "--C", "2")
+        assert numeric[0] == 0
+        assert run_cli(capsys, "sweep", "--sweep", "beta:-pi/3:pi/3:3",
+                       "--C", "2") == numeric
+
     def test_error_row_isolated(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--sweep", "C:-1:1:3",
                                "--beta", "0", "--n", "0")
@@ -406,10 +414,15 @@ class TestConfigDocument:
         path = tmp_path / "config.json"
         for text in ("{not json", '{"n": true}',
                      '{"representation": {"C": -1.0}, "duration": true}',
-                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}'):
+                     '{"output": 5}', '{"sweep": 5}', '{"output": {"path": 5}}',
+                     # keys that no parameter declares: a misspelt section, a
+                     # misspelt key of a section and a retired key
+                     '{"represntation": {"C": 2.0}}', '{"representation": {"c": 2.0}}',
+                     '{"commensurability_tolerance": 1e-13}'):
             path.write_text(text)
-            code, _, _ = run_cli(capsys, "berry", "--config", str(path))
-            assert code == 2
+            code, out, err = run_cli(capsys, "berry", "--config", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("config,key", [
         ({"force": {"omega_f": "x", "coefficients": [[1, 0.5, 0]]}}, "omega_f"),
@@ -729,8 +742,11 @@ def test_sweep_reports_an_overflowing_period_ratio_in_its_row(capsys):
      "(2 w |D|)^2 at D = (1e+154+0j) is not a finite float"),
     (("--w", "0.01", "--force-coeff", "1:0.5:0", "--D", "1e155:0", "--omega-f", "0.005"),
      "term at D = (1e+155+0j) is not a finite float"),
+    # the closed term is divided by hbar, but the quadrature's range is not
+    (("--hbar", "1e10", "--force-coeff", "1:1e154:0"),
+     "range duration (sum |nu_n a_n| + 2 w |D|)^2 at D = 0j is not a finite float"),
 ], ids=["mode-term", "forced-velocity", "closed-f", "closed-w-cubed", "D-velocity",
-        "closed-D"])
+        "closed-D", "quadrature-range"])
 def test_overflowing_drive_is_refused_naming_its_source(argv, source, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +565,23 @@ class TestDrivenSweep:
         assert failures[0] is None and failures[2] is None
         neighbours, _ = drive_phase_quadratures(xps[::2], 1.0, 0.7, duration)
         assert values[::2].tolist() == neighbours.tolist() == [
+            drive_phase_quadrature(xp, 1.0, 0.7, duration) for xp in xps[::2]]
+
+    def test_quadrature_range_refused_alone(self):
+        # at D = 1e154 the integral's range duration (sum |nu_n a_n| +
+        # 2 w |D|)^2 overflows: that solution is refused before the quadrature,
+        # and its neighbours are their one-solution calls, bit for bit
+        xps = [ParticularSolution(0.5, {1: 0.3, -1: 0.3}, D, 1.0)
+               for D in (0.1j, 1e154, 0.2)]
+        duration = 2 * STRETCHED.tau0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, failures = drive_phase_quadratures(xps, 1.0, 0.7, duration)
+            with pytest.raises(InvalidParameterError) as alone:
+                drive_phase_quadrature(xps[1], 1.0, 0.7, duration)
+        assert str(failures[1]) == str(alone.value) and "range" in str(alone.value)
+        assert failures[0] is None and failures[2] is None
+        assert values[::2].tolist() == [
             drive_phase_quadrature(xp, 1.0, 0.7, duration) for xp in xps[::2]]
 
     def test_batch_entries_are_one_point_calls(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shoberry.errors import InvalidRepresentationError
 from shoberry.representation import (PhysicalConfig, Representation,
@@ -142,6 +142,8 @@ class TestRho:
 
     @settings(max_examples=40, deadline=None)
     @given(reps_formula, st.floats(0.0, 12.0))
+    # subnormal products, which a power-of-two scale would round
+    @example(Representation(1, 1, 2, 0), 5e-324)
     def test_rho_dot_is_the_unscaled_formula_bit_for_bit(self, rep, t):
         ts = t + np.linspace(0.0, rep.tau0, 33)
         u, v, du, dv = classical_pair(rep, ts)
