@@ -17,11 +17,15 @@ figure is the median over _timing.REPEATS runs of one in-process call:
 - drive_phase_closed, particular_solution: one call at one point;
 - propagation: propagate_schrodinger from psi_driven at t = 0 over N tau0;
 - propagation_free: the same propagation without the force, which times
-  the propagator's force-free branch on the same grid and steps.
+  the propagator's force-free branch on the same grid and steps;
+- fft_pair: one forward and one inverse transform of POINTS values by the
+  pocketfft kernels a propagator step calls, the median of STEPS pairs
+  divided by STEPS.
 
 propagation_ns_per_point_step and propagation_free_ns_per_point_step divide
 the two propagation figures by POINTS * STEPS: the propagator's cost per step
-and grid point.
+and grid point. fft_pair_ns_per_point divides fft_pair by POINTS, the floor
+under both: a step's cost above its transforms is the difference.
 
 Run on an idle machine; the numbers are only comparable between runs on the
 same one.
@@ -72,6 +76,15 @@ def main(argv=None) -> int:
     start = numerics.GridState(-half, half, POINTS,
                                driven.psi_driven(state, xps[0], xs, 0.0), 0.0)
 
+    fft, ifft = numerics._fft_kernels()
+    transformed = np.empty_like(start.values)
+
+    def fft_pairs():
+        # the forward transform reads the fixed state, so the unscaled pair
+        # does not grow the values from one pair to the next
+        for _ in range(STEPS):
+            ifft(fft(start.values, 1.0, out=transformed), 1.0, out=transformed)
+
     layers = {
         "drive_quadrature_per_point": timing.median_seconds(lambda: [
             driven.drive_phase_quadrature(xp, rep.M, 1.0, duration) for xp in xps]),
@@ -87,6 +100,7 @@ def main(argv=None) -> int:
         "propagation_free": timing.median_seconds(
             lambda: numerics.propagate_schrodinger(start, rep.M, rep.w, duration,
                                                    STEPS)),
+        "fft_pair": timing.median_seconds(fft_pairs) / STEPS,
     }
     report = {
         "request": " ".join(ARGV),
@@ -100,6 +114,7 @@ def main(argv=None) -> int:
             layers["propagation"] / (POINTS * STEPS) * 1e9,
         "propagation_free_ns_per_point_step":
             layers["propagation_free"] / (POINTS * STEPS) * 1e9,
+        "fft_pair_ns_per_point": layers["fft_pair"] / POINTS * 1e9,
     }
     timing.write_report(out, report)
     return 0

@@ -241,8 +241,14 @@ class Parameter:
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_PAIR = {"type": "array", "prefixItems": [_NUMBER, _NUMBER],
-         "minItems": 2, "maxItems": 2}
+_ANGLE = {"oneOf": [_NUMBER, {"type": "string"}]}
+
+
+def _pair(item: dict) -> dict:
+    return {"type": "array", "prefixItems": [item, item], "minItems": 2, "maxItems": 2}
+
+
+_PAIR = _pair(_NUMBER)
 _QUANTUM_NUMBER = {"type": "integer", "minimum": 0}
 _AXIS_REF = {"$ref": "#/$defs/sweep_axis"}
 _PHASE_COMMANDS = ("berry", "driven", "sweep")
@@ -253,8 +259,7 @@ PARAMETERS = (
     Parameter("w", "representation.w", 1.0, _positive, _POSITIVE, "angular frequency"),
     Parameter("C", "representation.C", 1.0, _number, _NUMBER,
               "second-solution amplitude", axes=("C",)),
-    Parameter("beta", "representation.beta", 0.0, parse_angle,
-              {"oneOf": [_NUMBER, {"type": "string"}]},
+    Parameter("beta", "representation.beta", 0.0, parse_angle, _ANGLE,
               "phase angle in radians, or 'pi/3' style", axes=("beta",)),
     Parameter("hbar", "representation.hbar", 1.0, _positive, _POSITIVE,
               "reduced Planck constant", commands=_PHASE_COMMANDS),
@@ -303,8 +308,12 @@ AXIS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["parameter", "range", "steps"],
-    "properties": {"parameter": {"enum": list(SWEEPABLE)}, "range": _PAIR,
+    "properties": {"parameter": {"enum": list(SWEEPABLE)}, "range": {"type": "array"},
                    "steps": {"type": "integer", "minimum": 1}},
+    # _axis reads a beta range with parse_angle, as --beta is read
+    "if": {"properties": {"parameter": {"const": "beta"}}},
+    "then": {"properties": {"range": _pair(_ANGLE)}},
+    "else": {"properties": {"range": _PAIR}},
 }
 
 _UNSET = object()

@@ -410,6 +410,20 @@ class TestConfigDocument:
         code, out, _ = run_cli(capsys, "driven", "--config", str(path))
         assert code == 0
 
+    def test_beta_axis_range_takes_angle_forms(self, tmp_path, capsys):
+        # the schema types a beta range as beta, and every other range as numbers
+        config = {"sweep": {"parameter": "beta", "range": ["-pi/3", "pi/3"],
+                            "steps": 3},
+                  "representation": {"C": 2}}
+        jsonschema.validate(config, CONFIG_SCHEMA)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(capsys, "sweep", "--config", str(path)) == run_cli(
+            capsys, "sweep", "--sweep", "beta:-pi/3:pi/3:3", "--C", "2")
+        config["sweep"]["parameter"] = "C"
+        with pytest.raises(jsonschema.ValidationError, match="'-pi/3' is not of type"):
+            jsonschema.validate(config, CONFIG_SCHEMA)
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         for text in ("{not json", '{"n": true}',

@@ -315,6 +315,21 @@ def test_kicks_match_direct_exponentials(points, steps):
     assert np.max(np.abs(free.values - reference)) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(64,), (1024,), (2048,), (2, 1024)],
+                         ids=["64", "1024", "2048", "2x1024"])
+def test_fft_kernels_match_numpy_fft_bit_for_bit(shape):
+    # the propagator calls pocketfft's kernels directly: a numpy release that
+    # changes them, or what np.fft passes them, must fail here first
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fft, ifft = numerics._fft_kernels()
+    forward = fft(a, 1.0, out=np.empty_like(a))
+    inverse = ifft(a, 1.0, out=np.empty_like(a))
+    assert np.array_equal(forward.view(float), np.fft.fft(a).view(float))
+    assert np.array_equal(inverse.view(float),
+                          np.fft.ifft(a, norm="forward").view(float))
+
+
 def test_refine_drops_converged_rows_and_reports_their_levels():
     # row 0 is constant; row 1's first entry agrees at level 2 but its
     # second grows up to level 4, so the row converges at 8; row 2 never does

@@ -52,12 +52,13 @@ def test_driven_timing(tmp_path, capsys):
     assert list(report) == ["request", "points", "modes", "repeats",
                             "sweep_end_to_end_s", "layer_s",
                             "propagation_ns_per_point_step",
-                            "propagation_free_ns_per_point_step", "env"]
+                            "propagation_free_ns_per_point_step",
+                            "fft_pair_ns_per_point", "env"]
     assert (report["points"], report["modes"]) == (16, 36)
     assert list(report["layer_s"]) == [
         "drive_quadrature_per_point", "drive_quadrature_batched",
         "drive_phase_closed", "particular_solution", "propagation",
-        "propagation_free"]
+        "propagation_free", "fft_pair"]
 
 
 def test_oracle_domain_map(capsys):
