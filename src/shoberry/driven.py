@@ -11,8 +11,9 @@ with a free complex homogeneous amplitude D. When the period ratio
 tau0/tau_f equals p/N in lowest terms, x_p is (N tau0)-periodic and the Berry
 phase over N tau0 separates into N times the undriven phase plus the drive
 term (1/hbar) int M xdot_p^2 dt, which this module evaluates both in closed
-form (mode by mode; cross terms cancel over the joint period) and by blind
-time quadrature. Disagreement between the two is a bug, not a branch.
+form, the duration times the time average of M xdot_p^2 / hbar at the float
+omega_f that x_p uses (p/N fixes only the duration), and by blind time
+quadrature. Disagreement between the two is a bug, not a branch.
 """
 
 from __future__ import annotations
@@ -314,52 +315,50 @@ def velocity_squared_integral(xp: ParticularSolution, t0: float, t1: float) -> f
 
 def drive_phase_closed(force: DrivingForce, comm: Commensurability, M: float,
                        w: float, hbar: float, D: complex = 0j) -> float:
-    """Closed-form drive term of the Berry phase over N tau0.
-
-    2 pi N^3 p^2 / (hbar M w^3) * sum_n n^2 |f_n|^2 / (p^2 n^2 - N^2)^2
-    + 4 pi (M N w / hbar) |D|^2. Every mode and the two homogeneous
-    frequencies +/-w contribute their mean-square velocity over the joint
-    period; cross terms integrate to zero there.
-    """
-    return _with_homogeneous(_forced_drive(force, comm, M, w, hbar), M, comm.N, w,
-                             hbar, D)
+    """Closed-form drive term of the Berry phase over N tau0 (_drive_terms)."""
+    return _value(_drive_terms(force, M, w, hbar, comm.N * (2.0 * math.pi / w), [D])[0])
 
 
-def _forced_drive(force: DrivingForce, comm: Commensurability, M: float,
-                  w: float, hbar: float) -> float:
-    """The force's part of drive_phase_closed, the same for every D. Its
-    integers N^3 p^2 and (p^2 n^2 - N^2)^2 are checked against the float range
-    before any is converted; a refusal names omega_f, or the mode."""
-    p, N = comm.p, comm.N
-    if N ** 3 * p * p > _LARGEST_FLOAT:
-        raise InvalidParameterError(
-            f"omega_f = {force.omega_f!r} gives tau0/tau_f = p/N = {p / N:.6g}:"
-            " the drive term's N^3 p^2 exceeds the float range")
-    denoms = {n: p * p * n * n - N * N
-              for n in _ordered_modes(force.coefficients) if n != 0}
-    for n, denom in denoms.items():
-        if denom * denom > _LARGEST_FLOAT:
-            raise InvalidParameterError(
-                f"force mode |n| = {abs(n)} at tau0/tau_f = p/N = {p / N:.6g}: the"
-                " drive term's (p^2 n^2 - N^2)^2 exceeds the float range")
+def _forced_rate(force: DrivingForce, stiffness: float, w: float,
+                 hbar: float) -> float:
+    """The force's part of the time average of M xdot_p^2 / hbar at the float
+    omega_f, (1/(hbar M w^2)) sum_n x_n^2 |f_n|^2 / (x_n^2 - 1)^2 with
+    x_n = n omega_f / w: each term as (|f_n|^2 / s) / (x_n - 1/x_n)^2, s the
+    largest |f_n|^2, so none overflows, then divided by the stiffness M w^2.
+    A mode within RESONANCE_DENOM_EPS of x_n^2 = 1 is refused."""
+    omega_f = force.omega_f
+    powers = {n: f.real * f.real + f.imag * f.imag
+              for n, f in force.coefficients.items() if n != 0}
+    scale = max(powers.values(), default=1.0)
     total = 0.0
-    norm = force.norm()
-    for n, denom in denoms.items():
-        if denom == 0:
-            if abs(force.coefficients[n]) < COEFF_EPS * max(norm, 1e-300):
-                continue
+    for n in _ordered_modes(powers):
+        x = n * omega_f / w
+        if abs(x * x - 1.0) < RESONANCE_DENOM_EPS:
             raise ResonanceError(
-                f"mode {n} coincides with the oscillator frequency (p*n = N)")
-        total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
-    return _finite(lambda: 2.0 * math.pi * N ** 3 * p * p / (hbar * M * w ** 3) * total,
-                   "the closed drive term at omega_f = {!r}", force.omega_f)
+                f"mode {n} is (near-)resonant; no bounded periodic solution")
+        gap = x - w / (n * omega_f)
+        total += powers[n] / scale / (gap * gap)
+    return scale * total / stiffness / hbar
 
 
-def _with_homogeneous(drive: float, M: float, N: int, w: float, hbar: float,
-                      D: complex) -> float:
-    """The force's drive term plus the homogeneous pair's 4 pi M N w |D|^2/hbar."""
-    return _finite(lambda: drive + 4.0 * math.pi * M * N * w * abs(D) ** 2 / hbar,
-                   "the closed drive term at D = {!r}", complex(D))
+def _drive_terms(force: DrivingForce, M: float, w: float, hbar: float,
+                 duration: float, Ds) -> list:
+    """(1/hbar) int_0^duration M xdot_p^2 dt in closed form for each D of
+    ``Ds``, or its point error (a D that is one passes through): the duration
+    times the rate _forced_rate plus the homogeneous pair's 2 M w^2 |D|^2 /
+    hbar, as cross terms average to zero over whole periods. The force's part
+    is computed once and refused, naming omega_f, unless finite; each D adds
+    (duration M w^2) 2 |D|^2 / hbar, refused, naming D, unless the sum is."""
+    stiffness = M * (w * w)
+    forced = _attempt(lambda: _finite(
+        lambda: duration * _forced_rate(force, stiffness, w, hbar),
+        "the closed drive term at omega_f = {!r}", force.omega_f))
+    return [D if isinstance(D, Exception) else
+            forced if isinstance(forced, Exception) else
+            _attempt(lambda: _finite(
+                lambda: forced + duration * stiffness * 2.0 * abs(D) ** 2 / hbar,
+                "the closed drive term at D = {!r}", complex(D)))
+            for D in Ds]
 
 
 def _finite(compute: Callable[[], float], what: str, *args) -> float:
@@ -459,9 +458,7 @@ def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
     berry_phases_driven for one D and one n.
     """
     ((result,),) = berry_phases_driven(rep, [n], force, [D], config)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _value(result)
 
 
 def _attempt(compute):
@@ -470,6 +467,13 @@ def _attempt(compute):
         return compute()
     except POINT_ERRORS as exc:
         return exc
+
+
+def _value(result):
+    """result, raised if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
@@ -485,11 +489,12 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
     IncommensurateError. An entry's first error wins: its D's own (not
     finite, then incommensurate), then over N tau0 the particular solution's,
     n's, the closed drive term's and the quadrature's; over one force period
-    n's, berry_phase_special_rep's, the particular solution's and the
+    n's, the closed drive term's, the particular solution's and the
     quadrature's. Each n's undriven phase and each D's particular solution
-    and closed drive term are computed once, their part that D leaves alone
-    once for every D, and the quadrature, which does not depend on n, in one
-    drive_phase_quadratures call with a row per D that reaches it.
+    and closed drive term (_drive_terms over the quadrature's duration) are
+    computed once, their part that D leaves alone once for every D, and the
+    quadrature, which does not depend on n, in one drive_phase_quadratures
+    call with a row per D that reaches it.
     """
     M, w, hbar = rep.M, rep.w, config.hbar
     amplitudes = [_attempt(lambda: check_amplitude(D, w)) for D in Ds]
@@ -503,15 +508,11 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
         duration = force.tau_f
         # the undriven phase vanishes; each n is still checked
         undriven = [_attempt(lambda: 0.0 * check_quantum_number(n)) for n in ns]
-        closed = [_attempt(lambda: berry_phase_special_rep(force, M, w, hbar))] * len(Ds)
     else:
         p, N = comm.p, comm.N
         duration = N * rep.tau0
         undriven = [_attempt(lambda: N * berry_phase(rep, n, "full").gamma) for n in ns]
-        base_drive = _attempt(lambda: _forced_drive(force, comm, M, w, hbar))
-        closed = [base_drive if isinstance(base_drive, Exception) else
-                  _attempt(lambda: _with_homogeneous(base_drive, M, N, w, hbar, D))
-                  for D in Ds]
+    closed = _drive_terms(force, M, w, hbar, duration, amplitudes)
     # each D's particular solution, or its refusal: the D's own first, then
     # that of the modes every D shares
     modes = _attempt(lambda: _forced_modes(force, rep, comm))
@@ -542,26 +543,16 @@ def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
 
 def berry_phase_special_rep(force: DrivingForce, M: float, w: float,
                             hbar: float) -> float:
-    """Berry phase over one force period in the C=1, beta=0, D=0 representation.
+    """Berry phase over one force period in the C=1, beta=0, D=0 representation:
+    _drive_terms over the duration tau_f.
 
-    (2 pi omega_f / (hbar M)) sum_n n^2 |f_n|^2 / (n^2 omega_f^2 - w^2)^2.
     Valid for any periodic particular solution: no commensurability between
     tau0 and tau_f is needed because the undriven phase vanishes there for
     every evolution time.
     """
     if not (M > 0 and w > 0 and hbar > 0):
         raise ValueError("M, w, hbar must be positive")
-    omega_f = force.omega_f
-    total = 0.0
-    for n in _ordered_modes(force.coefficients):
-        if n == 0:
-            continue
-        denom = n * n * omega_f * omega_f - w * w
-        if abs(denom) < RESONANCE_DENOM_EPS * w * w:
-            raise ResonanceError(
-                f"mode {n} is (near-)resonant; no bounded periodic solution")
-        total += n * n * abs(force.coefficients[n]) ** 2 / (denom * denom)
-    return 2.0 * math.pi * omega_f / (hbar * M) * total
+    return _value(_drive_terms(force, M, w, hbar, force.tau_f, [0j])[0])
 
 
 def psi_driven(state: QuantumState, xp: ParticularSolution, x, t):

@@ -181,10 +181,22 @@ def _criterion_drives(w, Ds):
     return drives
 
 
+CRITERION_09_REP = Representation(1.3, 1.0, 2.0, math.pi / 6)
+CRITERION_09_CONFIG = PhysicalConfig(0.7)
+
+
+def criterion_09_drives():
+    """_criterion_drives with D = 0 and 0.3 + 0.1i, and a near-resonant
+    drive: omega_f 9e-14 above p/N = 500000/999999, where mode 2 sits at
+    |2p - N| = 1 and amplifies any gap between omega_f and p/N a millionfold."""
+    w = CRITERION_09_REP.w
+    near_resonant = DrivingForce(0.500000500000545 * w, {2: 1e-9, -2: 1e-9})
+    return _criterion_drives(w, (0j, 0.3 + 0.1j)) + [
+        (near_resonant, Commensurability(500000, 999999), 0j)]
+
+
 def test_criterion_09_driven_decomposition():
-    rep = Representation(1.3, 1.0, 2.0, math.pi / 6)
-    config = PhysicalConfig(0.7)
-    drives = _criterion_drives(rep.w, (0j, 0.3 + 0.1j))
+    rep, config, drives = CRITERION_09_REP, CRITERION_09_CONFIG, criterion_09_drives()
     worst_rel = selfcheck.drive_closed_vs_quadrature(rep, drives, config)
     worst_sep = selfcheck.drive_decomposition([rep], (0, 1, 3), drives, config)
     assert worst_rel < 1e-8
@@ -194,15 +206,21 @@ def test_criterion_09_driven_decomposition():
            f" n-independence dev = {worst_sep:.2e}")
 
 
-def test_criterion_10_special_representation():
+def special_representation_gap():
+    """Relative gap between the special representation's closed drive term
+    over tau_f and its blind quadrature, for an irrational-looking omega_f."""
     M, w, hbar = 1.0, 1.0, 1.0
-    omega_f = 0.61803398875 * w  # irrational-looking drive frequency
+    omega_f = 0.61803398875 * w
     force = DrivingForce(omega_f, {1: 0.45, -1: 0.45, 2: -0.2j, -2: 0.2j})
     closed = berry_phase_special_rep(force, M, w, hbar)
     rep = Representation(M, w, 1.0, 0.0)
     xp = particular_solution(force, rep, None, 0j)
     quadrature = drive_phase_quadrature(xp, M, hbar, force.tau_f)
-    rel = abs(closed - quadrature) / abs(closed)
+    return abs(closed - quadrature) / abs(closed)
+
+
+def test_criterion_10_special_representation():
+    rel = special_representation_gap()
     assert rel < 1e-8
     report(10, "special-representation",
            f"tau_f evolution, closed vs quadrature rel = {rel:.2e}")

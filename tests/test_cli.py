@@ -690,9 +690,9 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     ("berry", "--C", "1e200"),
     ("berry", "--C", "5e-324"),
     ("driven", "--C", "1e200", "--omega-f", "0.5", "--force-coeff", "1:0.5:0"),
-    # p = 1e300 outgrows the closed drive term's floats; |f|^2 = 1e600 and
-    # the square of mode 10^200 overflow
-    ("driven", "--omega-f", "1e300", "--force-coeff", "1:0.5:0"),
+    # the forced velocity bound overflows; |f|^2 = 1e600 and the square of
+    # mode 10^200 overflow
+    ("driven", "--omega-f", "0.5", "--force-coeff", "1:1.3e154:0"),
     ("driven", "--omega-f", "0.5", "--force-coeff", "1:1e300:0"),
     ("driven", "--omega-f", "0.5", "--force-coeff", f"{10 ** 200}:0.5:0"),
 ], ids=" ".join)
@@ -727,30 +727,58 @@ def test_stiffness_beyond_double_precision_exits_2(argv, stiffness, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "M w^2" in lines[0]
 
 
-def test_sweep_reports_an_overflowing_period_ratio_in_its_row(capsys):
+def test_sweep_reports_an_overflowing_closed_term_in_its_row(capsys):
     # the one-point refusal names omega_f; a sweep reports it in its row
-    code, _, err = run_cli(capsys, "driven", "--omega-f", "1e300",
-                           "--force-coeff", "1:0.5:0")
+    code, _, err = run_cli(capsys, "driven", "--omega-f", "0.5",
+                           "--force-coeff", "1:1e154:0")
     message = err[len("error: "):-1]
-    assert code == 2 and message.startswith("omega_f = 1e+300 ")
+    assert code == 2 and message.startswith("the closed drive term at omega_f = 0.5 ")
     code, out, err = run_cli(capsys, "sweep", "--omega-f", "0.5",
-                             "--force-coeff", "1:0.5:0",
-                             "--sweep", "omega_f:0.5:1e300:2", "--format", "csv")
+                             "--force-coeff", "1:1e154:0",
+                             "--sweep", "omega_f:0.5:8:2", "--format", "csv")
     assert code == 0, err
-    computed, refused = out.splitlines()[1:]
-    assert computed.startswith("0.5,0,") and computed.endswith(",1,2,")
-    assert refused == f'1.0000000000000001e+300,,,,,,,,"{message}"'
+    refused, computed = out.splitlines()[1:]
+    assert refused == f'0.5,,,,,,,,"{message}"'
+    assert computed.startswith("8,0,") and computed.endswith(",8,1,")
+
+
+@pytest.mark.parametrize("argv", [
+    # p = 1e300 exactly, N = 1: the drive underflows to 0 both ways
+    ("--omega-f", "1e300", "--force-coeff", "1:0.5:0"),
+    # the term is subnormal, though w^3 and (n omega_f - w)^2 overflow
+    ("--w", "1e103", "--omega-f", "5e102", "--force-coeff", "1:0.5:0"),
+    # the homogeneous pair's M w^2 |D|^2 overflows, its term does not
+    ("--M", "100", "--w", "1e100", "--omega-f", "5e99", "--force-coeff", "1:0.5:0",
+     "--D", "1e53:0"),
+], ids=["omega-f-1e300", "closed-w-cubed", "D-stiffness"])
+def test_drive_beyond_the_integer_form_gives_a_value(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "driven", *argv, "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    closed, quadrature = row["drive_part_closed"], row["drive_part_quadrature"]
+    assert abs(closed - quadrature) <= 1e-8 * abs(closed)
+
+
+def test_high_mode_drive_gives_its_closed_value(capsys):
+    # mode 10^150 at p/N = 1/2: (p^2 n^2 - N^2)^2 outgrew a float in the
+    # integer form; the rate form gives duration 4 pi times 2 |f|^2 / x^2
+    mode = 10 ** 150
+    code, out, err = run_cli(capsys, "driven", "--omega-f", "0.5",
+                             "--force-coeff", f"{mode}:0.5:0", "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    x = mode * 0.5
+    assert row["drive_part_closed"] == pytest.approx(4.0 * math.pi * 0.5 / (x * x),
+                                                     rel=1e-14)
 
 
 @pytest.mark.parametrize("argv,source", [
-    # mode 10^150's (p^2 n^2 - N^2)^2 outgrows a float at p/N = 1/2
-    (("--force-coeff", f"{10 ** 150}:0.5:0"), f"force mode |n| = {10 ** 150} at "),
     # the forced velocity bound (sum |n omega_f a_n|)^2 overflows
     (("--force-coeff", "1:1.3e154:0"), "a_n|)^2 at omega_f = 0.5 is not a finite float"),
-    # the closed drive term overflows: through |f|^2, and through w^3
+    # the closed drive term overflows through |f|^2
     (("--force-coeff", "1:1e154:0"), "term at omega_f = 0.5 is not a finite float"),
-    (("--w", "1e103", "--force-coeff", "1:0.5:0", "--omega-f", "5e102"),
-     "term at omega_f = 5e+102 is not a finite float"),
     # (2 w |D|)^2 overflows; at w = 0.01 it does not, but |D|^2 does
     (("--force-coeff", "1:0.5:0", "--D", "1e154:0"),
      "(2 w |D|)^2 at D = (1e+154+0j) is not a finite float"),
@@ -759,8 +787,7 @@ def test_sweep_reports_an_overflowing_period_ratio_in_its_row(capsys):
     # the closed term is divided by hbar, but the quadrature's range is not
     (("--hbar", "1e10", "--force-coeff", "1:1e154:0"),
      "range duration (sum |nu_n a_n| + 2 w |D|)^2 at D = 0j is not a finite float"),
-], ids=["mode-term", "forced-velocity", "closed-f", "closed-w-cubed", "D-velocity",
-        "closed-D", "quadrature-range"])
+], ids=["forced-velocity", "closed-f", "D-velocity", "closed-D", "quadrature-range"])
 def test_overflowing_drive_is_refused_naming_its_source(argv, source, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

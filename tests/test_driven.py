@@ -403,6 +403,33 @@ class TestBerryPhaseDriven:
         assert half == pytest.approx(2.0 * full, rel=1e-15)
 
 
+    def test_near_resonant_closed_term_matches_quadrature(self):
+        # omega_f lies 9e-14 above p/N = 500000/999999, where mode 2 sits at
+        # |2p - N| = 1: a closed term taken at p/N rather than at the float
+        # omega_f is 1.8e-7 off the quadrature
+        rep = Representation(1.0, 1.0, 1.7, 0.4)
+        force = DrivingForce(0.500000500000545, {2: 1e-6, -2: 1e-6})
+        res = berry_phase_driven(rep, 0, force, 0j)
+        assert (res.p, res.N) == (500000, 999999)
+        assert abs(res.drive_closed - res.drive_quadrature) \
+            <= 1e-8 * abs(res.drive_closed)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100, 1e103, 1e150])
+    def test_drive_term_scales_with_the_frequency(self, scale):
+        # (M, w, omega_f) = (1/s^2, s, 2 s/3) keeps the stiffness and x_n fixed
+        # and divides the duration N tau0 by s, so s times the term is fixed
+        def drive(s):
+            rep = Representation(1.0 / (s * s), s, 1.7, 0.4)
+            force = DrivingForce(2.0 * s / 3.0, {1: 0.3, -1: 0.3, 3: 0.1j, -3: -0.1j})
+            return berry_phase_driven(rep, 0, force, 0j)
+
+        res = drive(scale)
+        assert scale * res.drive_closed == pytest.approx(drive(1.0).drive_closed,
+                                                         rel=1e-14)
+        assert abs(res.drive_closed - res.drive_quadrature) \
+            <= 1e-8 * abs(res.drive_closed)
+
+
 class TestSpecialRepresentation:
     def test_zero_force(self):
         assert berry_phase_special_rep(DrivingForce(0.7, {}), 1.0, 1.0, 1.0) == 0.0
