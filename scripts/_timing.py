@@ -1,8 +1,10 @@
-"""Harness shared by the timing scripts (oracle_timing.py, report_timing.py).
+"""Harness shared by the timing scripts (cli_timing.py, driven_timing.py,
+oracle_timing.py, report_timing.py).
 
-Each script times in-process calls with ``median_seconds``, drives the whole
-CLI with ``cli_call`` and writes its figures with ``write_report``, which adds
-the machine description and prints the same JSON it writes.
+Each script times calls, in-process or launches, with ``median_seconds``,
+drives the whole CLI in-process with ``cli_call`` and writes its figures with
+``write_report``, which adds the machine description and prints the same
+JSON it writes.
 """
 
 import argparse

@@ -36,9 +36,8 @@ import numpy as np
 from .driven import DrivingForce, berry_phases_driven
 from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
                      InvalidParameterError, OutputError, UndefinedPhaseError)
-from .phase import _oracle_batch, closed_form_overflow, closed_form_phases
+from .phase import berry_phase_grid
 from .representation import PhysicalConfig, Representation, kinematics
-from .wavefunction import check_quantum_number
 
 _FORMATS = ("csv", "json")
 _DRIVEN_COLUMNS = {"gamma_undriven_part": "gamma_undriven",
@@ -612,70 +611,21 @@ def _berry_grid(cfg, axes):
     every n of cfg.n, fastest. ``columns`` maps each berry column to a
     (points, rows per point) array; ``present`` marks, per point, the oracle
     columns that hold a value; ``errors`` holds each point's exception or
-    None. A Representation is built once per (C, beta) cell and each n is
-    checked once, so refusals read as they do for the berry command; the
-    closed forms of every row are one closed_form_phases expression, and the
-    points whose cells have omega > 0 make one batched oracle call per tuple
-    of quantum numbers. A point's first error wins: its cell's, then its
-    quantum numbers' in order (refused, or closed forms that overflow), then
-    the oracle's, which is the message a one-point call raises.
+    None, as one phase.berry_phase_grid call over the points gives them.
     """
-    values, points, point_index, index, ns, slot = _point_frame(cfg, axes)
-    C_at, beta_at = (index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta"))
-    Cs, betas = values.get("C", [cfg.rep.C]), values.get("beta", [cfg.rep.beta])
-    cells = []
-    for C in Cs:
-        for beta in betas:
-            try:
-                cells.append(Representation(M=cfg.rep.M, w=cfg.rep.w, C=C, beta=beta))
-            except InvalidParameterError as exc:
-                cells.append(exc)
-    cell = C_at * len(betas) + beta_at
-    n_errors, n_values = [], np.zeros(len(ns))
-    for i, n in enumerate(ns):
-        try:
-            n_values[i] = float(check_quantum_number(n))
-            n_errors.append(None)
-        except InvalidParameterError as exc:
-            n_errors.append(exc)
-    chi, delta, gamma, canonical = closed_form_phases(
-        np.array(Cs)[C_at][:, None],
-        np.array([math.cos(beta) for beta in betas])[beta_at][:, None],
-        n_values[slot], cfg.duration)
-    slot_bad = np.array([e is not None for e in n_errors])[slot] | ~np.isfinite(canonical)
-    cell_bad = np.array([isinstance(c, Exception) for c in cells])
-    errors = [None] * points
-    for p in np.flatnonzero(cell_bad[cell] | slot_bad.any(axis=1)).tolist():
-        rep = cells[cell[p]]
-        if isinstance(rep, Exception):
-            errors[p] = rep
-            continue
-        k = int(slot[p, np.argmax(slot_bad[p])])
-        errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
-    full = np.array([not bad and c.omega > 0 for c, bad in zip(cells, cell_bad)])
-    has_oracle = np.zeros(points, dtype=bool)
-    groups = {}   # the full-mode points of each tuple of quantum numbers
-    for p in np.flatnonzero(full[cell]).tolist():
-        if errors[p] is None:
-            groups.setdefault(tuple(ns[k] for k in slot[p].tolist()), []).append(p)
-    # without an oracle row both oracle columns are null: no array is made
-    oracle = np.zeros(chi.shape) if groups else np.broadcast_to(0.0, chi.shape)
-    for group_ns, group in groups.items():
-        reps = [cells[cell[p]] for p in group]
-        gammas, oracle_errors = _oracle_batch(
-            reps, group_ns, cfg.duration * 0.5 * reps[0].tau0, cfg.physical)
-        for p, row, error in zip(group, gammas, oracle_errors):
-            if error is None:
-                oracle[p], has_oracle[p] = row, True
-            else:
-                errors[p] = error
+    values, points, point_index, index, ns, slots = _point_frame(cfg, axes)
+    chi, delta, gamma, canonical, oracle, has_oracle, errors = berry_phase_grid(
+        cfg.rep.M, cfg.rep.w, values.get("C", [cfg.rep.C]),
+        values.get("beta", [cfg.rep.beta]),
+        *(index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta")),
+        ns, slots, cfg.duration, cfg.physical)
     chi_of_slot = np.empty(len(ns))
-    chi_of_slot[slot] = chi   # chi depends on n alone
-    columns = {"n": Factored(np.array(ns), slot), "chi": Factored(chi_of_slot, slot),
+    chi_of_slot[slots] = chi   # chi depends on n alone
+    columns = {"n": Factored(np.array(ns), slots), "chi": Factored(chi_of_slot, slots),
                "delta": delta,
                "gamma": gamma, "gamma_canonical": canonical,
                "oracle_gamma": oracle,
-               "abs_diff": np.abs(gamma - oracle) if groups else oracle}
+               "abs_diff": np.abs(gamma - oracle) if has_oracle.any() else oracle}
     return point_index, columns, {"oracle_gamma": has_oracle, "abs_diff": has_oracle}, errors
 
 

@@ -76,8 +76,8 @@ def closed_form_phases(C, cos_beta, n, half_periods: int):
     over array arguments.
 
     chi = -k (n + 1/2) pi and delta = chi (1 + C^2)/(2 C cos beta): the one
-    closed-form expression, shared by phase_result_for_half_periods and the
-    CLI's sweep grid. Each entry goes through the same IEEE operations in the
+    closed-form expression, shared by phase_result_for_half_periods and
+    berry_phase_grid. Each entry goes through the same IEEE operations in the
     same order as a scalar evaluation, so the two agree bit for bit. Where
     the result overflows double precision (C*C beyond the float range, or a
     subnormal denominator) it comes out inf or NaN, and gamma_canonical is
@@ -306,6 +306,73 @@ def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
     the first failure raises.
     """
     return _one_point(*_oracle_batch([rep], ns, tau_prime, config)).tolist()
+
+
+def berry_phase_grid(M: float, w: float, Cs, betas, C_at, beta_at, ns, slots,
+                     half_periods: int, config: PhysicalConfig):
+    """Closed-form and oracle Berry phases at every point of a grid, as
+    (chi, delta, gamma, gamma_canonical, oracle, has_oracle, errors).
+
+    Point p is Representation(M, w, Cs[C_at[p]], betas[beta_at[p]]) after
+    half_periods half periods, with a row per quantum number ns[k], k in
+    slots[p]. Each column is a (points, rows) array, oracle a read-only
+    broadcast of 0 where no point runs the oracle; has_oracle marks the
+    points whose oracle row holds a value; errors holds each point's
+    exception or None.
+
+    A Representation is built per (C, beta) cell and each n is checked once;
+    every row's closed forms are one closed_form_phases expression, and the
+    full-mode points make one _oracle_batch call per tuple of quantum
+    numbers. A point's first error wins: its cell's, then its quantum
+    numbers' in order (refused, or closed forms that overflow), then the
+    oracle's, each as berry_phase or berry_phase_oracles raises it alone.
+    """
+    cells = []
+    for C in Cs:
+        for beta in betas:
+            try:
+                cells.append(Representation(M=M, w=w, C=C, beta=beta))
+            except InvalidParameterError as exc:
+                cells.append(exc)
+    cell = C_at * len(betas) + beta_at
+    n_errors, n_values = [], np.zeros(len(ns))
+    for i, n in enumerate(ns):
+        try:
+            n_values[i] = float(check_quantum_number(n))
+            n_errors.append(None)
+        except InvalidParameterError as exc:
+            n_errors.append(exc)
+    chi, delta, gamma, canonical = closed_form_phases(
+        np.array(Cs)[C_at][:, None],
+        np.array([math.cos(beta) for beta in betas])[beta_at][:, None],
+        n_values[slots], half_periods)
+    slot_bad = np.array([e is not None for e in n_errors])[slots] | ~np.isfinite(canonical)
+    cell_bad = np.array([isinstance(c, Exception) for c in cells])
+    errors = [None] * len(cell)
+    for p in np.flatnonzero(cell_bad[cell] | slot_bad.any(axis=1)).tolist():
+        rep = cells[cell[p]]
+        if isinstance(rep, Exception):
+            errors[p] = rep
+            continue
+        k = int(slots[p, np.argmax(slot_bad[p])])
+        errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
+    full = np.array([not bad and c.omega > 0 for c, bad in zip(cells, cell_bad)])
+    has_oracle = np.zeros(len(cell), dtype=bool)
+    groups = {}   # the full-mode points of each tuple of quantum numbers
+    for p in np.flatnonzero(full[cell]).tolist():
+        if errors[p] is None:
+            groups.setdefault(tuple(ns[k] for k in slots[p].tolist()), []).append(p)
+    oracle = np.zeros(chi.shape) if groups else np.broadcast_to(0.0, chi.shape)
+    for group_ns, group in groups.items():
+        reps = [cells[cell[p]] for p in group]
+        gammas, oracle_errors = _oracle_batch(
+            reps, group_ns, half_periods * 0.5 * reps[0].tau0, config)
+        for p, row, error in zip(group, gammas, oracle_errors):
+            if error is None:
+                oracle[p], has_oracle[p] = row, True
+            else:
+                errors[p] = error
+    return chi, delta, gamma, canonical, oracle, has_oracle, errors
 
 
 def overall_phase_oracle(state: QuantumState, tau_prime: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -44,10 +45,10 @@ class Representation:
     """Classical-solution pair (cos wt, C sin(wt + beta)).
 
     Construction refuses non-finite fields, M or w <= 0, a stiffness M w^2
-    beyond double precision, C = 0 and |cos beta| <= COS_BETA_EPS. It stores
-    the Wronskian omega = M C w cos(beta), the stiffness M w^2, theta0 (the
-    argument of u - i v at t = 0) and rho_scale (1 where w (1 + C^2) is
-    finite, else 2^-e with |C| w < 2^e).
+    beyond double precision or subnormal, C = 0 and |cos beta| <=
+    COS_BETA_EPS. It stores the Wronskian omega = M C w cos(beta), the
+    stiffness M w^2, theta0 (the argument of u - i v at t = 0) and rho_scale
+    (1 where w (1 + C^2) is finite, else 2^-e with |C| w < 2^e).
     A negative omega is admitted: the phase formulas tolerate it, while
     wavefunctions need require_valid.
     """
@@ -74,9 +75,11 @@ class Representation:
             stiffness = self.M * self.w ** 2
         except OverflowError:   # float ** raises where * gives inf
             stiffness = math.inf
-        if not math.isfinite(stiffness):
+        # a subnormal stiffness loses the bits of energy_per_quantum's M w^2 term
+        if not sys.float_info.min <= stiffness < math.inf:
+            bound = "overflows" if stiffness > 1.0 else "underflows"
             raise InvalidRepresentationError(
-                f"the stiffness M w^2 overflows double precision at M={self.M!r},"
+                f"the stiffness M w^2 {bound} double precision at M={self.M!r},"
                 f" w={self.w!r}")
         failures = []
         if self.C == 0:

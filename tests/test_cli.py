@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -689,6 +690,11 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     ("sweep", "--sweep", "C:1:2:2", "--sweep", "C:3:4:2"),
     ("berry", "--C", "1e200"),
     ("berry", "--C", "5e-324"),
+    # a subnormal stiffness M w^2
+    ("driven", "--w", "1e-170", "--omega-f", "5e-171", "--force-coeff", "1:0.5:0"),
+    ("berry", "--w", "1e-160", "--n", "0,3"),
+    ("berry", "--M", "1e-300", "--w", "1e-10"),
+    ("berry", "--w", "1e-170"),
     ("driven", "--C", "1e200", "--omega-f", "0.5", "--force-coeff", "1:0.5:0"),
     # the forced velocity bound overflows; |f|^2 = 1e600 and the square of
     # mode 10^200 overflow
@@ -914,6 +920,15 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_imports_only_public_library_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("shoberry"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # 5,100 formula-only rows: far more text than a pipe buffers

@@ -8,7 +8,8 @@ from shoberry import phase, selfcheck
 from shoberry.errors import (ConvergenceError, InvalidParameterError,
                              InvalidRepresentationError, NotCyclicError)
 from shoberry.numerics import integrate_1d
-from shoberry.phase import (PhaseResult, berry_phase, berry_phase_oracle,
+from shoberry.errors import POINT_ERRORS
+from shoberry.phase import (PhaseResult, berry_phase, berry_phase_grid, berry_phase_oracle,
                             berry_phase_oracles, canonical_angle, closed_form_phases,
                             dynamical_phase_closed,
                             dynamical_phase_oracle, equivalence_class_C,
@@ -438,3 +439,70 @@ class TestBatchedOracle:
         results = _batch([STRETCHED, STATIONARY], (0, 65), math.pi)
         assert all(isinstance(r, InvalidParameterError) and "capped at 64" in str(r)
                    for r in results)
+
+
+_DURATION_NAMES = {1: "half", 2: "full"}
+
+
+def _grid_point(M, w, C, beta, ns, half_periods, config):
+    """berry_phase and berry_phase_oracles at one point: the closed columns
+    over ns and the oracle row (None in formula-only mode), or the first
+    exception the calls raise."""
+    try:
+        rep = Representation(M, w, C, beta)
+        results = [berry_phase(rep, n, _DURATION_NAMES[half_periods]) for n in ns]
+        oracle = berry_phase_oracles(rep, ns, half_periods * 0.5 * rep.tau0,
+                                     config) if rep.omega > 0 else None
+    except POINT_ERRORS as exc:
+        return exc
+    closed = [[getattr(r, name) for r in results]
+              for name in ("chi", "delta", "gamma", "gamma_canonical")]
+    return closed, oracle
+
+
+class TestBerryPhaseGrid:
+    @pytest.mark.parametrize("half_periods", [1, 2])
+    def test_cells_give_the_floats_of_one_point_calls(self, half_periods):
+        # two full-mode and two formula-only cells, every n at each point
+        M, w, config = 1.7, 0.6, PhysicalConfig(hbar=0.8)
+        Cs, betas, ns = [2.0, -1.5], [0.3, -0.7], (0, 3, 8)
+        C_at, beta_at = np.indices((2, 2)).reshape(2, 4)
+        slots = np.tile(np.arange(len(ns)), (4, 1))
+        *closed, oracle, has_oracle, errors = berry_phase_grid(
+            M, w, Cs, betas, C_at, beta_at, ns, slots, half_periods, config)
+        assert errors == [None] * 4 and has_oracle.tolist() == [True, True, False, False]
+        for p, (i, j) in enumerate(zip(C_at.tolist(), beta_at.tolist())):
+            alone_closed, alone_oracle = _grid_point(M, w, Cs[i], betas[j], ns,
+                                                     half_periods, config)
+            assert [column[p].tolist() for column in closed] == alone_closed
+            if has_oracle[p]:
+                assert oracle[p].tolist() == alone_oracle
+            else:
+                assert alone_oracle is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # C = 1e200 overflows
+    def test_each_point_reports_the_error_of_its_one_point_call(self):
+        Cs, betas, ns = [0.0, 2.0, -2.0, 1e200, 1e5], [0.3, 1.4], (0, 64, 65)
+        points = [  # (C, beta, quantum numbers) as indices into Cs, betas, ns
+            (0, 0, [0, 1]),   # C = 0: the cell's refusal
+            (1, 0, [0, 2]),   # n = 65 above the Hermite cap in full mode
+            (2, 0, [0, 2]),   # ... computed in formula-only mode
+            (3, 0, [0, 1]),   # closed forms overflow at C = 1e200
+            (4, 1, [0, 1]),   # the oracle refuses C = 1e5, beta = 1.4, n = 64
+            (1, 0, [0, 1]),   # computed, in one oracle batch with the point above
+        ]
+        C_at, beta_at, slots = (np.array(column) for column in zip(*points))
+        *closed, oracle, has_oracle, errors = berry_phase_grid(
+            1.0, 1.0, Cs, betas, C_at, beta_at, ns, slots, 1, PhysicalConfig())
+        assert [type(e).__name__ for e in errors] == [
+            "InvalidRepresentationError", "InvalidParameterError", "NoneType",
+            "InvalidParameterError", "ConvergenceError", "NoneType"]
+        assert has_oracle.tolist() == [False] * 5 + [True]
+        for p, (i, j, slot) in enumerate(points):
+            alone = _grid_point(1.0, 1.0, Cs[i], betas[j], [ns[k] for k in slot], 1,
+                                PhysicalConfig())
+            if errors[p] is None:
+                assert [column[p].tolist() for column in closed] == alone[0]
+                assert oracle[p].tolist() == alone[1] if has_oracle[p] else alone[1] is None
+            else:
+                assert type(errors[p]) is type(alone) and str(errors[p]) == str(alone)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def test_stiffness_beyond_double_precision_refused(M, w):
     # w ** 2 raises OverflowError at w = 1e160; M * w**2 is inf at the second
     with pytest.raises(InvalidRepresentationError, match=r"M w\^2"):
         Representation(M=M, w=w, C=2.0, beta=0.3)
+
+
+@pytest.mark.parametrize("M, w", [(1.0, 1e-160), (1e-300, 1e-10), (1.0, 1e-170)])
+def test_subnormal_stiffness_refused(M, w):
+    # M w^2 below the smallest normal double: w ** 2 is subnormal or 0
+    with pytest.raises(InvalidRepresentationError, match=r"M w\^2 underflows"):
+        Representation(M=M, w=w, C=2.0, beta=0.3)
+
+
+def test_smallest_normal_stiffness_builds():
+    rep = Representation(M=sys.float_info.min, w=1.0, C=2.0, beta=0.3)
+    assert rep.stiffness == sys.float_info.min
 
 
 def test_large_finite_stiffness_builds():

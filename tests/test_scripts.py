@@ -61,6 +61,13 @@ def test_driven_timing(tmp_path, capsys):
         "propagation_free", "fft_pair"]
 
 
+def test_cli_timing(tmp_path, capsys):
+    report = _run("cli_timing", tmp_path, capsys)
+    assert list(report) == ["repeats", "launch_s", "env"]
+    assert list(report["launch_s"]) == ["import", "berry", "sweep", "validate"]
+    assert all(seconds > 0 for seconds in report["launch_s"].values())
+
+
 def test_oracle_domain_map(capsys):
     # the map over C from 1e-3 to 1e3 and n up to 64 stays whole
     assert importlib.import_module("oracle_domain_map").main([]) == 0
