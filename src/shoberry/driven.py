@@ -105,6 +105,10 @@ class DrivingForce:
                 raise InvalidParameterError(
                     f"force coefficient of mode {n} must have |f|^2 within the"
                     f" float range, got {f!r}")
+            if not math.isfinite(n * self.omega_f):
+                raise InvalidParameterError(
+                    f"the frequency n omega_f of force mode {n} is beyond the"
+                    f" float range at omega_f = {self.omega_f!r}")
         scale = max((abs(f) for f in coeffs.values()), default=0.0)
         for n, f in coeffs.items():
             mate = coeffs.get(-n, 0j)
@@ -193,11 +197,13 @@ COMMENSURABILITY_TOL = 1e-13
 
 
 def commensurability(tau0: float, tau_f: float) -> Commensurability:
-    """Coprime (p, N) with |tau0/tau_f - p/N| < COMMENSURABILITY_TOL * tau0/tau_f."""
+    """Coprime (p, N) with |tau0/tau_f - p/N| < COMMENSURABILITY_TOL * tau0/tau_f.
+    A ratio that overflows or underflows to 0 has no p/N."""
     if not (tau0 > 0 and tau_f > 0):
         raise ValueError("periods must be positive")
     ratio = tau0 / tau_f
-    found = rationalize(ratio, tol=COMMENSURABILITY_TOL)
+    found = rationalize(ratio, tol=COMMENSURABILITY_TOL) \
+        if 0.0 < ratio < math.inf else None
     if found is not None:
         return Commensurability(*found)
     raise IncommensurateError(
@@ -329,7 +335,7 @@ def _forced_rate(force: DrivingForce, stiffness: float, w: float,
     omega_f = force.omega_f
     powers = {n: f.real * f.real + f.imag * f.imag
               for n, f in force.coefficients.items() if n != 0}
-    scale = max(powers.values(), default=1.0)
+    scale = max(powers.values(), default=0.0) or 1.0   # every |f_n|^2 may underflow
     total = 0.0
     for n in _ordered_modes(powers):
         x = n * omega_f / w
@@ -377,8 +383,9 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     particular solutions ``xps`` that share omega_f, w and their forced modes,
     and may differ in D.
 
-    A solution is refused first unless the integral's range, duration times
-    the squared velocity bound (sum |nu_n a_n| + 2 w |D|)^2, is finite. One
+    A solution is refused first unless the largest phase of the basis,
+    duration max |nu_n|, and the integral's range, duration times the
+    squared velocity bound (sum |nu_n a_n| + 2 w |D|)^2, are finite. One
     integrate_rows call takes a row per other solution. The forced velocity
     Re sum_n i nu_n a_n exp(i nu_n t) does not depend on D: it is evaluated
     once per node, in chunks that share the basis exp(i nu t), and each row
@@ -397,7 +404,11 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
     nu, w = first._nu[:forced], first.w
     velocity = 1j * nu * first._amp[:forced]
     speed = float(np.sum(np.abs(velocity)))
-    ranges = [_attempt(lambda: _finite(
+    turns = _attempt(lambda: _finite(
+        lambda: duration * float(np.max(np.abs(nu), initial=0.0)),
+        "the drive quadrature's largest phase duration max |nu_n| at"
+        " omega_f = {!r}", first.omega_f))
+    ranges = [turns if isinstance(turns, Exception) else _attempt(lambda: _finite(
         lambda: duration * (speed + 2.0 * w * abs(xp.D)) ** 2,
         "the drive quadrature's range duration (sum |nu_n a_n| + 2 w |D|)^2"
         " at D = {!r}", complex(xp.D))) for xp in xps]
@@ -408,8 +419,10 @@ def drive_phase_quadratures(xps, M: float, hbar: float, duration: float):
 
     def rows(active, nodes):
         if level[0] is not nodes:   # a new level: every chunk of rows shares it
+            # with every D = 0 no pair is added: over tau_f, w t may overflow
             level[:] = (nodes, _blocked_sum(nodes, lambda ts: np.exp(1j * nu * ts),
-                                            velocity), np.exp(1j * w * nodes))
+                                            velocity),
+                        np.exp(1j * w * nodes) if pair.any() else 0.0)
         _, forced_velocity, turn = level
         return (forced_velocity + (pair[active, None] * turn).real) ** 2
 

@@ -140,38 +140,12 @@ def berry_phase(rep: Representation, n: int, duration: str = "half") -> PhaseRes
 
 # An evolution is cyclic when |<psi(0)|psi(tau')>| is at least 1 - this.
 FIDELITY_FLOOR = 1e-8
-_STEP_LIMIT = 0.25 * math.pi
-# Beyond this a-priori sample count the oracle refuses a point as too close
-# to degenerate.
-_MAX_SAMPLES = 1 << 24
-
-
-def _branch_samples(rep: Representation, n: int, tau_prime: float) -> int:
-    """Uniform sample count keeping every true phase step of state n under pi/4.
-
-    The branch amplitude's argument is (n + 1/2) theta(t) plus a constant,
-    and |theta'| = Omega/(M rho^2). rho^2 is a positive quadratic form in
-    (cos wt, sin wt) with trace 1 + C^2 and determinant (C cos beta)^2, so its
-    smallest value exceeds (C cos beta)^2 / (1 + C^2) and
-    |theta'| < w (1 + C^2)/(C cos beta). Sampling at that a-priori rate
-    (Itoh's condition) would leave no step that could alias to 2pi k plus a
-    small angle. Only n, w, C and beta enter, never the closed-form phase.
-    The oracle samples nothing: it refuses a point whose count exceeds
-    _MAX_SAMPLES.
-    """
-    rate = (n + 0.5) * rep.w * (1.0 + rep.C * rep.C) \
-        / (rep.C * math.cos(rep.beta))
-    samples = max(64, 32 * (n + 1))
-    samples = int(samples * max(1.0, 2.0 * tau_prime / rep.tau0))
-    return max(samples, math.ceil(rate * tau_prime / _STEP_LIMIT))
 
 
 def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
                      errors: list) -> np.ndarray:
     """Unwrapped change over [0, tau'] of each state's branch amplitude, one
-    row over ns per point of arrays not yet refused in ``errors``; a point
-    whose a-priori sample count exceeds _MAX_SAMPLES for some n gets its
-    ConvergenceError there.
+    row over ns per point of arrays not yet refused in ``errors``.
 
     The overlap <psi(0)|psi(t)> crosses zero exactly for excited states in
     strongly squeezed representations, so its argument cannot fix the branch
@@ -183,24 +157,12 @@ def _branch_windings(arrays: RepresentationArrays, ns, tau_prime: float,
     family phase shared by every x. theta is the continuous winding of
     u - i v, which decreases monotonically and drops by exactly pi each half
     period, so the change is (n + 1/2) (theta(tau') - theta(0)), from the
-    two endpoints alone.
+    two endpoints alone: nothing is sampled, however squeezed the
+    representation.
     """
     windings = np.zeros((len(errors), len(ns)))
-    # the sample counts from each point's fields as Python floats, as a
-    # Representation holds them
-    for p, fields in enumerate(zip(*(values.tolist() for values in arrays))):
-        if errors[p] is not None:
-            continue
-        rep = RepresentationArrays(*fields)
-        needed = [_branch_samples(rep, n, tau_prime) for n in ns]
-        over = [count for count in needed if count > _MAX_SAMPLES]
-        if over:
-            errors[p] = ConvergenceError(
-                f"branch tracking needs {over[0]} samples (cap {_MAX_SAMPLES});"
-                " the representation is too close to degenerate")
     live = _live(errors)
-    columns = arrays.at((live, None))
-    theta = _winding(columns, np.array([0.0, tau_prime]))[0]
+    theta = _winding(arrays.at((live, None)), np.array([0.0, tau_prime]))[0]
     half = np.array(ns, dtype=float) + 0.5   # n + 1/2
     windings[live] = half * (theta[:, 1] - theta[:, 0])[:, None]
     return windings
@@ -217,8 +179,10 @@ def _overall_phases(arrays: RepresentationArrays, ns, tau_prime: float,
     """chi for every n of ns, one row per point of arrays not yet refused in
     ``errors``, from the overlaps ``finals`` = <psi_n(0)|psi_n(tau')> and the
     endpoint windings of _branch_windings: a point that is not cyclic gets
-    its NotCyclicError in ``errors``, and one over the sample cap its
-    ConvergenceError; see overall_phase_oracle."""
+    its NotCyclicError in ``errors``; see overall_phase_oracle. Each chi is
+    cmath.phase of its overlap plus the multiple of 2pi that brings it
+    nearest its winding, taken entry by entry, as np.angle can differ from
+    cmath.phase in the last bit."""
     fidelities = np.abs(finals)
     low = fidelities < 1.0 - FIDELITY_FLOOR
     for p in np.flatnonzero(low.any(axis=1)).tolist():
@@ -240,7 +204,11 @@ def _dynamical_phases(arrays: RepresentationArrays, ns, tau_prime: float,
                       errors: list) -> np.ndarray:
     """delta for every n of ns, one row per point of arrays not yet refused
     in ``errors``; a point whose time integral does not converge gets its
-    ConvergenceError there. See dynamical_phase_oracle.
+    ConvergenceError there. See dynamical_phase_oracle. A point where a
+    product in energy_per_quantum could overflow gets its
+    InvalidParameterError first: with rho^2 <= 1 + C^2 and |u u' + v v'| <=
+    w (1 + C^2), the products are below (w (1 + C^2))^2, M (1 + C^2) and
+    M w^2 (1 + C^2), and each term below M w^2 (1 + C^2) / Omega.
 
     <psi_n|H|psi_n> is (n + 1/2) hbar times energy_per_quantum, so one time
     integral of the latter gives delta = -(n + 1/2) * integral for every n.
@@ -250,6 +218,18 @@ def _dynamical_phases(arrays: RepresentationArrays, ns, tau_prime: float,
     converged.
     """
     deltas = np.zeros((len(errors), len(ns)))
+    live = _live(errors)
+    reps = arrays.at(live)
+    with np.errstate(over="ignore"):
+        spread = 1.0 + reps.C * reps.C
+        bound = reps.stiffness * spread
+        peak = np.maximum.reduce([(reps.w * spread) ** 2, reps.M * spread,
+                                  bound, bound / reps.omega])
+    for p in live[~np.isfinite(peak)].tolist():
+        errors[p] = InvalidParameterError(
+            "the energy integrand overflows double precision at"
+            f" M={float(arrays.M[p])!r}, w={float(arrays.w[p])!r},"
+            f" C={float(arrays.C[p])!r}, beta={float(arrays.beta[p])!r}")
     live = _live(errors)
     if not live.size:
         return deltas
@@ -274,14 +254,13 @@ def _oracle_batch(reps, ns, tau_prime: float,
     The representations are evaluated together, as arrays: the overlaps of
     all of them on one Gauss-Hermite level at a time, their endpoint
     windings in one call, their time integrals as rows of one quadrature.
-    Each still refines, is certified, is checked against the sample cap and
-    is checked on its own, so its result is the same float, and its error
-    the same message, as when it is alone. An ArithmeticError names no
-    representation (a Hermite overflow, rho vanishing at a node), so the
-    batch then reruns each one alone.
+    Each still refines, is certified and is checked on its own, so its
+    result is the same float, and its error the same message, as when it is
+    alone. An ArithmeticError names no representation (a Hermite overflow,
+    rho vanishing at a node), so the batch then reruns each one alone.
     """
     tau_prime = _check_duration(tau_prime)
-    errors = _refusals(reps, ns)
+    errors = _refusals(reps, ns, config.hbar)
     arrays = RepresentationArrays.of(reps)
     try:
         finals = _family_overlaps(arrays, ns, 0.0, tau_prime, config, errors)
@@ -384,9 +363,8 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float) -> tuple[float, 
     changes by (n + 1/2)(theta(tau') - theta(0)) with theta the continuous
     winding of u - i v, taken at the two endpoints. Raises NotCyclicError
     when the fidelity falls below 1 - FIDELITY_FLOOR, i.e. the evolution did
-    not return the state to itself, and ConvergenceError when the
-    representation is so close to degenerate that the a-priori sample count
-    exceeds 2^24.
+    not return the state to itself, and ConvergenceError when the spatial
+    quadrature does not converge or fails its certification.
     """
     tau_prime = _check_duration(tau_prime)
     arrays, ns, errors = RepresentationArrays.of([state.rep]), (state.n,), [None]

@@ -21,6 +21,7 @@ state squeezed to a narrow peak is resolved as well as a wide one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,13 +402,30 @@ def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns, errors: list) -> n
     return values
 
 
-def _refusals(reps, ns) -> list:
+def _check_width(rep: Representation, hbar: float) -> None:
+    """Refuse the states of rep unless Omega/hbar, whose logarithm the
+    normalization takes, is a normal float, and 1/(2 hbar), which scales
+    their Gaussian exponent, is finite."""
+    scale = rep.omega / hbar
+    if not sys.float_info.min <= scale < math.inf:
+        bound = "overflows" if scale > 1.0 else "underflows"
+        raise InvalidParameterError(
+            f"Omega/hbar {bound} double precision at Omega={rep.omega!r},"
+            f" hbar={hbar!r}")
+    if not 0.5 / hbar < math.inf:
+        raise InvalidParameterError(
+            f"1/(2 hbar) overflows double precision at hbar={hbar!r}")
+
+
+def _refusals(reps, ns, hbar: float) -> list:
     """Each representation's refusal by the spatial stages, or None: not
-    full mode, else a quantum number of ns beyond the Hermite cap."""
+    full mode or a width _check_width refuses, else a quantum number of ns
+    beyond the Hermite cap."""
     errors = [None] * len(reps)
     for p, rep in enumerate(reps):
         try:
             require_valid(rep)
+            _check_width(rep, hbar)
         except InvalidParameterError as exc:
             errors[p] = exc
     try:
@@ -441,7 +459,7 @@ def family_overlaps(rep: Representation, ns, t_bra: float, t_ket: float,
                     config: PhysicalConfig = PhysicalConfig()) -> np.ndarray:
     """<psi_n(t_bra)|psi_n(t_ket)> for every n of ns, on one shared rule:
     rho and theta once per time, one Hermite recurrence up to max(ns)."""
-    errors = _refusals([rep], ns)
+    errors = _refusals([rep], ns, config.hbar)
     return _one_point(_family_overlaps(RepresentationArrays.of([rep]), ns, t_bra,
                                        t_ket, config, errors), errors)
 

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shoberry import cli
 from shoberry.cli import main, parse_angle
@@ -218,37 +221,36 @@ class TestSweepCommand:
         assert rows[2]["error"] is not None    # omega_f = w: resonant mode
 
     def test_point_with_one_failing_n_gives_one_error_row(self, capsys):
-        # n = 0 is trackable at this beta, n = 20 needs more samples than the cap
-        beta = repr(math.acos(9e-6))
-        code, out, _ = run_cli(capsys, "sweep", "--sweep", f"beta:{beta}:{beta}:1",
-                               "--C", "1", "--n", "0,20", "--format", "csv")
+        # n = 0 computes at C = 1e6, beta = 1.5; n = 20's spatial quadrature
+        # does not converge there
+        code, out, _ = run_cli(capsys, "sweep", "--sweep", "beta:1.5:1.5:1",
+                               "--C", "1e6", "--n", "0,20", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 2
-        assert lines[1].startswith(f"{float(beta)!r},,") and "cap" in lines[1]
-        code, out, _ = run_cli(capsys, "berry", "--C", "1", "--beta", beta,
+        assert lines[1].startswith("1.5,,") and "spatial quadrature" in lines[1]
+        code, out, _ = run_cli(capsys, "berry", "--C", "1e6", "--beta", "1.5",
                                "--n", "0")
         assert code == 0 and json.loads(out)["rows"][0]["abs_diff"] < 1e-7
 
     def test_failing_point_in_a_batch_fails_alone(self, capsys):
-        # three full-mode points share one oracle batch: (C, beta) = (1, lo),
-        # (1, ~pi/2 - 1e-8), whose branch needs more samples than the cap,
-        # and (-1, hi); the other three cells are formula-only
-        mid = 0.5 * math.pi - 1e-8
-        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1:-1:2", "--sweep",
-                                 f"beta:{mid - 0.3!r}:{mid + 0.3!r}:3", "--n", "0")
+        # four full-mode points share one oracle batch: C = 1 and 1e6 at beta
+        # = 1.2 and 1.5, and n = 20's spatial quadrature does not converge at
+        # (1e6, 1.5); the two cells at beta = 1.8 are formula-only
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1:1e6:2", "--sweep",
+                                 "beta:1.2:1.8:3", "--n", "20")
         assert code == 0, err
         rows = json.loads(out)["rows"]
-        assert [row["error"] is not None for row in rows] == [False, True] + [False] * 4
+        assert [row["error"] is not None for row in rows] == [False] * 4 + [True, False]
         for row in rows:
             rep = Representation(1.0, 1.0, row["C"], row["beta"])
             if rep.omega <= 0:
                 assert row["oracle_gamma"] is None
                 continue
             try:
-                expected = berry_phase_oracles(rep, [0], 0.5 * rep.tau0)[0]
+                expected = berry_phase_oracles(rep, [20], 0.5 * rep.tau0)[0]
             except ConvergenceError as exc:
-                assert row["error"] == str(exc) and "cap" in row["error"]
+                assert row["error"] == str(exc) and "spatial quadrature" in row["error"]
                 assert row["gamma"] is None
             else:
                 assert row["oracle_gamma"] == expected
@@ -817,6 +819,136 @@ def test_sweep_reports_an_overflowing_drive_in_its_row(capsys):
     computed, refused = out.splitlines()[1:]
     assert computed.startswith("0,0,") and computed.endswith(",1,2,")
     assert refused == f'1e+154,,,,,,,,"{message}"'
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # Omega/hbar underflows to 0 (the normalization's logarithm) or overflows
+    (("berry", "--M", "1e-200", "--hbar", "1e200"), 2),
+    (("berry", "--C", "-1e-200", "--beta", "3.14159", "--hbar", "1e200", "--n", "1"), 2),
+    (("berry", "--C", "1e100", "--hbar", "1e-250"), 2),
+    # 1/(2 hbar), which scales the Gaussian exponent, overflows
+    (("berry", "--M", "3e-252", "--n", "3", "--hbar", "5e-324"), 2),
+    # (u u' + v v')^2 in the energy integrand overflows, though rho' ~ 1e156,
+    # or its M rho^2
+    (("berry", "--M", "1e-300", "--w", "1e150", "--C", "1e6", "--n", "0"), 2),
+    (("berry", "--M", "1.7976931348620688e+308", "--beta", "-1", "--n", "3"), 2),
+    # mode 2's frequency overflows, or the phase 2 omega_f t of its basis
+    (("driven", "--omega-f", "1e308", "--force-coeff", "2:1:1"), 2),
+    (("driven", "--omega-f", "6.6e307", "--force-coeff", "2:1:1"), 2),
+    # tau0/tau_f overflows or underflows to 0: no p/N, and the special
+    # representation keeps its phase over tau_f
+    (("driven", "--w", "1e-100", "--omega-f", "1e250", "--force-coeff", "1:1:0"), 0),
+    (("driven", "--w", "1e100", "--M", "1e-200", "--omega-f", "1e-250",
+      "--force-coeff", "1:1:0"), 0),
+    (("driven", "--w", "1e100", "--M", "1e-200", "--omega-f", "1e-250",
+      "--force-coeff", "1:1:0", "--C", "2"), 3),
+    # every |f_n|^2 underflows to 0
+    (("driven", "--omega-f", "0.5", "--force-coeff", "1:1e-170:0"), 0),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"exit-{value}")
+def test_extreme_scales_give_a_value_or_one_typed_refusal(argv, expected, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == expected, err
+    if code:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert all(math.isfinite(cell) for row in json.loads(out)["rows"]
+                   for cell in row.values() if isinstance(cell, float))
+
+
+def test_sweeps_at_extreme_scales_report_their_refusals_in_rows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1e-200:1:2",
+                                 "--hbar", "1e200", "--format", "csv")
+        assert code == 0, err
+        refused, computed = out.splitlines()[1:]
+        assert refused.endswith('"Omega/hbar underflows double precision at'
+                                ' Omega=1e-200, hbar=1e+200"')
+        assert computed.startswith("1,0,") and computed.endswith(",")
+        code, out, err = run_cli(capsys, "sweep", "--w", "1e100", "--M", "1e-200",
+                                 "--omega-f", "1e-250", "--force-coeff", "1:1:0",
+                                 "--sweep", "D_re:0:1:2", "--format", "csv")
+        assert code == 0, err
+        special, refused = out.splitlines()[1:]
+        assert special == "0,0,0,0,0,0,0,0,"
+        assert refused.startswith('1,,,,,,,,"tau0/tau_f = 0.0 has no rational')
+        code, out, err = run_cli(capsys, "sweep", "--omega-f", "0.5",
+                                 "--force-coeff", "1:1e-170:0",
+                                 "--sweep", "D_re:0:1:2", "--format", "csv")
+        assert code == 0, err
+        assert out.splitlines()[1] == "0,0,0,0,0,0,1,2,"
+
+
+# A flag's value drawn log-uniform over +-[5e-324, 1.8e308], or 0 or +-1.
+_NUMBER = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.builds(lambda sign, log: sign * math.exp(log), st.sampled_from([1.0, -1.0]),
+              st.floats(math.log(5e-324), math.log(sys.float_info.max)))).map(repr)
+_REP_FLAGS = {"M": _NUMBER, "w": _NUMBER, "C": _NUMBER, "beta": _NUMBER}
+_PHASE_FLAGS = {**_REP_FLAGS, "hbar": _NUMBER, "n": st.lists(
+    st.integers(0, 3), min_size=1, max_size=2).map(lambda ns: ",".join(map(str, ns)))}
+_DURATION = st.sampled_from(["half", "full", "2"])
+_FORCE_FLAGS = {"omega_f": _NUMBER, "force_coeff": st.lists(
+    st.tuples(st.integers(1, 3).map(str), _NUMBER, _NUMBER).map(":".join),
+    min_size=1, max_size=2, unique_by=lambda coeff: coeff.split(":")[0])}
+# per run command: its optional flags, its required flags and its sweep axes
+_RUNS = {
+    "berry": ({**_PHASE_FLAGS, "duration": _DURATION}, {}, ()),
+    "driven": ({**_PHASE_FLAGS, "D": st.tuples(_NUMBER, _NUMBER).map(":".join)},
+               _FORCE_FLAGS, ()),
+    "sweep": ({**_PHASE_FLAGS, "duration": _DURATION}, {}, ("C", "beta", "n")),
+    "driven sweep": ({**_PHASE_FLAGS, "D": st.tuples(_NUMBER, _NUMBER).map(":".join)},
+                     _FORCE_FLAGS, cli.SWEEPABLE),
+    "trajectory": ({**_REP_FLAGS, "samples": st.integers(2, 8).map(str)}, {}, ()),
+}
+
+
+def _sweep_axis(parameter):
+    bound = st.integers(0, 3).map(str) if parameter == "n" else _NUMBER
+    return st.tuples(st.just(parameter), bound, bound,
+                     st.integers(1, 3).map(str)).map(":".join)
+
+
+@st.composite
+def _run_argv(draw):
+    run = draw(st.sampled_from(sorted(_RUNS)))
+    optional, required, axes = _RUNS[run]
+    values = draw(st.fixed_dictionaries(required, optional=optional))
+    if axes:
+        chosen = draw(st.lists(st.sampled_from(axes), min_size=1, max_size=2, unique=True))
+        values["sweep"] = [draw(_sweep_axis(parameter)) for parameter in chosen]
+    argv = [run.split()[-1]]
+    for name, value in values.items():
+        for item in value if isinstance(value, list) else [value]:
+            argv += ["--" + name.replace("_", "-"), item]
+    return argv + ["--format", "json"]
+
+
+def test_the_property_draws_every_run_flag():
+    drawn = {name for optional, required, _ in _RUNS.values()
+             for name in (*optional, *required)}
+    assert drawn | {"sweep", "out", "format"} == {p.name for p in cli.PARAMETERS}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_run_argv())
+def test_every_finite_input_gives_a_value_or_a_typed_refusal(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)   # an exception that escapes fails the draw
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        assert all(math.isfinite(cell) for row in json.loads(out.getvalue())["rows"]
+                   for cell in row.values() if isinstance(cell, float))
 
 
 def test_quantum_number_beyond_double_precision_is_refused(capsys):

@@ -3,13 +3,16 @@
 Each file under ``tests/data`` named here holds the output of one full-mode
 ``sweep`` as written when the oracle ran one point at a time; the batched
 oracle must still write exactly those bytes. Together they cover M, w and
-hbar away from 1, several quantum numbers per point, points whose branch
-needs more samples than the cap (error rows inside a batch), a full period
-and an n axis, so the points of one request carry different quantum numbers.
+hbar away from 1, several quantum numbers per point, points at |cos beta| =
+1e-8 whose |gamma| reaches 6.5e10, where the 1e-7 gate is finer than the
+rounding of the phases compared, a full period and an n axis, so the points
+of one request carry different quantum numbers.
 """
 
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shoberry.cli import main
@@ -36,3 +39,19 @@ def test_oracle_report_matches_pinned_bytes(name, tmp_path):
     out = tmp_path / name
     assert main([*PINNED[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_squeezed_edge_rows_agree_within_rounding():
+    # the 18 points at |beta| = pi/2 - 1e-8, four quantum numbers each: the
+    # oracle is within 8 ulp of the two phases it compares, and within the
+    # 1e-7 gate wherever that rounding bound is finer than the gate
+    with open(DATA / "oracle_sweep_squeezed.csv", newline="") as stream:
+        rows = [row for row in csv.DictReader(stream)
+                if row["beta"].lstrip("-") == BETA_EDGE]
+    assert len(rows) == 72 and not any(row["error"] for row in rows)
+    for row in rows:
+        chi, delta, diff = (float(row[name]) for name in ("chi", "delta", "abs_diff"))
+        bound = 8.0 * (np.spacing(abs(chi)) + np.spacing(abs(delta)))
+        assert diff <= bound
+        if bound < 1e-7:
+            assert diff <= 1e-7

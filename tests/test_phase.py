@@ -157,9 +157,11 @@ class TestOracles:
             assert abs(gamma - closed) < 1e-7
 
     def test_near_degenerate_representation_raises(self):
-        rep = Representation(1.0, 1.0, 1.0, 0.5 * math.pi - 1e-8)
-        with pytest.raises(ConvergenceError):
-            overall_phase_oracle(QuantumState(rep, 0), 0.5 * rep.tau0)
+        # the spatial quadrature of n = 20 does not converge this close to
+        # degenerate
+        rep = Representation(1.0, 1.0, 1e6, 1.5)
+        with pytest.raises(ConvergenceError, match="spatial quadrature"):
+            overall_phase_oracle(QuantumState(rep, 20), 0.5 * rep.tau0)
 
     def test_non_cyclic_duration_detected(self):
         state = QuantumState(STRETCHED, 0)
@@ -238,12 +240,20 @@ class TestPerPointOracle:
             assert abs(gamma - one) <= 1e-12 * max(1.0, abs(one))
 
     def test_one_failing_n_fails_the_call(self):
-        # n = 0 needs about 4.4e5 tracking samples here, n = 20 over the cap
-        rep = Representation(1.0, 1.0, 1.0, math.acos(9e-6))
-        assert phase._branch_samples(rep, 0, math.pi) < phase._MAX_SAMPLES
-        assert phase._branch_samples(rep, 20, math.pi) > phase._MAX_SAMPLES
-        with pytest.raises(ConvergenceError):
+        # n = 0 computes here, n = 20's spatial quadrature does not converge
+        rep = Representation(1.0, 1.0, 1e6, 1.5)
+        assert abs(berry_phase_oracles(rep, (0,), math.pi)[0]
+                   - berry_phase(rep, 0).gamma) < 1e-7
+        with pytest.raises(ConvergenceError, match="spatial quadrature"):
             berry_phase_oracles(rep, (0, 20), math.pi)
+
+    def test_squeezed_cell_gets_every_n(self):
+        # theta at the two endpoints fixes every branch, however fast the
+        # phase of n = 20 turns at |cos beta| = 9e-6
+        rep = Representation(1.0, 1.0, 1.0, math.acos(9e-6))
+        gammas = berry_phase_oracles(rep, (0, 20), math.pi)
+        for n, gamma in zip((0, 20), gammas):
+            assert abs(gamma - berry_phase(rep, n).gamma) < 1e-7
 
     def test_checks_hold_per_n(self):
         with pytest.raises(ValueError):
@@ -410,8 +420,9 @@ class TestBatchedOracle:
             assert _same_outcome(result, _one_point(rep, ns, tau))
 
     @pytest.mark.parametrize("periods,reps,kinds", [
-        # half a period: a branch beyond the sample cap and a formula-only cell
-        (0.5, [STRETCHED, Representation(1.0, 1.0, 1.0, 0.5 * math.pi - 1e-8),
+        # half a period: a spatial quadrature that does not converge (n = 20
+        # at C = 1e6, beta = 1.5) and a formula-only cell
+        (0.5, [STRETCHED, Representation(1.0, 1.0, 1e6, 1.5),
                Representation(2.0, 1.0, 0.5, -math.pi / 6),
                Representation(1.0, 1.0, -1.0, 0.3), Representation(1.0, 1.0, 64.0, 1.4)],
          ["list", "ConvergenceError", "list", "InvalidRepresentationError", "list"]),
@@ -482,13 +493,13 @@ class TestBerryPhaseGrid:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # C = 1e200 overflows
     def test_each_point_reports_the_error_of_its_one_point_call(self):
-        Cs, betas, ns = [0.0, 2.0, -2.0, 1e200, 1e5], [0.3, 1.4], (0, 64, 65)
+        Cs, betas, ns = [0.0, 2.0, -2.0, 1e200, 1e6], [0.3, 1.5], (0, 20, 65)
         points = [  # (C, beta, quantum numbers) as indices into Cs, betas, ns
             (0, 0, [0, 1]),   # C = 0: the cell's refusal
             (1, 0, [0, 2]),   # n = 65 above the Hermite cap in full mode
             (2, 0, [0, 2]),   # ... computed in formula-only mode
             (3, 0, [0, 1]),   # closed forms overflow at C = 1e200
-            (4, 1, [0, 1]),   # the oracle refuses C = 1e5, beta = 1.4, n = 64
+            (4, 1, [0, 1]),   # the oracle refuses C = 1e6, beta = 1.5, n = 20
             (1, 0, [0, 1]),   # computed, in one oracle batch with the point above
         ]
         C_at, beta_at, slots = (np.array(column) for column in zip(*points))
