@@ -11,6 +11,9 @@ figure is the median over _timing.REPEATS runs of one in-process call:
 
 - sweep_end_to_end: ``shoberry.cli.main`` on the whole argv (CSV), from
   argument parsing to the report text, written to an in-memory buffer;
+- driven_sweep: the same for SWEEP_ARGV, a 20 C x 20 beta x 5 D_re x 5 D_im
+  sweep (10,000 rows) of a two-mode force at omega_f = 3 w, where every
+  (C, beta) cell shares the drive terms of the 25 D;
 - drive_quadrature_per_point, drive_quadrature_batched: the blind drive
   quadrature of the sweep's 16 points, one drive_phase_quadrature call per
   point against one drive_phase_quadratures call for all of them;
@@ -55,6 +58,10 @@ ARGV = ["sweep", "--C", "1.3", "--beta", "0.2", "--n", str(N),
           for arg in ("--force-coeff", f"{k}:{f.real!r}:{f.imag!r}")),
         "--sweep", "D_re:{}:{}:{}".format(*D_AXIS),
         "--sweep", "D_im:{}:{}:{}".format(*D_AXIS)]
+SWEEP_ARGV = ["sweep", "--omega-f", "3", "--force-coeff", "1:0.3:0",
+              "--force-coeff", "2:0.1:0.05", "--sweep", "C:0.5:3:20",
+              "--sweep", "beta:-1:1:20", "--sweep", "D_re:-0.3:0.3:5",
+              "--sweep", "D_im:-0.3:0.3:5", "--format", "csv"]
 
 
 def main(argv=None) -> int:
@@ -86,6 +93,7 @@ def main(argv=None) -> int:
             ifft(fft(start.values, 1.0, out=transformed), 1.0, out=transformed)
 
     layers = {
+        "driven_sweep": timing.median_seconds(timing.cli_call(SWEEP_ARGV)),
         "drive_quadrature_per_point": timing.median_seconds(lambda: [
             driven.drive_phase_quadrature(xp, rep.M, 1.0, duration) for xp in xps]),
         "drive_quadrature_batched": timing.median_seconds(

@@ -10,10 +10,13 @@ one in-process call:
 
 - sweep_end_to_end: ``shoberry.cli.main`` on the whole argv (CSV), from
   argument parsing to the report text, written to an in-memory buffer;
+- representation_arrays: RepresentationArrays.of on the request's 500
+  representations, the arrays every stage reads;
 - overlap, branch_tracking, dynamical_quadrature: the three stages of the
-  oracle on the request's 500 representations, each call including the
-  one RepresentationArrays and error list it is given, also per 1,000
-  points.
+  oracle on those arrays, built once outside the timed calls; each call
+  gets a fresh error list with no refusals.
+
+layer_s_per_1k_points gives each figure per 1,000 points.
 
 Run on an idle machine; the numbers are only comparable between runs on the
 same one.
@@ -42,12 +45,16 @@ def main(argv=None) -> int:
     tau = 0.5 * reps[0].tau0
     config = PhysicalConfig()
 
+    arrays = RepresentationArrays.of(reps)
+
     def stage(run):
         # one call of a stage as the oracle makes it: the points' arrays and
-        # an error list with no refusals
-        return lambda: run(RepresentationArrays.of(reps), [None] * len(reps))
+        # an error list with no refusals, which a stage may write to
+        return lambda: run(arrays, [None] * len(reps))
 
     layers = {
+        "representation_arrays": timing.median_seconds(
+            lambda: RepresentationArrays.of(reps)),
         "overlap": timing.median_seconds(stage(lambda arrays, errors: (
             wavefunction._family_overlaps(arrays, NS, 0.0, tau, config, errors)))),
         "branch_tracking": timing.median_seconds(stage(lambda arrays, errors: (

@@ -33,17 +33,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .driven import DrivingForce, berry_phases_driven
-from .errors import (POINT_ERRORS, ConfigError, ConvergenceError,
-                     InvalidParameterError, OutputError, UndefinedPhaseError)
+from .driven import DrivingForce, berry_phase_driven_grid
+from .errors import (ConfigError, ConvergenceError, InvalidParameterError,
+                     OutputError, UndefinedPhaseError)
 from .phase import berry_phase_grid
 from .representation import PhysicalConfig, Representation, kinematics
 
 _FORMATS = ("csv", "json")
-_DRIVEN_COLUMNS = {"gamma_undriven_part": "gamma_undriven",
-                   "drive_part_closed": "drive_closed",
-                   "drive_part_quadrature": "drive_quadrature",
-                   "gamma_total": "gamma_total", "p": "p", "N": "N"}
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
@@ -569,18 +565,22 @@ def _emit(command: str, table: dict, cfg, extra=None) -> None:
 
 def _point_frame(cfg, axes):
     """The points of the product of ``axes``, the last axis fastest (the one
-    point order of a grid and of its report), as (values, points, point_index,
-    index, ns, slots): each axis's values; the point count; the index of axis
-    i's value at every point, as row i of point_index and by axis in index;
-    the quantum numbers; per point, the indices into ns of its rows."""
-    values = {ax.parameter: ax.values() for ax in axes}
+    point order of a grid and of its report), as (point_index, values, index,
+    slots): the index of axis i's value at every point, as row i of
+    point_index; per sweepable parameter, its axis's values or else its one
+    configured value (cfg.n for n), and the index of its value at every
+    point; per point, the indices into values["n"] of its rows."""
     steps = [ax.steps for ax in axes]
     points = math.prod(steps)
     point_index = np.indices(steps).reshape(len(steps), points)
-    index = dict(zip(values, point_index))
-    ns = values.get("n", cfg.n)
-    slots = index["n"][:, None] if "n" in index else np.tile(np.arange(len(ns)), (points, 1))
-    return values, points, point_index, index, ns, slots
+    values = {"C": [cfg.rep.C], "beta": [cfg.rep.beta], "n": cfg.n,
+              "omega_f": [cfg.omega_f], "D_re": [cfg.D.real], "D_im": [cfg.D.imag]}
+    index = dict.fromkeys(values, np.zeros(points, dtype=int))
+    for ax, at in zip(axes, point_index):
+        values[ax.parameter], index[ax.parameter] = ax.values(), at
+    slots = index["n"][:, None] if "n" in (ax.parameter for ax in axes) else \
+        np.tile(np.arange(len(cfg.n)), (points, 1))
+    return point_index, values, index, slots
 
 
 def _constant(value, rows: int) -> Factored:
@@ -605,19 +605,15 @@ def _with_nulls(values, present: np.ndarray):
 def _berry_grid(cfg, axes):
     """Berry columns at every point of the product of ``axes`` (C, beta and
     n; none for the berry command), as (point index, columns, present,
-    errors), the point index being _point_frame's.
-
-    A point has one row per quantum number: its own when n is an axis, else
-    every n of cfg.n, fastest. ``columns`` maps each berry column to a
-    (points, rows per point) array; ``present`` marks, per point, the oracle
-    columns that hold a value; ``errors`` holds each point's exception or
-    None, as one phase.berry_phase_grid call over the points gives them.
-    """
-    values, points, point_index, index, ns, slots = _point_frame(cfg, axes)
+    errors), the point index being _point_frame's. A point has one row per
+    quantum number: its own when n is an axis, else every n of cfg.n. Each
+    column is a (points, rows per point) array; ``present`` marks, per point,
+    the oracle columns that hold a value; ``errors`` holds each point's
+    exception or None, from one phase.berry_phase_grid call."""
+    point_index, values, index, slots = _point_frame(cfg, axes)
+    ns = values["n"]
     chi, delta, gamma, canonical, oracle, has_oracle, errors = berry_phase_grid(
-        cfg.rep.M, cfg.rep.w, values.get("C", [cfg.rep.C]),
-        values.get("beta", [cfg.rep.beta]),
-        *(index.get(name, np.zeros(points, dtype=int)) for name in ("C", "beta")),
+        cfg.rep.M, cfg.rep.w, values["C"], values["beta"], index["C"], index["beta"],
         ns, slots, cfg.duration, cfg.physical)
     chi_of_slot = np.empty(len(ns))
     chi_of_slot[slots] = chi   # chi depends on n alone
@@ -632,49 +628,19 @@ def _berry_grid(cfg, axes):
 def _driven_grid(cfg, axes):
     """Driven columns at every point of the product of ``axes`` (C, beta, n,
     omega_f, D_re and D_im; none for the driven command), as _berry_grid
-    gives berry columns.
-
-    The points of one (C, beta, omega_f) share a representation and a force,
-    and make one driven.berry_phases_driven call over their D values and
-    quantum numbers, which integrates each D once. A point's first error
-    wins: its cell's, its force's, then those of its quantum numbers in
-    order, each as berry_phases_driven gives it.
-    """
-    values, points, point_index, index, ns, slots = _point_frame(cfg, axes)
-
-    def at(name, default) -> list:
-        """The value of parameter ``name`` at every point."""
-        if name not in index:
-            return [default] * points
-        return [values[name][i] for i in index[name].tolist()]
-
-    force0 = cfg.force
-    groups = {}   # (C, beta, omega_f) -> {D: its points}
-    for p, (C, beta, omega_f, D_re, D_im) in enumerate(zip(
-            at("C", cfg.rep.C), at("beta", cfg.rep.beta), at("omega_f", force0.omega_f),
-            at("D_re", cfg.D.real), at("D_im", cfg.D.imag))):
-        groups.setdefault((C, beta, omega_f), {}).setdefault(
-            complex(D_re, D_im), []).append(p)
-    errors, results = [None] * points, [None] * points
-    for (C, beta, omega_f), by_D in groups.items():
-        try:
-            rep = Representation(M=cfg.rep.M, w=cfg.rep.w, C=C, beta=beta)
-            force = force0 if omega_f == force0.omega_f else \
-                DrivingForce(omega_f, force0.coefficients)
-        except POINT_ERRORS as exc:
-            table = [[exc] * len(ns)] * len(by_D)
-        else:
-            table = berry_phases_driven(rep, ns, force, list(by_D), cfg.physical)
-        for entries, group in zip(table, by_D.values()):
-            for p in group:
-                results[p] = [entries[k] for k in slots[p].tolist()]
-                errors[p] = next((e for e in results[p] if isinstance(e, Exception)), None)
-    columns = {"n": Factored(np.array(ns), slots)}
-    for name, field in _DRIVEN_COLUMNS.items():
-        columns[name] = np.array([[getattr(r, field) for r in row] if error is None
-                                  else [0] * slots.shape[1]
-                                  for row, error in zip(results, errors)])
-    return point_index, columns, {}, errors
+    gives berry columns, from one driven.berry_phase_driven_grid call over
+    the points; a point's D is complex(D_re, D_im)."""
+    point_index, values, index, slots = _point_frame(cfg, axes)
+    *columns, errors = berry_phase_driven_grid(
+        cfg.rep.M, cfg.rep.w, values["C"], values["beta"], index["C"], index["beta"],
+        cfg.force, values["omega_f"], index["omega_f"],
+        [complex(re, im) for re in values["D_re"] for im in values["D_im"]],
+        index["D_re"] * len(values["D_im"]) + index["D_im"], values["n"], slots,
+        cfg.physical)
+    names = ("gamma_undriven_part", "drive_part_closed", "drive_part_quadrature",
+             "gamma_total", "p", "N")
+    return point_index, {"n": Factored(np.array(values["n"]), slots),
+                         **dict(zip(names, columns))}, {}, errors
 
 
 def _sweep_table(axes, point_index: np.ndarray, columns: dict, present: dict,

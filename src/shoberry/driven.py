@@ -26,14 +26,13 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (POINT_ERRORS, ConditioningError, ConvergenceError,
-                     IncommensurateError, InvalidParameterError, ResonanceError)
+from .errors import (ConditioningError, ConvergenceError, IncommensurateError,
+                     InvalidParameterError, ResonanceError, _attempt, _value)
 from .numerics import (MAX_DENOMINATOR, chunks, integrate_rows, rationalize,
                        sample_vectorized)
-from .phase import berry_phase
+from .phase import _closed_form_grid
 from .representation import PhysicalConfig, Representation
-from .wavefunction import (QuantumState, _parts, _scalar_time,
-                           check_quantum_number, hermite)
+from .wavefunction import QuantumState, _parts, _scalar_time, hermite
 
 # Relative threshold below which a mode coefficient counts as absent, and the
 # conditioning floor on resonance denominators |w^2 - n^2 omega_f^2|.
@@ -257,16 +256,16 @@ def particular_solution(force: DrivingForce, rep: Representation,
     rather than returned with huge amplification. D is checked first.
     """
     D = check_amplitude(D, rep.w)
-    return ParticularSolution(force.omega_f, _forced_modes(force, rep, comm), D, rep.w)
+    return ParticularSolution(force.omega_f, _forced_modes(force, rep.M, rep.w, comm),
+                              D, rep.w)
 
 
-def _forced_modes(force: DrivingForce, rep: Representation,
+def _forced_modes(force: DrivingForce, mass: float, w: float,
                   comm: Optional[Commensurability]) -> dict[int, complex]:
     """The particular solution's mode amplitudes f_n / (M (w^2 - n^2 omega_f^2)),
     after the resonance and conditioning checks: the part of
     particular_solution that D leaves alone, refused unless their velocity
     bound (sum |n omega_f a_n|)^2 is finite."""
-    w, mass = rep.w, rep.M
     omega_f = force.omega_f
     norm = force.norm()
     if comm is not None and comm.p == 1:
@@ -350,17 +349,16 @@ def _forced_rate(force: DrivingForce, stiffness: float, w: float,
 def _drive_terms(force: DrivingForce, M: float, w: float, hbar: float,
                  duration: float, Ds) -> list:
     """(1/hbar) int_0^duration M xdot_p^2 dt in closed form for each D of
-    ``Ds``, or its point error (a D that is one passes through): the duration
-    times the rate _forced_rate plus the homogeneous pair's 2 M w^2 |D|^2 /
-    hbar, as cross terms average to zero over whole periods. The force's part
-    is computed once and refused, naming omega_f, unless finite; each D adds
-    (duration M w^2) 2 |D|^2 / hbar, refused, naming D, unless the sum is."""
+    ``Ds``, or its point error: the duration times the rate _forced_rate plus
+    the homogeneous pair's 2 M w^2 |D|^2 / hbar, as cross terms average to
+    zero over whole periods. The force's part is computed once and refused,
+    naming omega_f, unless finite; each D adds (duration M w^2) 2 |D|^2 /
+    hbar, refused, naming D, unless the sum is."""
     stiffness = M * (w * w)
     forced = _attempt(lambda: _finite(
         lambda: duration * _forced_rate(force, stiffness, w, hbar),
         "the closed drive term at omega_f = {!r}", force.omega_f))
-    return [D if isinstance(D, Exception) else
-            forced if isinstance(forced, Exception) else
+    return [forced if isinstance(forced, Exception) else
             _attempt(lambda: _finite(
                 lambda: forced + duration * stiffness * 2.0 * abs(D) ** 2 / hbar,
                 "the closed drive term at D = {!r}", complex(D)))
@@ -446,7 +444,7 @@ def drive_phase_quadrature(xp: ParticularSolution, M: float, hbar: float,
 
 @dataclass(frozen=True)
 class DrivenPhaseResult:
-    """Berry phase of the driven oscillator over N tau0, decomposed."""
+    """Driven Berry phase over ``duration``, N tau0 (or tau_f where p = N = 0)."""
 
     n: int
     p: int
@@ -468,90 +466,112 @@ def berry_phase_driven(rep: Representation, n: int, force: DrivingForce,
 
     The drive term is computed both in closed form and by quadrature of the
     mean-square velocity; both are returned so callers can confront them.
-    berry_phases_driven for one D and one n.
+    berry_phase_driven_grid at one point.
     """
-    ((result,),) = berry_phases_driven(rep, [n], force, [D], config)
-    return _value(result)
+    zero = np.zeros(1, dtype=int)   # the one point's index on every axis
+    *columns, (error,) = berry_phase_driven_grid(
+        rep.M, rep.w, [rep.C], [rep.beta], zero, zero, force, [force.omega_f], zero,
+        [D], zero, [n], zero[:, None], config)
+    _value(error)
+    undriven, closed, quadrature, _, p, N = (column[0, 0] for column in columns)
+    return DrivenPhaseResult(n, int(p), int(N), int(N) * rep.tau0 if N else force.tau_f,
+                             float(undriven), float(closed), float(quadrature))
 
 
-def _attempt(compute):
-    """compute(), or the point error it raised."""
-    try:
-        return compute()
-    except POINT_ERRORS as exc:
-        return exc
+def berry_phase_driven_grid(M: float, w: float, Cs, betas, C_at, beta_at,
+                            force: DrivingForce, omega_fs, omega_f_at, Ds, D_at, ns,
+                            slots, config: PhysicalConfig):
+    """Driven Berry phases at every point of a grid, as (gamma_undriven,
+    drive_closed, drive_quadrature, gamma_total, p, N, errors).
 
-
-def _value(result):
-    """result, raised if it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def berry_phases_driven(rep: Representation, ns, force: DrivingForce, Ds,
-                        config: PhysicalConfig = PhysicalConfig()) -> list[list]:
-    """berry_phase_driven at every D of ``Ds`` and n of ``ns``: entry [i][k]
-    is the DrivenPhaseResult of Ds[i] at ns[k], or the point error its
-    one-point call raises.
+    Point q is Representation(M, w, Cs[C_at[q]], betas[beta_at[q]]) under
+    force's coefficients at omega_fs[omega_f_at[q]], with the homogeneous
+    amplitude Ds[D_at[q]] and a row per quantum number ns[k], k in slots[q].
+    Each column is a (points, rows) array (p's of object dtype where int64
+    cannot hold it); errors holds each point's exception or None. A row is
+    what berry_phase_driven gives or raises at its point and n, and a point's
+    error that of its first row that raises.
 
     The phases are over the joint period N tau0, tau0/tau_f = p/N. With
     incommensurate periods only D = 0 in the C = 1, beta = 0 representation
     has a phase, over one force period, as the undriven phase vanishes there
     for any periodic drive (p = N = 0); every other D gets the
-    IncommensurateError. An entry's first error wins: its D's own (not
-    finite, then incommensurate), then over N tau0 the particular solution's,
-    n's, the closed drive term's and the quadrature's; over one force period
-    n's, the closed drive term's, the particular solution's and the
-    quadrature's. Each n's undriven phase and each D's particular solution
-    and closed drive term (_drive_terms over the quadrature's duration) are
-    computed once, their part that D leaves alone once for every D, and the
-    quadrature, which does not depend on n, in one drive_phase_quadratures
-    call with a row per D that reaches it.
+    IncommensurateError. A row's first error wins: its cell's, its force's,
+    its D's own (not finite, then incommensurate), then over N tau0 the
+    particular solution's, n's (refused, or closed forms that overflow), the
+    closed drive term's and the quadrature's; over one force period n's
+    (refused), the closed drive term's, the particular solution's and the
+    quadrature's.
+
+    The drive term depends on neither C, beta nor n: per omega_f, the force,
+    its p/N and its particular solution's modes are computed once, and the
+    closed terms and quadratures of its D values are one _drive_terms and
+    one drive_phase_quadratures call. The cells, the n checks and every
+    row's N gamma_full are one _closed_form_grid call.
     """
-    M, w, hbar = rep.M, rep.w, config.hbar
-    amplitudes = [_attempt(lambda: check_amplitude(D, w)) for D in Ds]
-    try:
-        comm = commensurability(rep.tau0, force.tau_f)
-    except IncommensurateError as exc:
-        comm = None
-        amplitudes = [D if isinstance(D, Exception) or (
-            D == 0 and rep.C == 1.0 and rep.beta == 0.0) else exc for D in amplitudes]
-        p = N = 0
-        duration = force.tau_f
-        # the undriven phase vanishes; each n is still checked
-        undriven = [_attempt(lambda: 0.0 * check_quantum_number(n)) for n in ns]
-    else:
-        p, N = comm.p, comm.N
-        duration = N * rep.tau0
-        undriven = [_attempt(lambda: N * berry_phase(rep, n, "full").gamma) for n in ns]
-    closed = _drive_terms(force, M, w, hbar, duration, amplitudes)
-    # each D's particular solution, or its refusal: the D's own first, then
-    # that of the modes every D shares
-    modes = _attempt(lambda: _forced_modes(force, rep, comm))
-    xps = [D if isinstance(D, Exception) else
-           modes if isinstance(modes, Exception) else
-           ParticularSolution(force.omega_f, modes, D, w)
-           for D in amplitudes]
-    rows = [i for i, (xp, drive) in enumerate(zip(xps, closed))
-            if not isinstance(xp, Exception) and not isinstance(drive, Exception)]
-    quadrature = [None] * len(Ds)
-    if rows:
-        values, failures = drive_phase_quadratures([xps[i] for i in rows], M, hbar,
-                                                   duration)
-        for i, value, failure in zip(rows, values.tolist(), failures):
-            quadrature[i] = value if failure is None else failure
-
-    def entry(i, k):
-        stages = (amplitudes[i], undriven[k], closed[i], xps[i]) if comm is None \
-            else (xps[i], undriven[k], closed[i])
-        error = next((v for v in (*stages, quadrature[i]) if isinstance(v, Exception)),
-                     None)
-        return error or DrivenPhaseResult(
-            n=ns[k], p=p, N=N, duration=duration, gamma_undriven=undriven[k],
-            drive_closed=closed[i], drive_quadrature=quadrature[i])
-
-    return [[entry(i, k) for k in range(len(ns))] for i in range(len(Ds))]
+    cells, cell, (_, _, gamma, canonical), n_errors, errors = _closed_form_grid(
+        M, w, Cs, betas, C_at, beta_at, ns, slots, 2)
+    forces = [_attempt(lambda: force if omega_f == force.omega_f else
+                       DrivingForce(omega_f, force.coefficients)) for omega_f in omega_fs]
+    built = np.array([not isinstance(c, Exception) for c in cells])[cell]
+    force_bad = np.array([isinstance(f, Exception) for f in forces])[omega_f_at]
+    for q in np.flatnonzero(built & force_bad).tolist():
+        errors[q] = forces[omega_f_at[q]]
+    live = built & ~force_bad
+    used = set(omega_f_at[live].tolist())
+    comms = [_attempt(lambda: commensurability(2.0 * math.pi / w, f.tau_f))
+             if j in used else None for j, f in enumerate(forces)]
+    refused = np.array([isinstance(comm, Exception) for comm in comms])
+    special = np.array([not isinstance(c, Exception) and c.C == 1.0 and c.beta == 0.0
+                        for c in cells])[cell]
+    # an entry's points share omega_f, D and, with incommensurate periods,
+    # whether their cell is the special representation
+    keys, entry = np.unique(((omega_f_at * len(Ds) + D_at) * 2 + (
+        special & refused[omega_f_at]))[live], return_inverse=True)
+    heads, tails = [None] * len(keys), [None] * len(keys)   # errors before, after n's
+    drives = np.zeros((2, len(keys)))   # per entry: closed term, quadrature
+    for j in sorted(used):
+        f, at = forces[j], np.flatnonzero(keys // (2 * len(Ds)) == j)
+        comm, incommensurate = (None, comms[j]) if refused[j] else (comms[j], None)
+        duration = f.tau_f if incommensurate else comm.N * (2.0 * math.pi / w)
+        modes = _attempt(lambda: _forced_modes(f, M, w, comm))
+        amplitude = {e: _attempt(lambda: check_amplitude(Ds[key // 2 % len(Ds)], w))
+                     for e, key in zip(at.tolist(), keys[at].tolist())}
+        for e, D in amplitude.items():   # the errors before n's
+            heads[e] = D if isinstance(D, Exception) else \
+                (None if keys[e] % 2 and D == 0 else incommensurate) if incommensurate \
+                else modes if isinstance(modes, Exception) else None
+        reach = [e for e in amplitude if heads[e] is None]
+        for e, drive in zip(reach, _drive_terms(f, M, w, config.hbar, duration,
+                                                [amplitude[e] for e in reach])):
+            tails[e] = next((x for x in (drive, modes) if isinstance(x, Exception)), None)
+            drives[0, e] = 0.0 if tails[e] else drive
+        rows = [e for e in reach if tails[e] is None]
+        if rows:
+            drives[1, rows], failures = drive_phase_quadratures(
+                [ParticularSolution(f.omega_f, modes, amplitude[e], w) for e in rows],
+                M, config.hbar, duration)
+            for e, failure in zip(rows, failures):
+                tails[e] = failure
+    for q, e in zip(np.flatnonzero(live).tolist(), entry.tolist()):
+        if heads[e] or tails[e] or errors[q]:   # errors[q]: its n's, if any
+            ks, j = slots[q].tolist(), omega_f_at[q]
+            if refused[j]:   # only n's own refusals, as no N gamma_full enters
+                errors[q] = next((n_errors[k] for k in ks if n_errors[k]), None)
+            lead = errors[q] if n_errors[ks[0]] or not (
+                refused[j] or math.isfinite(canonical[q, 0])) else None
+            errors[q] = heads[e] or lead or tails[e] or errors[q]
+    at_points = np.zeros((2, len(cell)))
+    at_points[:, live] = drives[:, entry]
+    ps, Ns = zip(*[(c.p, c.N) if isinstance(c, Commensurability) else (0, 0)
+                   for c in comms])
+    N_at = np.array(Ns)[omega_f_at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        undriven = np.where(N_at[:, None] > 0, N_at[:, None] * gamma, 0.0)
+    drive, quad, p, N = (np.repeat(column[:, None], gamma.shape[1], axis=1) for column in (
+        *at_points, np.array(ps, dtype=object if max(ps) > np.iinfo(np.int64).max
+                             else np.int64)[omega_f_at], N_at))
+    return undriven, drive, quad, undriven + drive, p, N, errors
 
 
 def berry_phase_special_rep(force: DrivingForce, M: float, w: float,

@@ -50,3 +50,18 @@ class ConvergenceError(RuntimeError):
 # goes on.
 POINT_ERRORS = (InvalidParameterError, UndefinedPhaseError, ConvergenceError,
                 ArithmeticError)
+
+
+def _attempt(compute):
+    """compute(), or the point error it raised."""
+    try:
+        return compute()
+    except POINT_ERRORS as exc:
+        return exc
+
+
+def _value(result):
+    """result, raised if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result

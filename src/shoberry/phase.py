@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, InvalidParameterError,
-                     InvalidRepresentationError, NotCyclicError)
+                     InvalidRepresentationError, NotCyclicError, _attempt)
 from .numerics import integrate_1d, integrate_rows
 from .representation import (COS_BETA_EPS, PhysicalConfig, Representation,
                              RepresentationArrays, _winding, require_valid)
@@ -287,6 +287,34 @@ def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
     return _one_point(*_oracle_batch([rep], ns, tau_prime, config)).tolist()
 
 
+def _closed_form_grid(M: float, w: float, Cs, betas, C_at, beta_at, ns, slots,
+                      half_periods: int):
+    """The closed-form part of a grid (berry_phase_grid's points and rows) as
+    (cells, cell, phases, n_errors, errors): per (C, beta) cell its
+    Representation or the error its build raised, and each point's cell;
+    (chi, delta, gamma, gamma_canonical) after half_periods half periods as
+    (points, rows) arrays of one closed_form_phases expression; each n's
+    refusal or None; each point's first error, its cell's, then its quantum
+    numbers' in order (refused, or closed forms that overflow)."""
+    cells = [_attempt(lambda: Representation(M=M, w=w, C=C, beta=beta))
+             for C in Cs for beta in betas]
+    cell = C_at * len(betas) + beta_at
+    checked = [_attempt(lambda: float(check_quantum_number(n))) for n in ns]
+    n_errors = [c if isinstance(c, Exception) else None for c in checked]
+    cos_betas = np.array([math.cos(beta) for beta in betas])
+    phases = closed_form_phases(
+        np.array(Cs)[C_at][:, None], cos_betas[beta_at][:, None],
+        np.array([0.0 if e else c for c, e in zip(checked, n_errors)])[slots], half_periods)
+    slot_bad = np.array([e is not None for e in n_errors])[slots] | ~np.isfinite(phases[3])
+    cell_bad = np.array([isinstance(c, Exception) for c in cells])
+    errors = [None] * len(cell)
+    for p in np.flatnonzero(cell_bad[cell] | slot_bad.any(axis=1)).tolist():
+        rep, k = cells[cell[p]], int(slots[p, np.argmax(slot_bad[p])])
+        errors[p] = rep if isinstance(rep, Exception) else \
+            n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
+    return cells, cell, phases, n_errors, errors
+
+
 def berry_phase_grid(M: float, w: float, Cs, betas, C_at, beta_at, ns, slots,
                      half_periods: int, config: PhysicalConfig):
     """Closed-form and oracle Berry phases at every point of a grid, as
@@ -299,43 +327,14 @@ def berry_phase_grid(M: float, w: float, Cs, betas, C_at, beta_at, ns, slots,
     points whose oracle row holds a value; errors holds each point's
     exception or None.
 
-    A Representation is built per (C, beta) cell and each n is checked once;
-    every row's closed forms are one closed_form_phases expression, and the
-    full-mode points make one _oracle_batch call per tuple of quantum
-    numbers. A point's first error wins: its cell's, then its quantum
-    numbers' in order (refused, or closed forms that overflow), then the
-    oracle's, each as berry_phase or berry_phase_oracles raises it alone.
+    The closed forms are _closed_form_grid's, and the full-mode points make
+    one _oracle_batch call per tuple of quantum numbers. A point's first
+    error wins: _closed_form_grid's, then the oracle's, each as berry_phase
+    or berry_phase_oracles raises it alone.
     """
-    cells = []
-    for C in Cs:
-        for beta in betas:
-            try:
-                cells.append(Representation(M=M, w=w, C=C, beta=beta))
-            except InvalidParameterError as exc:
-                cells.append(exc)
-    cell = C_at * len(betas) + beta_at
-    n_errors, n_values = [], np.zeros(len(ns))
-    for i, n in enumerate(ns):
-        try:
-            n_values[i] = float(check_quantum_number(n))
-            n_errors.append(None)
-        except InvalidParameterError as exc:
-            n_errors.append(exc)
-    chi, delta, gamma, canonical = closed_form_phases(
-        np.array(Cs)[C_at][:, None],
-        np.array([math.cos(beta) for beta in betas])[beta_at][:, None],
-        n_values[slots], half_periods)
-    slot_bad = np.array([e is not None for e in n_errors])[slots] | ~np.isfinite(canonical)
-    cell_bad = np.array([isinstance(c, Exception) for c in cells])
-    errors = [None] * len(cell)
-    for p in np.flatnonzero(cell_bad[cell] | slot_bad.any(axis=1)).tolist():
-        rep = cells[cell[p]]
-        if isinstance(rep, Exception):
-            errors[p] = rep
-            continue
-        k = int(slots[p, np.argmax(slot_bad[p])])
-        errors[p] = n_errors[k] or closed_form_overflow(rep.C, rep.beta, ns[k])
-    full = np.array([not bad and c.omega > 0 for c, bad in zip(cells, cell_bad)])
+    cells, cell, (chi, delta, gamma, canonical), _, errors = _closed_form_grid(
+        M, w, Cs, betas, C_at, beta_at, ns, slots, half_periods)
+    full = np.array([not isinstance(c, Exception) and c.omega > 0 for c in cells])
     has_oracle = np.zeros(len(cell), dtype=bool)
     groups = {}   # the full-mode points of each tuple of quantum numbers
     for p in np.flatnonzero(full[cell]).tolist():

@@ -769,6 +769,20 @@ def test_drive_beyond_the_integer_form_gives_a_value(argv, capsys):
     assert abs(closed - quadrature) <= 1e-8 * abs(closed)
 
 
+
+@pytest.mark.parametrize("omega_f", ["1e300", "9.3e18"])
+def test_driven_sweep_prints_p_exactly(omega_f, capsys):
+    # p = int(omega_f), N = 1: beyond int64, and between 2^63 and 2^64 beside
+    # the refused cell C = 0, where a float array would round it
+    code, out, err = run_cli(capsys, "sweep", "--omega-f", omega_f,
+                             "--force-coeff", "1:0.5:0", "--sweep", "C:0:2:3",
+                             "--format", "csv")
+    assert code == 0, err
+    refused, *computed = out.splitlines()[1:]
+    assert refused == '0,,,,,,,,"C must be nonzero"'
+    assert [line.split(",")[6:8] for line in computed] == [[str(int(float(omega_f))),
+                                                            "1"]] * 2
+
 def test_high_mode_drive_gives_its_closed_value(capsys):
     # mode 10^150 at p/N = 1/2: (p^2 n^2 - N^2)^2 outgrew a float in the
     # integer form; the rate form gives duration 4 pi times 2 |f|^2 / x^2

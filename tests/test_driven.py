@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shoberry.driven import (Commensurability, DrivingForce,
+from shoberry.driven import (Commensurability, DrivenPhaseResult, DrivingForce,
                              ParticularSolution, action_phase,
-                             berry_phase_driven, berry_phase_special_rep,
-                             berry_phases_driven,
+                             berry_phase_driven, berry_phase_driven_grid,
+                             berry_phase_special_rep,
                              commensurability, drive_phase_closed,
                              drive_phase_quadrature, drive_phase_quadratures,
                              fourier_decompose,
                              particular_solution, psi_driven,
                              velocity_squared_integral)
 from shoberry import cli, driven, numerics, selfcheck
-from shoberry.errors import (ConditioningError, ConvergenceError,
+from shoberry.errors import (POINT_ERRORS, ConditioningError, ConvergenceError,
                              IncommensurateError, InvalidParameterError,
-                             ResonanceError)
+                             InvalidRepresentationError, ResonanceError)
 from shoberry.numerics import GridState, propagate_schrodinger
 from shoberry.phase import berry_phase
 from shoberry.representation import PhysicalConfig, Representation
@@ -36,6 +36,24 @@ def square_wave_force(amplitude, omega_f, n_max=25):
     coeffs = {n: 2.0 * amplitude / (1j * math.pi * n)
               for n in range(-n_max, n_max + 1) if n % 2 != 0}
     return DrivingForce(omega_f, coeffs)
+
+
+def grid_entries(rep, ns, force, Ds, config=PhysicalConfig()):
+    """berry_phase_driven_grid at one cell and one omega_f, a point per (D,
+    n): entry [i][k] is the DrivenPhaseResult of Ds[i] at ns[k], or its
+    point's error."""
+    D_at, n_at = (axis.ravel() for axis in np.indices((len(Ds), len(ns))))
+    zero = np.zeros(len(D_at), dtype=int)
+    *columns, errors = berry_phase_driven_grid(
+        rep.M, rep.w, [rep.C], [rep.beta], zero, zero, force, [force.omega_f], zero,
+        Ds, D_at, ns, n_at[:, None], config)
+    undriven, closed, quadrature, total, p, N = (column[:, 0] for column in columns)
+    assert total.tolist() == (undriven + closed).tolist()
+    entries = [errors[q] or DrivenPhaseResult(
+        ns[k], int(p[q]), int(N[q]), int(N[q]) * rep.tau0 if N[q] else force.tau_f,
+        float(undriven[q]), float(closed[q]), float(quadrature[q]))
+        for q, k in enumerate(n_at.tolist())]
+    return [entries[i * len(ns):(i + 1) * len(ns)] for i in range(len(Ds))]
 
 
 class TestDrivingForce:
@@ -617,7 +635,7 @@ class TestDrivenSweep:
         force = DrivingForce(0.5, {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j})
         comm = commensurability(STRETCHED.tau0, force.tau_f)
         Ds, ns, config = [0.2 - 0.1j, 0j, 0.1j], [0, -1, 2], PhysicalConfig(hbar=0.7)
-        table = berry_phases_driven(STRETCHED, ns, force, Ds, config)
+        table = grid_entries(STRETCHED, ns, force, Ds, config)
         assert [len(row) for row in table] == [3, 3, 3]
         for D, row in zip(Ds, table):
             assert isinstance(row[1], InvalidParameterError)
@@ -649,7 +667,7 @@ class TestDrivenSweep:
             return batched(xps, *args)
 
         monkeypatch.setattr(driven, "drive_phase_quadratures", spy)
-        table = berry_phases_driven(rep, [1], force, Ds, config)
+        table = grid_entries(rep, [1], force, Ds, config)
         assert len({xp._nu.tobytes() for xp in integrated.values()}) == 2
         duration = comm.N * rep.tau0
         for D, (entry,) in zip(Ds, table):
@@ -673,7 +691,7 @@ class TestDrivenSweep:
         comm = commensurability(STRETCHED.tau0, force.tau_f)
         assert (comm.p, comm.N) == (1, 2)
         Ds = [0.1j, complex(math.nan, 0.2), 0j, complex(0.1, math.inf)]
-        table = berry_phases_driven(STRETCHED, [0, 2], force, Ds)
+        table = grid_entries(STRETCHED, [0, 2], force, Ds)
         for D, row in zip(Ds, table):
             for n, entry in zip([0, 2], row):
                 if resonant or not cmath.isfinite(D):
@@ -691,7 +709,7 @@ class TestDrivenSweep:
         # mode 2 at omega_f = 0.5 resonates: the particular solution's error
         # comes before the refused n's
         force = DrivingForce(0.5, {2: 0.1, -2: 0.1})
-        table = berry_phases_driven(STRETCHED, [0, -1], force, [0j, 0.1j])
+        table = grid_entries(STRETCHED, [0, -1], force, [0j, 0.1j])
         with pytest.raises(ResonanceError) as alone:
             berry_phase_driven(STRETCHED, -1, force, 0.1j)
         assert {str(entry) for row in table for entry in row} == {str(alone.value)}
@@ -699,7 +717,7 @@ class TestDrivenSweep:
     def test_special_representation_without_commensurability(self):
         rep = Representation(1, 1, 1, 0)
         force = DrivingForce(float(GOLDEN_RATIO_F), {1: 0.5, -1: 0.5})
-        (row,) = berry_phases_driven(rep, [0, 3], force, [0j])
+        (row,) = grid_entries(rep, [0, 3], force, [0j])
         xp = particular_solution(force, rep, None, 0j)
         for n, entry in zip([0, 3], row):
             assert (entry.n, entry.p, entry.N, entry.gamma_undriven) == (n, 0, 0, 0.0)
@@ -710,7 +728,7 @@ class TestDrivenSweep:
         with pytest.raises(IncommensurateError) as refused:
             commensurability(rep.tau0, force.tau_f)
         for other, D in ((STRETCHED, 0j), (rep, 0.1j)):
-            ((entry,),) = berry_phases_driven(other, [0], force, [D])
+            ((entry,),) = grid_entries(other, [0], force, [D])
             assert type(entry) is IncommensurateError
             assert str(entry) == str(refused.value)
 
@@ -730,6 +748,136 @@ class TestDrivenSweep:
                       ParticularSolution(0.5, modes, 0j, 2 * w)):
             with pytest.raises(ValueError, match="share omega_f, w and their forced modes"):
                 drive_phase_quadratures([xps[1], other], 1.0, 1.0, TWO_PI)
+
+
+def alone(M, w, C, beta, coefficients, omega_f, D, n, config):
+    """The one-point berry_phase_driven call of a grid row, or its error."""
+    try:
+        return berry_phase_driven(Representation(M, w, C, beta), n,
+                                  DrivingForce(omega_f, coefficients), D, config)
+    except POINT_ERRORS as exc:
+        return exc
+
+
+class TestDrivenPhaseGrid:
+    M, W, CONFIG = 1.3, 1.0, PhysicalConfig(hbar=0.7)
+    COEFFS = {1: 0.5, -1: 0.5, 3: 0.1 + 0.05j, -3: 0.1 - 0.05j}
+
+    def grid(self, Cs, betas, omega_fs, Ds, ns, slots):
+        """The grid over the product of Cs, betas, omega_fs and Ds, each point
+        with the rows slots[point % len(slots)], and its points' parameters."""
+        C_at, beta_at, omega_f_at, D_at = (axis.ravel() for axis in np.indices(
+            (len(Cs), len(betas), len(omega_fs), len(Ds))))
+        slots = np.array([slots[q % len(slots)] for q in range(len(C_at))])
+        *columns, errors = berry_phase_driven_grid(
+            self.M, self.W, Cs, betas, C_at, beta_at,
+            DrivingForce(1.5, self.COEFFS), omega_fs, omega_f_at, Ds, D_at, ns,
+            slots, self.CONFIG)
+        params = [(Cs[a], betas[b], omega_fs[c], Ds[d])
+                  for a, b, c, d in zip(C_at, beta_at, omega_f_at, D_at)]
+        return columns, errors, params, slots
+
+    @pytest.mark.parametrize("slots", [[(0,), (1,), (2,), (3,)],
+                                       [(0, 2), (2, 1), (1, 0), (3, 2), (2, 3)]],
+                             ids=["one-n", "two-n"])
+    def test_every_point_is_its_one_point_calls(self, slots):
+        # a C axis through 0 (a refused cell) with C = 1 at beta = 0 (the
+        # special representation) beside other cells; omega_f refused, at
+        # resonance with mode 1 (p/N = 1), at p/N = 1/2 and incommensurate; a
+        # non-finite D and D = 6e153, whose closed drive term overflows; a
+        # refused n, and n = 3e307, whose closed forms overflow, while the
+        # special representation's undriven part is 0
+        Cs, betas = [-1.0, 0.0, 1.0, 2.0], [0.0, 0.3]
+        omega_fs = [-0.5, 1.0, 0.5, float(GOLDEN_RATIO_F)]
+        Ds, ns = [0j, 0.1j, complex(math.nan, 0.2), 6e153], [0, -1, 2, 3 * 10 ** 307]
+        (undriven, closed, quadrature, total, p, N), errors, params, slots = self.grid(
+            Cs, betas, omega_fs, Ds, ns, slots)
+        kinds = set()
+        for q, (C, beta, omega_f, D) in enumerate(params):
+            rows = [alone(self.M, self.W, C, beta, self.COEFFS, omega_f, D, ns[k],
+                          self.CONFIG) for k in slots[q]]
+            error = next((row for row in rows if isinstance(row, Exception)), None)
+            kinds.add(type(error))
+            if error is not None:
+                assert type(errors[q]) is type(error) and str(errors[q]) == str(error)
+                continue
+            assert errors[q] is None
+            for r, row in enumerate(rows):
+                assert (p[q, r], N[q, r]) == (row.p, row.N)
+                assert [undriven[q, r].hex(), closed[q, r].hex(), quadrature[q, r].hex(),
+                        total[q, r].hex()] == [row.gamma_undriven.hex(),
+                                               row.drive_closed.hex(),
+                                               row.drive_quadrature.hex(),
+                                               row.gamma_total.hex()]
+        assert kinds == {type(None), InvalidParameterError, InvalidRepresentationError,
+                         ResonanceError, IncommensurateError}
+
+    def test_first_error_order(self):
+        # the order of the grid's docstring, at points of two rows, pinned
+        # apart from the one-point call (the grid's batch of one): D = 6e153
+        # passes its own check but overflows the closed drive term, and n =
+        # 3e307 the closed forms of N gamma_full, which the special
+        # representation at incommensurate periods does not use
+        golden, nan = float(GOLDEN_RATIO_F), complex(math.nan, 0)
+        points = [   # C, beta, omega_f, D, indices into ns, expected error
+            (2.0, 0.3, 0.5, 6e153, (0, 2), "the closed drive term at D"),
+            (2.0, 0.3, 0.5, 6e153, (2, 0), "quantum number must be"),
+            (2.0, 0.3, 0.5, 6e153, (1, 0), "closed-form phases overflow"),
+            (2.0, 0.3, 0.5, 0j, (0, 1), "closed-form phases overflow"),
+            (2.0, 0.3, 0.5, nan, (2, 0), "the velocity bound"),
+            (1.0, 0.0, golden, 0j, (0, 1), None),
+            (1.0, 0.0, golden, 0j, (0, 2), "quantum number must be"),
+            (1.0, 0.0, golden, 0.1j, (2, 0), "has no rational approximation"),
+            (1.0, 0.0, golden, 6e153, (0, 1), "has no rational approximation")]
+        Cs, betas, omega_fs = [1.0, 2.0], [0.0, 0.3], [golden, 0.5]
+        Ds = [0j, 6e153, nan, 0.1j]   # list.index finds nan by identity
+        index = np.array([[Cs.index(C), betas.index(beta), omega_fs.index(omega_f),
+                           Ds.index(D)] for C, beta, omega_f, D, _, _ in points]).T
+        *columns, errors = berry_phase_driven_grid(
+            self.M, self.W, Cs, betas, index[0], index[1], DrivingForce(1.5, self.COEFFS),
+            omega_fs, index[2], Ds, index[3], [0, 3 * 10 ** 307, -1],
+            np.array([point[4] for point in points]), self.CONFIG)
+        undriven, closed, _, _, p, N = columns
+        for q, (*_, expected) in enumerate(points):
+            assert expected in str(errors[q]) if expected else errors[q] is None
+        special = berry_phase_special_rep(DrivingForce(golden, self.COEFFS), self.M,
+                                          self.W, 0.7)
+        assert (undriven[5].tolist(), closed[5].tolist(), p[5].tolist(),
+                N[5].tolist()) == ([0.0, 0.0], [special] * 2, [0, 0], [0, 0])
+
+    def test_one_drive_quadrature_per_valid_omega_f(self, monkeypatch):
+        # 5 C x 4 beta cells, each with 3 D, at two valid omega_f, a refused
+        # one and a resonant one: one quadrature of the 3 D per valid omega_f
+        calls = []
+        batched = driven.drive_phase_quadratures
+
+        def spy(xps, *args):
+            calls.append((xps[0].omega_f, [xp.D for xp in xps]))
+            return batched(xps, *args)
+
+        monkeypatch.setattr(driven, "drive_phase_quadratures", spy)
+        Ds = [0j, 0.1j, -0.2 + 0.1j]
+        (_, _, quadrature, _, _, _), errors, params, _ = self.grid(
+            np.linspace(0.5, 3.0, 5).tolist(), np.linspace(-1.0, 1.0, 4).tolist(),
+            [0.5, -1.0, 1.0, 1.5], Ds, [0], [(0,)])
+        assert calls == [(0.5, Ds), (1.5, Ds)]
+        assert all((error is None) == (omega_f in (0.5, 1.5))
+                   for error, (_, _, omega_f, _) in zip(errors, params))
+
+    def test_a_grid_of_refused_cells_gives_each_point_its_error(self):
+        # M <= 0 refuses every cell: no drive work runs, and each point,
+        # D = nan or not, reports its own cell's refusal
+        columns = berry_phase_driven_grid(
+            -1.0, 1.0, [1.0, 0.0], [0.0], np.arange(2), np.zeros(2, dtype=int),
+            DrivingForce(0.5, self.COEFFS), [0.5], np.zeros(2, dtype=int),
+            [complex(math.nan, 0), 0j], np.arange(2), [0], np.zeros((2, 1), dtype=int),
+            self.CONFIG)
+        messages = []
+        for C in (1.0, 0.0):
+            with pytest.raises(InvalidParameterError) as refused:
+                Representation(-1.0, 1.0, C, 0.0)
+            messages.append(str(refused.value))
+        assert [str(error) for error in columns[-1]] == messages
 
 
 class TestPsiDriven:

@@ -32,7 +32,8 @@ def test_oracle_timing(tmp_path, capsys):
     assert list(report) == ["request", "points", "repeats", "sweep_end_to_end_s",
                             "layer_s", "layer_s_per_1k_points", "env"]
     assert report["points"] == 500
-    layers = ["overlap", "branch_tracking", "dynamical_quadrature"]
+    layers = ["representation_arrays", "overlap", "branch_tracking",
+              "dynamical_quadrature"]
     assert list(report["layer_s"]) == list(report["layer_s_per_1k_points"]) == layers
 
 
@@ -56,7 +57,7 @@ def test_driven_timing(tmp_path, capsys):
                             "fft_pair_ns_per_point", "env"]
     assert (report["points"], report["modes"]) == (16, 36)
     assert list(report["layer_s"]) == [
-        "drive_quadrature_per_point", "drive_quadrature_batched",
+        "driven_sweep", "drive_quadrature_per_point", "drive_quadrature_batched",
         "drive_phase_closed", "particular_solution", "propagation",
         "propagation_free", "fft_pair"]
 
