@@ -256,22 +256,14 @@ def _oracle_batch(reps, ns, tau_prime: float,
     windings in one call, their time integrals as rows of one quadrature.
     Each still refines, is certified and is checked on its own, so its
     result is the same float, and its error the same message, as when it is
-    alone. An ArithmeticError names no representation (a Hermite overflow,
-    rho vanishing at a node), so the batch then reruns each one alone.
+    alone.
     """
     tau_prime = _check_duration(tau_prime)
     errors = _refusals(reps, ns, config.hbar)
     arrays = RepresentationArrays.of(reps)
-    try:
-        finals = _family_overlaps(arrays, ns, 0.0, tau_prime, config, errors)
-        chis = _overall_phases(arrays, ns, tau_prime, finals, errors)
-        return chis - _dynamical_phases(arrays, ns, tau_prime, errors), errors
-    except ArithmeticError as exc:
-        if len(reps) == 1:
-            return np.zeros((1, len(ns))), [exc]
-        alone = [_oracle_batch([rep], ns, tau_prime, config) for rep in reps]
-        return (np.concatenate([gammas for gammas, _ in alone]),
-                [error for _, (error,) in alone])
+    finals = _family_overlaps(arrays, ns, 0.0, tau_prime, config, errors)
+    chis = _overall_phases(arrays, ns, tau_prime, finals, errors)
+    return chis - _dynamical_phases(arrays, ns, tau_prime, errors), errors
 
 
 def berry_phase_oracles(rep: Representation, ns, tau_prime: float,
@@ -362,11 +354,13 @@ def overall_phase_oracle(state: QuantumState, tau_prime: float) -> tuple[float, 
     changes by (n + 1/2)(theta(tau') - theta(0)) with theta the continuous
     winding of u - i v, taken at the two endpoints. Raises NotCyclicError
     when the fidelity falls below 1 - FIDELITY_FLOOR, i.e. the evolution did
-    not return the state to itself, and ConvergenceError when the spatial
-    quadrature does not converge or fails its certification.
+    not return the state to itself, ConvergenceError when the spatial
+    quadrature does not converge or fails its certification, and the
+    refusals of berry_phase_oracles.
     """
     tau_prime = _check_duration(tau_prime)
-    arrays, ns, errors = RepresentationArrays.of([state.rep]), (state.n,), [None]
+    arrays, ns = RepresentationArrays.of([state.rep]), (state.n,)
+    errors = _refusals([state.rep], ns, state.config.hbar)
     finals = _family_overlaps(arrays, ns, 0.0, tau_prime, state.config, errors)
     chi = _one_point(_overall_phases(arrays, ns, tau_prime, finals, errors), errors)
     return float(chi[0]), float(np.abs(finals)[0, 0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import ConvergenceError, InvalidParameterError, _attempt
 from .numerics import chunks, refine
 from .representation import (PhysicalConfig, Representation, RepresentationArrays,
                              _winding, classical_pair, kinematics, require_valid,
@@ -185,8 +185,6 @@ def energy_per_quantum(rep: Representation, t):
     """
     u, v, du, dv = classical_pair(rep, t)
     r2 = u * u + v * v
-    if np.any(np.asarray(r2) == 0.0):
-        raise ArithmeticError("u^2 + v^2 vanished; classical pair is degenerate")
     rd2 = (u * du + v * dv) ** 2 / r2
     om = rep.omega
     return 0.5 * (om / (rep.M * r2) + rep.M * rd2 / om + rep.stiffness * r2 / om)
@@ -282,14 +280,30 @@ class _Snapshot:
         # the reciprocal of rho too, and differ in the last digit.
         reciprocal = 1.0 / (2.0 * self.hbar)
         self.quad = np.empty(om.shape, dtype=complex)
-        self.quad.real = -om / (self.r * self.r) * reciprocal
-        self.quad.imag = self.reps.M * rdot / self.r * reciprocal
-        # |psi_n| decays like exp(-rate x^2)
-        self.rate = om / (2.0 * self.hbar * self.r * self.r)
+        with np.errstate(over="ignore", divide="ignore"):   # refused below
+            self.quad.real = -om / (self.r * self.r) * reciprocal
+            self.quad.imag = self.reps.M * rdot / self.r * reciprocal
+            # |psi_n| decays like exp(-rate x^2)
+            self.rate = om / (2.0 * self.hbar * self.r * self.r)
         # the rho-free normalizations per tuple of ns do not depend on t:
         # snapshots of the same representations may share this table
         self.prefactors = {}
         self._coefficients = {}
+
+    def refuse(self, errors: list) -> None:
+        """Refuse in ``errors``, with an InvalidParameterError, each point not
+        yet refused whose Gaussian rate is not a normal float or has an
+        infinite double, which bounds the sum of two rates that scales a
+        spatial rule, so that its abscissas and Hermite arguments are finite."""
+        with np.errstate(over="ignore"):
+            normal = (self.rate >= sys.float_info.min) & (2.0 * self.rate < math.inf)
+        for p in np.flatnonzero(~normal.ravel()).tolist():
+            if errors[p] is None:
+                M, w, C, beta = (float(field[p, 0, 0]) for field in self.reps[:4])
+                errors[p] = InvalidParameterError(
+                    "the Gaussian rate Omega/(2 hbar rho^2) is not a normal float"
+                    f" at M={M!r}, w={w!r}, C={C!r}, beta={beta!r},"
+                    f" hbar={self.hbar!r}")
 
     def coefficient(self, ns) -> np.ndarray:
         """The x-independent factor of psi_n, (points, len(ns), 1)."""
@@ -329,10 +343,13 @@ def _one_point(values, errors):
     return values[0]
 
 
-def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
+def _spatial_integrals(integrands, bra: _Snapshot, ket: _Snapshot, m: int,
+                       errors: list):
     """Integrals over the real line of the rows of integrands(active, x) for
     every point p not yet refused in ``errors``, whose moduli decay like
-    exp(-s[p]^2 x^2), on the Gauss-Hermite rule in y = s x.
+    exp(-s[p]^2 x^2) with s^2 the sum of the rates of bra and ket, on the
+    Gauss-Hermite rule in y = s x. A point whose rates either snapshot
+    refuses gets that refusal first.
 
     integrands takes an index array of points and their abscissas, shaped
     (len(active), 1, nodes), and returns (len(active), rows, nodes). A
@@ -341,6 +358,10 @@ def _spatial_integrals(integrands, s: np.ndarray, m: int, errors: list):
     rows) and each point's node count; a point that does not converge gets
     its ConvergenceError in ``errors``.
     """
+    bra.refuse(errors)
+    ket.refuse(errors)
+    s = np.sqrt(bra.rate + ket.rate)[:, 0, 0]
+
     def evaluate(m, active):
         y, weights = hermite_rule(m)
         return np.concatenate([
@@ -361,7 +382,10 @@ def _certify(snapshots, ns, nodes: np.ndarray, errors: list) -> None:
     """Refuse in ``errors``, with a ConvergenceError, each point not yet
     refused whose nodes[p]-node rule, scaled to the width of each snapshot's
     states, does not integrate |psi_n|^2 to 1 within NORM_TOL for every n of
-    ns. The first failure in the order (snapshot, n) is a point's error."""
+    ns. The first failure in the order (snapshot, n) is a point's error,
+    after the refusal of its rates by a snapshot."""
+    for snapshot in snapshots:
+        snapshot.refuse(errors)
     points = _live(errors)
     for m in np.unique(nodes[points]).tolist():
         y, weights = hermite_rule(m)
@@ -383,8 +407,9 @@ def _certify(snapshots, ns, nodes: np.ndarray, errors: list) -> None:
 def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns, errors: list) -> np.ndarray:
     """<bra_ns[i]|ket_ns[i]> for every i at every point of the snapshots, one
     row per point; a point refused in ``errors`` is skipped, and one whose
-    integral fails gets its ConvergenceError there. Each state of bra_ns and
-    ket_ns is evaluated at both times from one Hermite recurrence per level."""
+    integral fails, or whose rates a snapshot refuses, gets its error there.
+    Each state is evaluated at both times from one Hermite recurrence per
+    level."""
     ns = list(bra_ns)
     if ns != list(ket_ns):
         ns += list(ket_ns)
@@ -396,16 +421,16 @@ def _overlaps(bra: _Snapshot, bra_ns, ket: _Snapshot, ket_ns, errors: list) -> n
         return np.conj(at_bra[:, bra_rows]) * at_ket[:, ket_rows]
 
     m = (max(bra_ns) + max(ket_ns)) // 2 + 16
-    values, nodes = _spatial_integrals(
-        integrand, np.sqrt(bra.rate + ket.rate)[:, 0, 0], m, errors)
+    values, nodes = _spatial_integrals(integrand, bra, ket, m, errors)
     _certify((bra, ket), ns, nodes, errors)
     return values
 
 
 def _check_width(rep: Representation, hbar: float) -> None:
-    """Refuse the states of rep unless Omega/hbar, whose logarithm the
-    normalization takes, is a normal float, and 1/(2 hbar), which scales
-    their Gaussian exponent, is finite."""
+    """Refuse the states of rep unless they are normalizable (require_valid),
+    Omega/hbar, whose logarithm the normalization takes, is a normal float,
+    and 1/(2 hbar), which scales their Gaussian exponent, is finite."""
+    require_valid(rep)
     scale = rep.omega / hbar
     if not sys.float_info.min <= scale < math.inf:
         bound = "overflows" if scale > 1.0 else "underflows"
@@ -418,30 +443,19 @@ def _check_width(rep: Representation, hbar: float) -> None:
 
 
 def _refusals(reps, ns, hbar: float) -> list:
-    """Each representation's refusal by the spatial stages, or None: not
-    full mode or a width _check_width refuses, else a quantum number of ns
-    beyond the Hermite cap."""
-    errors = [None] * len(reps)
-    for p, rep in enumerate(reps):
-        try:
-            require_valid(rep)
-            _check_width(rep, hbar)
-        except InvalidParameterError as exc:
-            errors[p] = exc
-    try:
-        for n in ns:
-            _check_degree(n)
-    except InvalidParameterError as exc:
-        errors = [error or exc for error in errors]
-    return errors
+    """Each representation's refusal by the spatial stages, or None: its
+    _check_width refusal, else a quantum number of ns beyond the Hermite cap."""
+    degree = _attempt(lambda: [_check_degree(n) for n in ns])
+    capped = degree if isinstance(degree, Exception) else None
+    return [_attempt(lambda: _check_width(rep, hbar)) or capped for rep in reps]
 
 
 def _family_overlaps(arrays: RepresentationArrays, ns, t_bra: float, t_ket: float,
                      config: PhysicalConfig, errors: list) -> np.ndarray:
-    """family_overlaps for every point of arrays not yet refused in
-    ``errors``, one row per point; a point whose integral fails gets its
-    ConvergenceError there. The normalizations are computed once, for both
-    times."""
+    """<psi_n(t_bra)|psi_n(t_ket)> for every n of ns, one row per point of
+    arrays not yet refused in ``errors``, refused as by _overlaps: rho and
+    theta once per time, one Hermite recurrence up to max(ns), and the
+    normalizations once for both times."""
     values = np.zeros((len(errors), len(ns)), dtype=complex)
     live = _live(errors)
     if live.size:
@@ -453,15 +467,6 @@ def _family_overlaps(arrays: RepresentationArrays, ns, t_bra: float, t_ket: floa
         for p, error in zip(live.tolist(), found):
             errors[p] = error
     return values
-
-
-def family_overlaps(rep: Representation, ns, t_bra: float, t_ket: float,
-                    config: PhysicalConfig = PhysicalConfig()) -> np.ndarray:
-    """<psi_n(t_bra)|psi_n(t_ket)> for every n of ns, on one shared rule:
-    rho and theta once per time, one Hermite recurrence up to max(ns)."""
-    errors = _refusals([rep], ns, config.hbar)
-    return _one_point(_family_overlaps(RepresentationArrays.of([rep]), ns, t_bra,
-                                       t_ket, config, errors), errors)
 
 
 def overlap(bra: QuantumState, t_bra: float, ket: QuantumState, t_ket: float) -> complex:
@@ -480,7 +485,7 @@ def norm_quadrature(state: QuantumState, t: float) -> float:
     errors = [None]
     values, _ = _spatial_integrals(
         lambda active, x: np.abs(_psi_at([(snapshot, x)], (state.n,), active)[0]) ** 2,
-        np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, errors)
+        snapshot, snapshot, state.n + 16, errors)
     return float(_one_point(values, errors)[0])
 
 
@@ -502,7 +507,6 @@ def energy_expectation_quadrature(state: QuantumState, t: float) -> float:
         return kinetic + potential
 
     errors = [None]
-    values, nodes = _spatial_integrals(
-        integrand, np.sqrt(2.0 * snapshot.rate)[:, 0, 0], state.n + 16, errors)
+    values, nodes = _spatial_integrals(integrand, snapshot, snapshot, state.n + 16, errors)
     _certify((snapshot,), (state.n,), nodes, errors)
     return float(_one_point(values, errors)[0])

@@ -858,6 +858,9 @@ def test_sweep_reports_an_overflowing_drive_in_its_row(capsys):
       "--force-coeff", "1:1:0", "--C", "2"), 3),
     # every |f_n|^2 underflows to 0
     (("driven", "--omega-f", "0.5", "--force-coeff", "1:1e-170:0"), 0),
+    # 2 hbar rho^2 overflows, so the Gaussian rate Omega/(2 hbar rho^2) is 0
+    (("berry", "--n", "3", "--C", "3.0155703575137995e+29", "--beta", "-1.0",
+      "--hbar", "7.065286027335156e+293"), 2),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"exit-{value}")
 def test_extreme_scales_give_a_value_or_one_typed_refusal(argv, expected, capsys):
     with warnings.catch_warnings():
@@ -875,6 +878,20 @@ def test_extreme_scales_give_a_value_or_one_typed_refusal(argv, expected, capsys
 def test_sweeps_at_extreme_scales_report_their_refusals_in_rows(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        scales = ("--beta", "-1", "--hbar", "7.065286027335156e+293", "--n", "3",
+                  "--format", "csv")
+        code, _, err = run_cli(capsys, "berry", "--C", "3.0155703575137995e+29",
+                               *scales)
+        message = err[len("error: "):-1]
+        assert code == 2 and message.startswith("the Gaussian rate ")
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1:1:1", *scales)
+        assert code == 0, err
+        alone = out.splitlines()[1]
+        code, out, err = run_cli(capsys, "sweep", "--sweep",
+                                 "C:1:3.0155703575137995e+29:2", *scales)
+        assert code == 0, err
+        assert out.splitlines()[1:] == [alone,
+                                        f'3.0155703575137995e+29,,,,,,,,"{message}"']
         code, out, err = run_cli(capsys, "sweep", "--sweep", "C:1e-200:1:2",
                                  "--hbar", "1e200", "--format", "csv")
         assert code == 0, err

@@ -1,12 +1,15 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shoberry import phase, selfcheck
 from shoberry.errors import (ConvergenceError, InvalidParameterError,
-                             InvalidRepresentationError, NotCyclicError)
+                             InvalidRepresentationError, NotCyclicError,
+                             UndefinedPhaseError)
 from shoberry.numerics import integrate_1d
 from shoberry.errors import POINT_ERRORS
 from shoberry.phase import (PhaseResult, berry_phase, berry_phase_grid, berry_phase_oracle,
@@ -17,7 +20,7 @@ from shoberry.phase import (PhaseResult, berry_phase, berry_phase_grid, berry_ph
                             overall_phase_oracle, phase_result_for_half_periods)
 from shoberry.representation import (PhysicalConfig, Representation,
                                      RepresentationArrays)
-from shoberry.wavefunction import QuantumState, alpha, alpha_dot, family_overlaps
+from shoberry.wavefunction import QuantumState, _family_overlaps, alpha, alpha_dot
 
 TWO_PI = 2.0 * math.pi
 STATIONARY = Representation(1.0, 1.0, 1.0, 0.0)
@@ -224,12 +227,12 @@ class TestPerPointOracle:
         # one call for every n against the single-state entry points
         tau = 0.5 * rep.tau0
         arrays, errors = RepresentationArrays.of([rep]), [None]
-        finals = family_overlaps(rep, self.NS, 0.0, tau)
-        (chis,) = phase._overall_phases(arrays, self.NS, tau, finals[None], errors)
+        finals = _family_overlaps(arrays, self.NS, 0.0, tau, PhysicalConfig(), errors)
+        (chis,) = phase._overall_phases(arrays, self.NS, tau, finals, errors)
         (deltas,) = phase._dynamical_phases(arrays, self.NS, tau, errors)
         assert errors == [None]
         gammas = berry_phase_oracles(rep, self.NS, tau)
-        for n, chi, fidelity, delta, gamma in zip(self.NS, chis, np.abs(finals),
+        for n, chi, fidelity, delta, gamma in zip(self.NS, chis, np.abs(finals[0]),
                                                   deltas, gammas):
             state = QuantumState(rep, n)
             chi_one, fidelity_one = overall_phase_oracle(state, tau)
@@ -431,13 +434,12 @@ class TestBatchedOracle:
         (0.3, [STRETCHED, STATIONARY, Representation(1.0, 1.0, 30.0, 0.5),
                Representation(1.0, 1.0, 1000.0, 0.0)],
          ["NotCyclicError", "list", "ConvergenceError", "NotCyclicError"]),
-        # C far beyond the closed forms' range: a Hermite recurrence that is
-        # not finite names no point, so the batch reruns its points one by one
+        # C far beyond the closed forms' range: rho^2 overflows, so the
+        # Gaussian rate Omega/(2 hbar rho^2) is refused for that point alone
         (0.5, [STRETCHED, Representation(1.0, 1.0, 1e200, 0.3),
                Representation(1.0, 1.0, 1e-160, 0.0)],
-         ["list", "OverflowError", "ConvergenceError"]),
+         ["list", "InvalidParameterError", "ConvergenceError"]),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # C = 1e200 overflows
     def test_failing_points_fail_alone(self, periods, reps, kinds):
         ns = (0, 3, 20)
         tau = periods * reps[0].tau0
@@ -445,6 +447,37 @@ class TestBatchedOracle:
         assert [type(result).__name__ for result in batched] == kinds
         for rep, result in zip(reps, batched):
             assert _same_outcome(result, _one_point(rep, ns, tau))
+
+    @pytest.mark.parametrize("rep,hbar,ns,neighbour", [
+        # rho^2 overflows at C = 1e200, 2 hbar rho^2 at the second point (the
+        # rate's denominator): each is refused, its neighbour computes
+        (Representation(1.0, 1.0, 1e200, 0.3), 1.0, (0, 3), "list"),
+        (Representation(1.0, 1.0, 3.0155703575137995e+29, -1.0),
+         7.065286027335156e+293, (3,), "list"),
+        # Omega/hbar overflows at any Omega here, so both points are refused
+        (STRETCHED, 1e-310, (3,), "InvalidParameterError"),
+    ])
+    def test_batch_and_single_state_refuse_alike(self, rep, hbar, ns, neighbour):
+        config = PhysicalConfig(hbar)
+
+        def alone(rep):
+            try:
+                return berry_phase_oracles(rep, ns, math.pi, config)
+            except POINT_ERRORS as exc:
+                return exc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reps in ([rep, STRETCHED], [STRETCHED, rep]):
+                gammas, errors = phase._oracle_batch(reps, ns, math.pi, config)
+                for other, row, error in zip(reps, gammas.tolist(), errors):
+                    assert _same_outcome(error or row, alone(other))
+            refusal = alone(rep)
+            assert isinstance(refusal, InvalidParameterError)
+            assert type(alone(STRETCHED)).__name__ == neighbour
+            with pytest.raises(type(refusal)) as exc:
+                overall_phase_oracle(QuantumState(rep, ns[-1], config), math.pi)
+        assert type(exc.value) is type(refusal) and str(exc.value) == str(refusal)
 
     def test_quantum_number_above_the_cap_refuses_every_point(self):
         results = _batch([STRETCHED, STATIONARY], (0, 65), math.pi)
@@ -491,7 +524,6 @@ class TestBerryPhaseGrid:
             else:
                 assert alone_oracle is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # C = 1e200 overflows
     def test_each_point_reports_the_error_of_its_one_point_call(self):
         Cs, betas, ns = [0.0, 2.0, -2.0, 1e200, 1e6], [0.3, 1.5], (0, 20, 65)
         points = [  # (C, beta, quantum numbers) as indices into Cs, betas, ns
@@ -517,3 +549,38 @@ class TestBerryPhaseGrid:
                 assert oracle[p].tolist() == alone[1] if has_oracle[p] else alone[1] is None
             else:
                 assert type(errors[p]) is type(alone) and str(errors[p]) == str(alone)
+
+
+# A positive float drawn log-uniform over [5e-324, 1.8e308].
+_SCALE = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_SCALE, _SCALE, _SCALE,
+       st.lists(st.tuples(_SCALE, st.booleans(), st.floats(-1.5707963, 1.5707963)),
+                min_size=1, max_size=5),
+       st.lists(st.integers(0, 64), min_size=1, max_size=2, unique=True),
+       st.sampled_from([1, 2]))
+# 2 hbar rho^2 overflows: the Gaussian rate was 0 and H_3 overflowed
+@example(1.0, 1.0, 7.065286027335156e+293, [(3.0155703575137995e+29, False, -1.0)],
+         [3], 1)
+def test_full_mode_grid_gives_a_finite_row_or_a_typed_refusal(M, w, hbar, cells, ns,
+                                                              half_periods):
+    # C cos beta > 0 at every point, so each runs the oracle: M, w and hbar
+    # are shared by the grid's points, |C| and beta drawn for each
+    Cs = [-size if negative else size for size, negative, _ in cells]
+    betas = [beta + math.pi if negative else beta for _, negative, beta in cells]
+    diagonal = np.arange(len(cells))
+    slots = np.tile(np.arange(len(ns)), (len(cells), 1))
+    *_, oracle, has_oracle, errors = berry_phase_grid(
+        M, w, Cs, betas, diagonal, diagonal, ns, slots, half_periods,
+        PhysicalConfig(hbar))
+    for C, beta, row, computed, error in zip(Cs, betas, oracle, has_oracle.tolist(),
+                                             errors):
+        if computed:
+            assert error is None and np.all(np.isfinite(row))
+        elif error is None:   # formula-only where M C w cos beta underflows
+            assert not Representation(M, w, C, beta).omega > 0
+        else:
+            assert isinstance(error, (InvalidParameterError, UndefinedPhaseError,
+                                      ConvergenceError)), repr(error)

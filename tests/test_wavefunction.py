@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_hermite
 
 from shoberry import selfcheck, wavefunction
-from shoberry.errors import ConvergenceError, InvalidRepresentationError
+from shoberry.errors import (ConvergenceError, InvalidParameterError,
+                             InvalidRepresentationError)
 from shoberry.numerics import composite_gauss_nodes, integrate_1d
 from shoberry.representation import (PhysicalConfig, Representation,
                                      RepresentationArrays)
 from shoberry.wavefunction import (MAX_HERMITE_DEGREE, QuantumState, alpha,
                                    alpha_dot, energy_expectation,
                                    energy_expectation_quadrature,
-                                   family_overlaps, grid_halfwidth,
+                                   grid_halfwidth,
                                    hermite, hermite_rule, norm_quadrature,
                                    overlap, psi, psi_dx)
 
@@ -167,16 +168,9 @@ class TestSqueezedStates:
     @pytest.mark.parametrize("n", [0, 64])
     @pytest.mark.parametrize("periods", [0.5, 1.0])
     def test_cyclic_fidelity_is_one(self, n, periods):
-        final = family_overlaps(SQUEEZED, (n,), 0.0, periods * SQUEEZED.tau0)[0]
+        state = QuantumState(SQUEEZED, n)
+        final = overlap(state, 0.0, state, periods * SQUEEZED.tau0)
         assert abs(abs(final) - 1.0) < 1e-10
-
-    def test_family_overlaps_match_single_overlaps(self):
-        ns = (0, 3, 8, 20)
-        t = 0.5 * TILTED.tau0
-        values = family_overlaps(TILTED, ns, 0.0, t)
-        for n, value in zip(ns, values):
-            state = QuantumState(TILTED, n)
-            assert abs(value - overlap(state, 0.0, state, t)) < 1e-12
 
     def test_rule_too_small_for_the_degree_is_refused(self):
         # on 4 nodes |psi_20|^2 cannot integrate to 1: certification refuses it
@@ -194,6 +188,18 @@ class TestSqueezedStates:
         state = QuantumState(SQUEEZED, 5)
         with pytest.raises(ConvergenceError):
             overlap(state, 0.2 * SQUEEZED.tau0, state, 0.3 * SQUEEZED.tau0)
+
+    @pytest.mark.parametrize("integral", [
+        lambda state: overlap(state, 0.0, state, 1.0),
+        lambda state: norm_quadrature(state, 0.0),
+        lambda state: energy_expectation_quadrature(state, 0.0),
+    ], ids=["overlap", "norm", "energy"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gaussian_rate_is_refused(self, integral):
+        # rho^2 overflows at C = 1e200, so Omega/(2 hbar rho^2) reads 0
+        state = QuantumState(Representation(1.0, 1.0, 1e200, 0.3), 3)
+        with pytest.raises(InvalidParameterError, match="the Gaussian rate "):
+            integral(state)
 
 
 class TestAlpha:
